@@ -23,7 +23,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .census import CensusResult, fast_census
-from .config import DEFAULT_SEGMENT_SIZE
 
 PI_SQUARED = math.pi**2
 
@@ -78,17 +77,10 @@ def _check_grid(Ns: Sequence[int]) -> None:
         raise ValueError(f"Ns must be strictly increasing, got {list(Ns)}")
 
 
-def ratio_table(
-    Ns: Sequence[int],
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
-) -> list[RatioPoint]:
+def ratio_table(Ns: Sequence[int]) -> list[RatioPoint]:
     """One RatioPoint per N, via the fast census."""
     _check_grid(Ns)
-    return [
-        ratio_point(fast_census(n, segment_size=segment_size, threads=threads))
-        for n in Ns
-    ]
+    return [ratio_point(fast_census(n)) for n in Ns]
 
 
 def ramanujan_check(N: int, result: Optional[CensusResult] = None) -> float:

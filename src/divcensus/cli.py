@@ -14,7 +14,7 @@ import os
 import sys
 from decimal import Decimal, InvalidOperation
 
-from . import asymptotics, census, sampler
+from . import asymptotics, census, divisor_core, sampler
 from .config import Config, ResourceLimitError
 
 log = logging.getLogger("divcensus")
@@ -107,7 +107,7 @@ def cmd_census(args, cfg: Config) -> int:
     if args.method == "brute":
         result = census.brute_force_census(n, oracle_ceiling=cfg.oracle_ceiling)
     else:
-        result = census.fast_census(n, segment_size=cfg.segment_size, threads=cfg.threads)
+        result = census.fast_census(n)
     emit_records(CENSUS_FIELDS, [census_record(result)], args.format)
     return EXIT_OK
 
@@ -130,7 +130,7 @@ def geometric_grid(start: int, stop: int, points: int) -> list[int]:
 
 def cmd_table(args, cfg: Config) -> int:
     grid = geometric_grid(args.start, args.stop, args.points)
-    points = asymptotics.ratio_table(grid, segment_size=cfg.segment_size, threads=cfg.threads)
+    points = asymptotics.ratio_table(grid)
     emit_records(RATIO_FIELDS, (ratio_record(p) for p in points), args.format)
     return EXIT_OK
 
@@ -162,7 +162,7 @@ def cmd_verify(args, cfg: Config) -> int:
     checked = 0
     for oracle in census.brute_force_census_range(max_n, oracle_ceiling=cfg.oracle_ceiling):
         n = oracle.N
-        fast = census.fast_census(n, segment_size=cfg.segment_size, threads=cfg.threads)
+        fast = census.fast_census(n)
         if inject is not None and n == inject:
             fast = census.CensusResult(
                 N=n,
@@ -190,6 +190,13 @@ def cmd_verify(args, cfg: Config) -> int:
         checked += 1
         if n % 500 == 0:
             log.info("verified through N=%d", n)
+    # The census takes B from the sublinear identity only from
+    # census.SUBLINEAR_B_CUTOFF on, which most of these N are below; so the
+    # identity is also checked once here, at the largest N.
+    sublinear_b = divisor_core.divisor_square_summatory_sublinear(max_n)
+    if sublinear_b != oracle.b_count:
+        print(f"mismatch at N={max_n}: B sublinear={sublinear_b} brute={oracle.b_count}")
+        return EXIT_MISMATCH
     print(f"verify: fast path matches brute force (A, B, C, S and A=2S-C) for all N <= {checked}")
     return EXIT_OK
 
@@ -198,13 +205,9 @@ def cmd_verify(args, cfg: Config) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on its own errors, which matches the exit-code contract
-    pass
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    # argparse exits 2 on its own errors, which matches the exit-code contract
+    parser = argparse.ArgumentParser(
         prog="divcensus",
         description=(
             "Exact counts of triples (a, b, r) with r | ab and ab <= N: all of "

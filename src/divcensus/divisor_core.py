@@ -25,11 +25,30 @@ sqrt(x) and using the a <-> b symmetry:
 
 which is O(sqrt(x)) and needs no table, so it stays usable for arguments
 as large as the census bound N itself.
+
+Sum of d(n)^2
+-------------
+With D_4(x) = sum_{uv<=x} d(u) d(v), the count of 4-tuples with product
+at most x, and mu the Moebius function,
+
+    sum_{n<=N} d(n)^2 = sum_{k<=sqrt(N)} mu(k) * D_4(floor(N / k^2))
+
+(census.py derives this from sum d(n)^2 n^-s = zeta(s)^4 / zeta(2s)), and
+the hyperbola split again gives
+
+    D_4(x) = 2 * sum_{u<=sqrt(x)} d(u) * D(floor(x/u))  -  D(floor(sqrt(x)))^2.
+
+divisor_square_summatory_sublinear sieves d(n) once up to y ~ N^(2/3),
+takes prefix sums so that D(m) is a lookup for m <= y, and calls
+divisor_summatory only for the few arguments above y.  The whole sum costs
+about N^(2/3) sieve work plus sqrt(N) ln(N) lookups, against the N ln N of
+summing d(n)^2 term by term.  The term-by-term routes stay: the in-memory
+one for small N, the segmented one as an independent cross-check.
 """
 
 from dataclasses import dataclass
 from math import isqrt
-from concurrent.futures import ThreadPoolExecutor
+from operator import mul
 
 import numpy as np
 
@@ -41,6 +60,20 @@ TABLE_LIMIT = 1 << 27
 
 # Pure-python loops beat numpy below this many terms (allocation overhead).
 _VECTOR_CUTOFF = 1024
+
+# The d(n) table behind the sublinear sum of d(n)^2 holds at most this many
+# entries.  Its int32 counts plus their int32 prefix sums peak at 8 bytes an
+# entry, 128 MiB at the cap, which N reaches at N^(2/3) = 2^24 (N ~ 6.9e10).
+# int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
+SUBLINEAR_TABLE_CAP = 1 << 24
+
+# Per-u sums of d(u) * D(x // u) for one x are bounded by D_4(x) (see
+# _hyperbola_sums); that bound stays below 2^63 for x <= 2^47.
+INT64_HYPERBOLA_X = 1 << 47
+
+# (k, u) pairs handled per vectorized step of the sublinear sum: about
+# 2^18 * 5 int64 temporaries, ~10 MiB.
+_PAIR_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -147,28 +180,121 @@ def _segment_square_sum(lo: int, hi: int) -> int:
 def divisor_square_summatory_segmented(
     n_max: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
-    threads: int = 1,
 ) -> int:
     """sum_{n<=n_max} d(n)^2 streamed over segments; exact for any n_max.
 
-    With threads > 1 the disjoint segments are reduced in parallel; exact
-    integer addition is associative, so the result is identical to the
-    sequential one for every thread count.
+    It costs time linear in n_max and memory bounded by the segment size.
+    The census uses the sublinear route; this one is kept as an independent
+    cross-check of it.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     _check_segment_size(segment_size)
-    ranges = []
-    lo = 1
-    while lo <= n_max:
-        hi = min(lo + segment_size - 1, n_max)
-        ranges.append((lo, hi))
-        lo = hi + 1
-    if threads > 1 and len(ranges) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = pool.map(lambda r: _segment_square_sum(*r), ranges)
-            return sum(partials)
+    ranges = (
+        (lo, min(lo + segment_size - 1, n_max)) for lo in range(1, n_max + 1, segment_size)
+    )
     return sum(_segment_square_sum(lo, hi) for lo, hi in ranges)
+
+
+def _mobius_table(n_max: int) -> np.ndarray:
+    """mu(0..n_max) as int8, mu(0) = 0.
+
+    Each prime p <= sqrt(n_max) flips the sign of its multiples, zeroes the
+    multiples of p^2 and is multiplied into small_part, the product of the
+    distinct small primes of each multiple.  A number that small_part falls
+    short of has exactly one prime factor above sqrt(n_max) left, which
+    flips the sign once more.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    mu = np.ones(n_max + 1, dtype=np.int8)
+    small_part = np.ones(n_max + 1, dtype=np.int64)
+    r = isqrt(n_max)
+    is_prime = np.ones(r + 1, dtype=bool)
+    for p in range(2, r + 1):
+        if is_prime[p]:
+            is_prime[p * p :: p] = False
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            small_part[p::p] *= p
+    mu[small_part < np.arange(n_max + 1)] *= -1
+    mu[0] = 0
+    return mu
+
+
+def _hyperbola_sums(x_max: int, d_u: np.ndarray, d_sum: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Sums of d_u * d_sum over the segments that begin at `starts`, exactly.
+
+    Each segment holds the terms d(u) * D(x // u), u <= sqrt(x), of one
+    x <= x_max.  Its sum is at most D_4(x), and D_k(x) <= x (1 + ln x)^(k-1)
+    (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m) with sum_{m<=x} 1/m <= 1 + ln x),
+    so for x_max <= 2^47 every segment sum and every term stays below
+    2^47 * (1 + 47 ln 2)^3 < 5.5e18 < 2^63 and the int64 reduction is exact.
+    Above that the terms are accumulated as Python ints.
+    """
+    if x_max <= INT64_HYPERBOLA_X:
+        return np.add.reduceat(d_u * d_sum, starts).tolist()
+    terms = list(map(mul, d_u.tolist(), d_sum.tolist()))
+    bounds = starts.tolist() + [len(terms)]
+    return [sum(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+
+
+def divisor_square_summatory_sublinear(n_max: int) -> int:
+    """sum_{n<=n_max} d(n)^2 = sum_{k<=sqrt(n_max)} mu(k) D_4(n_max // k^2), exactly.
+
+    See the module docstring for the identity and the cost.  The d(n)
+    table is sieved to y = n_max^(2/3), capped at SUBLINEAR_TABLE_CAP and
+    never below sqrt(n_max); n_max >= (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is
+    refused, because d(u) is needed up to sqrt(n_max).
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    root = isqrt(n_max)
+    if root > SUBLINEAR_TABLE_CAP:
+        raise ResourceLimitError(
+            f"sublinear sum of d(n)^2 refused at N={n_max}: it needs d(n) up to "
+            f"sqrt(N) = {root}, above the table cap {SUBLINEAR_TABLE_CAP}"
+        )
+    y = min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3))))
+    table = sieve_divisor_counts(y)
+    prefix = np.cumsum(table.counts, dtype=np.int32)  # prefix[m] = D(m)
+    d = table.counts[: root + 1].astype(np.int64)
+    del table
+
+    mu = _mobius_table(root)
+    ks = np.flatnonzero(mu)
+    signs = mu[ks].tolist()
+    lengths = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
+    ends = np.cumsum(lengths)
+    big_cache: dict[int, int] = {}  # D(q) for q > y; q = n_max // (k^2 u) recurs
+    # The (k, u) pairs are laid out k by k, each k a run of u = 1..lengths[k],
+    # and taken about _PAIR_CHUNK at a time; starts marks where each run begins.
+    total = 0
+    i = 0
+    while i < len(ks):
+        done = int(ends[i - 1]) if i else 0
+        j = max(i + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
+        k, run = ks[i:j], lengths[i:j]
+        x = n_max // (k * k)
+        starts = np.zeros(len(k), dtype=np.int64)
+        np.cumsum(run[:-1], out=starts[1:])
+        u = np.arange(1, int(ends[j - 1]) - done + 1, dtype=np.int64) - np.repeat(starts, run)
+        q = np.repeat(x, run) // u
+        big = q > y
+        d_sum = prefix[np.where(big, 0, q)].astype(np.int64)
+        if big.any():
+            at = np.flatnonzero(big)
+            values = []
+            for v in q[at].tolist():
+                if v not in big_cache:
+                    big_cache[v] = divisor_summatory(v)
+                values.append(big_cache[v])
+            d_sum[at] = values
+        sums = _hyperbola_sums(int(x[0]), d[u], d_sum, starts)
+        corners = prefix[run].tolist()
+        total += sum(sign * (2 * s - c * c) for sign, s, c in zip(signs[i:j], sums, corners))
+        i = j
+    return total
 
 
 def floor_quotient_blocks(n: int) -> list[tuple[int, int, int]]:

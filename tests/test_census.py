@@ -10,7 +10,9 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divcensus import census
 from divcensus.census import (
+    SUBLINEAR_B_CUTOFF,
     Counterexample,
     brute_force_census,
     brute_force_census_range,
@@ -23,7 +25,7 @@ from divcensus.census import (
     list_counterexamples,
 )
 from divcensus.config import ResourceLimitError
-from divcensus.divisor_core import divisor_summatory
+from divcensus.divisor_core import divisor_square_summatory, divisor_summatory, sieve_divisor_counts
 
 
 def loop_census(N):
@@ -79,6 +81,22 @@ def test_count_all_triples_examples():
     assert count_all_triples(1) == 1
     assert count_all_triples(4) == 18
     assert count_all_triples(6) == 38
+
+
+def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
+    table = sieve_divisor_counts(SUBLINEAR_B_CUTOFF + 1)
+    calls = []
+    sublinear = census.divisor_square_summatory_sublinear
+
+    def spy(n):
+        calls.append(n)
+        return sublinear(n)
+
+    monkeypatch.setattr(census, "divisor_square_summatory_sublinear", spy)
+    c = SUBLINEAR_B_CUTOFF
+    for n in (c - 1, c, c + 1):
+        assert count_all_triples(n) == divisor_square_summatory(n, table), n
+    assert calls == [c, c + 1]
 
 
 def test_count_gcd_divisor_sum_examples():

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from divcensus import divisor_core
 from divcensus.cli import geometric_grid, main, parse_count
 
 
@@ -236,6 +237,14 @@ def test_verify_fault_injection_names_the_n(capsys):
     assert code == 1
     assert "N=37" in out
     assert "fast=" in out and "brute=" in out
+
+
+def test_verify_checks_the_sublinear_identity(capsys, monkeypatch):
+    real = divisor_core.divisor_square_summatory_sublinear
+    monkeypatch.setattr(divisor_core, "divisor_square_summatory_sublinear", lambda n: real(n) + 1)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert "mismatch at N=100: B sublinear=" in out
 
 
 # -- counterexamples --------------------------------------------------------------------

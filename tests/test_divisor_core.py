@@ -1,7 +1,8 @@
 """Sieve, summatory, and floor-block primitives against trial-division oracles."""
 
 import math
-from math import gcd, isqrt
+from fractions import Fraction
+from math import factorial, gcd, isqrt
 
 import numpy as np
 import pytest
@@ -9,10 +10,15 @@ from hypothesis import given, settings, strategies as st
 
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import (
+    INT64_HYPERBOLA_X,
+    SUBLINEAR_TABLE_CAP,
     TABLE_LIMIT,
     DivisorTable,
+    _hyperbola_sums,
+    _mobius_table,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
+    divisor_square_summatory_sublinear,
     divisor_summatory,
     floor_quotient_blocks,
     iter_divisor_segments,
@@ -174,12 +180,6 @@ def test_segmented_square_summatory_any_segmentation(x, segment_size):
     assert divisor_square_summatory_segmented(x, segment_size=segment_size) == want
 
 
-def test_segmented_square_summatory_thread_invariant():
-    want = divisor_square_summatory_segmented(50_000, segment_size=4096, threads=1)
-    got = divisor_square_summatory_segmented(50_000, segment_size=4096, threads=4)
-    assert got == want
-
-
 def test_segment_iteration_covers_range_exactly():
     seen = []
     for lo, block in iter_divisor_segments(5000, segment_size=777):
@@ -193,6 +193,112 @@ def test_segment_size_bounds():
         divisor_square_summatory_segmented(10, segment_size=0)
     with pytest.raises(ValueError):
         divisor_square_summatory_segmented(10, segment_size=(1 << 30) + 1)
+
+
+# -- sublinear sum of d(n)^2 -------------------------------------------------
+
+TABLE_30K = sieve_divisor_counts(30_000)
+
+
+def moebius_by_factoring(n: int) -> int:
+    """Independent oracle: mu(n) by trial-division factoring."""
+    sign = 1
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return -sign if n > 1 else sign
+
+
+def test_mobius_table_matches_factoring():
+    mu = _mobius_table(5000)
+    assert mu[0] == 0
+    assert mu[1:].tolist() == [moebius_by_factoring(n) for n in range(1, 5001)]
+    assert _mobius_table(1).tolist() == [0, 1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30_000))
+def test_sublinear_square_summatory_matches_table(n):
+    assert divisor_square_summatory_sublinear(n) == divisor_square_summatory(n, TABLE_30K)
+
+
+def test_sublinear_square_summatory_at_squares_and_neighbours():
+    # isqrt(N) and every isqrt(N // k^2) step at a perfect square.
+    for m in (1, 2, 3, 4, 12, 60, 99, 100, 173):
+        for n in (m * m - 1, m * m, m * m + 1):
+            if n >= 1:
+                want = divisor_square_summatory(n, TABLE_30K)
+                assert divisor_square_summatory_sublinear(n) == want, n
+
+
+@pytest.mark.parametrize("n", [10**6, 10**7])
+def test_sublinear_square_summatory_matches_segmented(n):
+    assert divisor_square_summatory_sublinear(n) == divisor_square_summatory_segmented(n)
+
+
+def test_sublinear_square_summatory_rejects_and_refuses():
+    with pytest.raises(ValueError):
+        divisor_square_summatory_sublinear(0)
+    # d(u) is needed up to sqrt(N), which must fit under the table cap;
+    # the refusal comes before any work.
+    with pytest.raises(ResourceLimitError, match="table cap"):
+        divisor_square_summatory_sublinear((SUBLINEAR_TABLE_CAP + 1) ** 2)
+
+
+def ln2_bounds() -> tuple[Fraction, Fraction]:
+    """Rational bounds 2/3 < ln 2 < 7/10, proved with exact arithmetic.
+
+    e lies between the partial sum of 1/k! to k = 15 and that sum plus
+    2/16!; 2^10 < e^7 gives ln 2 < 7/10 and e^2 < 2^3 gives ln 2 > 2/3.
+    """
+    e_lo = sum(Fraction(1, factorial(k)) for k in range(16))
+    e_hi = e_lo + Fraction(2, factorial(16))
+    assert 2**10 < e_lo**7
+    assert e_hi**2 < 2**3
+    return Fraction(2, 3), Fraction(7, 10)
+
+
+def test_int64_hyperbola_bound_at_threshold():
+    lo, hi = ln2_bounds()
+    assert INT64_HYPERBOLA_X == 2**47
+    # D_4(x) <= x (1 + ln x)^3 < 2^63 at x = 2^47 ...
+    assert 2**47 * (1 + 47 * hi) ** 3 < 2**63
+    # ... and one doubling further the bound no longer fits.
+    assert 2**48 * (1 + 48 * lo) ** 3 > 2**63
+    # The int32 prefix sums of the capped table: D(y) <= y (1 + ln y) < 2^31.
+    assert SUBLINEAR_TABLE_CAP == 2**24
+    assert 2**24 * (1 + 24 * hi) < 2**31
+
+
+def test_piltz_bound_holds_for_small_x():
+    # D_k(x) <= x (1 + ln x)^(k-1) for k = 2 and 4, against a sieved d_4.
+    n = 3000
+    d = TABLE.counts[: n + 1].astype(np.int64)
+    d4 = np.zeros(n + 1, dtype=np.int64)
+    for a in range(1, n + 1):
+        d4[a :: a] += d[a] * d[1 : n // a + 1]
+    D2, D4 = np.cumsum(d), np.cumsum(d4)
+    for x in range(1, n + 1):
+        assert D2[x] <= x * (1 + math.log(x))
+        assert D4[x] <= x * (1 + math.log(x)) ** 3
+
+
+def test_hyperbola_sums_guard():
+    starts = np.array([0, 2], dtype=np.int64)
+    d_u = np.array([3, 3, 1], dtype=np.int64)
+    # At the bound: the int64 reduction, exact for in-bound terms.
+    d_sum = np.array([5, 7, 11], dtype=np.int64)
+    assert _hyperbola_sums(INT64_HYPERBOLA_X, d_u, d_sum, starts) == [36, 11]
+    # Above it the sums are exact Python ints, even where int64 would wrap.
+    d_sum = np.array([2**62, 2**62, 11], dtype=np.int64)
+    got = _hyperbola_sums(INT64_HYPERBOLA_X + 1, d_u, d_sum, starts)
+    assert got == [6 * 2**62, 11]
+    assert all(type(v) is int for v in got)
 
 
 # -- floor_quotient_blocks ---------------------------------------------------
