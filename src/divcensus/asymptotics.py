@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .census import CensusResult, fast_census
+from .census import CensusResult, check_census_size, fast_census
 
 PI_SQUARED = math.pi**2
 
@@ -78,8 +78,9 @@ def _check_grid(Ns: Sequence[int]) -> None:
 
 
 def ratio_table(Ns: Sequence[int]) -> list[RatioPoint]:
-    """One RatioPoint per N, via the fast census."""
+    """One RatioPoint per N, via the fast census; a too-large grid is refused up front."""
     _check_grid(Ns)
+    check_census_size(Ns[-1])
     return [ratio_point(fast_census(n)) for n in Ns]
 
 

@@ -24,13 +24,25 @@ Dirichlet convolution, and summing it up to N gives
 with D_4(x) = sum_{m<=x} d_4(m), each found by a hyperbola split over a
 table of D (divisor_core has the details).  This costs about N^(2/3).
 Below SUBLINEAR_B_CUTOFF the table set-up outweighs the saving, and B is
-summed term by term from one sieved d(n) table instead.  The A
+summed term by term from the d(n) of the table instead.  The A
 identity is inclusion-exclusion on "r | a or r | b" plus the a <-> b
 symmetry.  The C identity comes from writing a = r*c, b = r*e: the triples
 with r dividing both coordinates biject with (r, c, e) such that
 r^2 * c * e <= N, so
 
     C(N) = sum_{r<=sqrt(N)} D(floor(N / r^2)).
+
+S splits at R = isqrt(N): the b > R share the quotients q <= N // (R + 1),
+each taken by N // q - N // (q + 1) values of b, so
+
+    S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
+
+All three read D from one summatory table of size y (divisor_core), sieved
+once per census: to N below SUBLINEAR_B_CUTOFF, to about N^(2/3) from
+there on.  Every D(q) with q <= y is a lookup; the D(N // m) above y, for
+m <= N / y, cost O(sqrt(N / m)) each, about N^(2/3) in all, and are shared
+by B, S and C.  So S and C add about sqrt(N) vectorized lookups to the
+sieve and to B.
 
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
@@ -41,13 +53,15 @@ from dataclasses import dataclass
 from math import isqrt
 from typing import Iterator, Optional
 
+import numpy as np
+
 from .config import DEFAULT_ORACLE_CEILING, ResourceLimitError
 from .divisor_core import (
-    divisor_square_summatory,
+    SUBLINEAR_TABLE_CAP,
+    SummatoryTable,
     divisor_square_summatory_sublinear,
-    divisor_summatory,
-    floor_quotient_blocks,
-    sieve_divisor_counts,
+    summatory_table,
+    summatory_table_size,
 )
 
 # B switches from the term-by-term sum to the sublinear identity at this N.
@@ -84,45 +98,114 @@ def _check_n(N: int) -> None:
         raise ValueError(f"N must be >= 1, got {N}")
 
 
-def count_all_triples(N: int) -> int:
+# S and C are reduced in int64 up to this N and in Python ints above it.
+# C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 (see divisor_core._hyperbola_sums),
+# below 2^52 (1 + 52 ln 2)^2 < 6.2e18 < 2^63 here, and every term and
+# partial sum of the reductions is nonnegative and at most the total.
+INT64_CENSUS_N = 1 << 52
+
+# Terms per vectorized step of S and C: a few int64 temporaries, ~10 MiB.
+_TERM_CHUNK = 1 << 18
+
+
+def check_census_size(N: int) -> None:
+    """Refuse at once an N whose B needs d(n) beyond the table cap.
+
+    B's identity looks up d(u) for every u <= sqrt(N), so the fast census
+    takes N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48.
+    """
+    if isqrt(N) > SUBLINEAR_TABLE_CAP:
+        shown = N if N.bit_length() <= 64 else f"2^{N.bit_length() - 1} or more"
+        raise ResourceLimitError(
+            f"fast census refused at N={shown}: B needs d(n) up to sqrt(N), above "
+            f"the table cap SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}, so N must be below 2^48"
+        )
+
+
+def census_table(N: int) -> SummatoryTable:
+    """The one d(n) and D(m) table behind B, S and C at N.
+
+    Below SUBLINEAR_B_CUTOFF it runs to N itself, where B is its sum of
+    d(n)^2; from the cutoff on it has summatory_table_size(N) entries.
+    """
+    return summatory_table(N if N < SUBLINEAR_B_CUTOFF else summatory_table_size(N))
+
+
+def _ranges(stop: int, dtype) -> Iterator[np.ndarray]:
+    """1..stop as arrays of at most _TERM_CHUNK values."""
+    for lo in range(1, stop + 1, _TERM_CHUNK):
+        yield np.arange(lo, min(lo + _TERM_CHUNK, stop + 1), dtype=dtype)
+
+
+def _census_dtype(N: int):
+    return np.int64 if N <= INT64_CENSUS_N else object
+
+
+def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
     """B(N) = sum_{n<=N} d(n)^2: the sublinear identity from SUBLINEAR_B_CUTOFF on."""
     _check_n(N)
-    if N < SUBLINEAR_B_CUTOFF:
-        return divisor_square_summatory(N, sieve_divisor_counts(N))
-    return divisor_square_summatory_sublinear(N)
+    if N >= SUBLINEAR_B_CUTOFF:
+        return divisor_square_summatory_sublinear(N, table)
+    d = (census_table(N) if table is None else table).counts(N)
+    return int(np.dot(d, d))
 
 
-def count_gcd_divisor_sum(N: int) -> int:
-    """C(N) = sum_{ab<=N} d(gcd(a,b)) via C(N) = sum_{r<=sqrt(N)} D(floor(N/r^2))."""
-    _check_n(N)
-    return sum(divisor_summatory(N // (r * r)) for r in range(1, isqrt(N) + 1))
+def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int:
+    """C(N) = sum_{ab<=N} d(gcd(a,b)) = sum_{r<=sqrt(N)} D(floor(N/r^2)).
 
-
-def count_da_over_hyperbola(N: int) -> int:
-    """S(N) = sum_{ab<=N} d(a) = sum_{b<=N} D(floor(N/b)).
-
-    Grouping b by constant quotient leaves only O(sqrt(N)) distinct D
-    evaluations, each O(sqrt) itself.
+    Each D is a lookup in the table, or one divisor_summatory call for the
+    about sqrt(N / y) values N // r^2 above its size y.
     """
     _check_n(N)
+    if table is None:
+        table = census_table(N)
     total = 0
-    for q, b_lo, b_hi in floor_quotient_blocks(N):
-        total += (b_hi - b_lo + 1) * divisor_summatory(q)
+    for r in _ranges(isqrt(N), _census_dtype(N)):
+        total += int(table.summatory(N // (r * r)).sum())
+    return total
+
+
+def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> int:
+    """S(N) = sum_{ab<=N} d(a) = sum_{b<=N} D(floor(N/b)).
+
+    With R = isqrt(N), the b > R take each quotient q <= N // (R + 1) for
+    N // q - N // (q + 1) values of b, so
+
+        S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
+
+    Every D is a lookup in a table of size y >= R, except the about N / y
+    values N // b above it, one divisor_summatory call each: about N^(2/3)
+    work in all for y = N^(2/3).  The int64 reduction is exact up to
+    INT64_CENSUS_N; above it the terms are Python ints.
+    """
+    _check_n(N)
+    if table is None:
+        table = census_table(N)
+    dtype = _census_dtype(N)
+    root = isqrt(N)
+    total = 0
+    for b in _ranges(root, dtype):
+        total += int(table.summatory(N // b).sum())
+    for q in _ranges(N // (root + 1), dtype):
+        total += int(np.dot(N // q - N // (q + 1), table.summatory(q)))
     return total
 
 
 def count_good_triples(N: int) -> int:
     """A(N) = 2*S(N) - C(N), exactly."""
     _check_n(N)
-    return 2 * count_da_over_hyperbola(N) - count_gcd_divisor_sum(N)
+    table = census_table(N)
+    return 2 * count_da_over_hyperbola(N, table) - count_gcd_divisor_sum(N, table)
 
 
 def fast_census(N: int) -> CensusResult:
-    """All four counts by the identity-based routes."""
+    """All four counts by the identity-based routes, from one sieved table."""
     _check_n(N)
-    b = count_all_triples(N)  # first, so that its refusal of a huge N is immediate
-    s = count_da_over_hyperbola(N)
-    c = count_gcd_divisor_sum(N)
+    check_census_size(N)
+    table = census_table(N)
+    b = count_all_triples(N, table)
+    s = count_da_over_hyperbola(N, table)
+    c = count_gcd_divisor_sum(N, table)
     return CensusResult(N=N, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
 
 

@@ -129,6 +129,7 @@ def geometric_grid(start: int, stop: int, points: int) -> list[int]:
 
 
 def cmd_table(args, cfg: Config) -> int:
+    census.check_census_size(args.stop)  # before the float grid, which overflows first
     grid = geometric_grid(args.start, args.stop, args.points)
     points = asymptotics.ratio_table(grid)
     emit_records(RATIO_FIELDS, (ratio_record(p) for p in points), args.format)
@@ -190,9 +191,19 @@ def cmd_verify(args, cfg: Config) -> int:
         checked += 1
         if n % 500 == 0:
             log.info("verified through N=%d", n)
-    # The census takes B from the sublinear identity only from
-    # census.SUBLINEAR_B_CUTOFF on, which most of these N are below; so the
-    # identity is also checked once here, at the largest N.
+    # Most of these N are below census.SUBLINEAR_B_CUTOFF, where the census
+    # table runs to N, so neither the sublinear B nor any D above the table
+    # was exercised.  Both are checked once here, at the largest N: S and C
+    # from a table of size sqrt(N), then the sublinear B.
+    y = math.isqrt(max_n)
+    small = divisor_core.summatory_table(y)
+    for label, got, want in (
+        ("S", census.count_da_over_hyperbola(max_n, small), oracle.s_count),
+        ("C", census.count_gcd_divisor_sum(max_n, small), oracle.c_count),
+    ):
+        if got != want:
+            print(f"mismatch at N={max_n}: {label} from a table of size {y}={got} brute={want}")
+            return EXIT_MISMATCH
     sublinear_b = divisor_core.divisor_square_summatory_sublinear(max_n)
     if sublinear_b != oracle.b_count:
         print(f"mismatch at N={max_n}: B sublinear={sublinear_b} brute={oracle.b_count}")
@@ -242,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=parse_count, required=True)
     p.add_argument("--stop", type=parse_count, required=True)
     p.add_argument("--points", type=int, required=True)
-    p.add_argument("--spacing", choices=["geometric"], default="geometric")
     add_format(p)
     p.set_defaults(func=cmd_table)
 

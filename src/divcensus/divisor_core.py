@@ -38,15 +38,25 @@ the hyperbola split again gives
 
     D_4(x) = 2 * sum_{u<=sqrt(x)} d(u) * D(floor(x/u))  -  D(floor(sqrt(x)))^2.
 
-divisor_square_summatory_sublinear sieves d(n) once up to y ~ N^(2/3),
-takes prefix sums so that D(m) is a lookup for m <= y, and calls
-divisor_summatory only for the few arguments above y.  The whole sum costs
-about N^(2/3) sieve work plus sqrt(N) ln(N) lookups, against the N ln N of
-summing d(n)^2 term by term.  The term-by-term routes stay: the in-memory
-one for small N, the segmented one as an independent cross-check.
+divisor_square_summatory_sublinear costs about N^(2/3) sieve work plus
+sqrt(N) ln(N) lookups in a summatory table, against the N ln N of summing
+d(n)^2 term by term.  The term-by-term routes stay: the in-memory one for
+small N, the segmented one as an independent cross-check.
+
+Summatory table
+---------------
+summatory_table(y) sieves d(n) once up to y and keeps the int32 prefix
+sums D(0..y); d(n) is read back as D(n) - D(n-1).  Its vectorized
+summatory(q) looks D(q) up for q <= y and makes one divisor_summatory call
+per distinct q above y, remembering the answer.  Every count of the census
+is a sum of such values (census.py has the identities), and the census
+asks for D above y only at q = N // m with m <= N / y.  With the one size
+rule, summatory_table_size(N) = N^(2/3) capped at SUBLINEAR_TABLE_CAP, the
+sieve and those N^(1/3) evaluations of O(sqrt(N / m)) each both cost about
+N^(2/3).
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import isqrt
 from operator import mul
 
@@ -74,6 +84,12 @@ INT64_HYPERBOLA_X = 1 << 47
 # (k, u) pairs handled per vectorized step of the sublinear sum: about
 # 2^18 * 5 int64 temporaries, ~10 MiB.
 _PAIR_CHUNK = 1 << 18
+
+# A summatory table remembers at most this many D(q) values above its size,
+# about 100 bytes each.  The census asks for D(N // m) with m <= N / y
+# repeatedly (B for m = k^2 u, S for m = b, C for m = r^2): N^(1/3) values
+# while y = N^(2/3), N / 2^24 once y is capped, 6e4 at N = 10^12.
+_FOUND_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -121,6 +137,82 @@ def divisor_summatory(x: int) -> int:
         for k in range(1, r + 1):
             s += x // k
     return 2 * s - r * r
+
+
+@dataclass(frozen=True)
+class SummatoryTable:
+    """prefix[m] = D(m) = sum_{n<=m} d(n) for 0 <= m <= n_max, and D(q) beyond.
+
+    One table serves B, S and C at one N, so the census sieves d(n) once.
+    d(n) = prefix[n] - prefix[n-1] is read back from the prefix sums rather
+    than kept beside them, which halves the table's memory.  The prefix
+    sums are int32, exact because n_max <= SUBLINEAR_TABLE_CAP:
+    D(y) <= y (1 + ln y) < 3e8 < 2^31 there.
+    """
+
+    n_max: int
+    prefix: np.ndarray
+    found: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def counts(self, upto: int) -> np.ndarray:
+        """d(0..upto) as int64, with d(0) = 0 as in DivisorTable.counts."""
+        if upto > self.n_max:
+            raise ValueError(f"upto={upto} exceeds table.n_max={self.n_max}")
+        d = np.zeros(upto + 1, dtype=np.int64)
+        np.subtract(self.prefix[1 : upto + 1], self.prefix[:upto], out=d[1:])
+        return d
+
+    def summatory(self, q: np.ndarray) -> np.ndarray:
+        """D(q) for each entry q >= 1 of an int64 or object array, in its dtype.
+
+        q <= n_max is a table lookup.  Each distinct q above costs one
+        divisor_summatory call over the table's lifetime: the first
+        _FOUND_LIMIT such values are remembered in `found`.  An int64 array
+        holds D(q) exactly while D(q) < 2^63, which D(q) <= q (1 + ln q)
+        guarantees for q <= 2^57; a value that does not fit raises instead
+        of wrapping.
+        """
+        big = q > self.n_max
+        out = self.prefix[np.where(big, 0, q).astype(np.int64, copy=False)].astype(q.dtype)
+        if big.any():
+            at = np.flatnonzero(big)
+            values, where = np.unique(q[at], return_inverse=True)
+            out[at] = np.array([self._above(v) for v in values.tolist()], dtype=q.dtype)[where]
+        return out
+
+    def _above(self, q: int) -> int:
+        value = self.found.get(q)
+        if value is None:
+            value = divisor_summatory(q)
+            if len(self.found) < _FOUND_LIMIT:
+                self.found[q] = value
+        return value
+
+
+def summatory_table_size(n_max: int) -> int:
+    """The one size rule for a summatory table at bound n_max.
+
+    y = n_max^(2/3) balances the sieve against the D(q) evaluations above
+    the table; y is at least sqrt(n_max), so that B finds d(u) for every
+    u <= sqrt(n_max), while the cap allows, and at most SUBLINEAR_TABLE_CAP.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    root = isqrt(n_max)
+    if root >= SUBLINEAR_TABLE_CAP:  # also keeps huge n_max out of the float power
+        return SUBLINEAR_TABLE_CAP
+    return min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3))))
+
+
+def summatory_table(y: int) -> SummatoryTable:
+    """Sieve d(1..y) once and take the prefix sums D(1..y)."""
+    if y > SUBLINEAR_TABLE_CAP:
+        raise ValueError(
+            f"summatory table size {y} exceeds SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
+        )
+    prefix = np.cumsum(sieve_divisor_counts(y).counts, dtype=np.int32)
+    prefix.setflags(write=False)
+    return SummatoryTable(n_max=y, prefix=prefix)
 
 
 def divisor_square_summatory(x: int, table: DivisorTable) -> int:
@@ -239,13 +331,13 @@ def _hyperbola_sums(x_max: int, d_u: np.ndarray, d_sum: np.ndarray, starts: np.n
     return [sum(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
 
 
-def divisor_square_summatory_sublinear(n_max: int) -> int:
+def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None = None) -> int:
     """sum_{n<=n_max} d(n)^2 = sum_{k<=sqrt(n_max)} mu(k) D_4(n_max // k^2), exactly.
 
-    See the module docstring for the identity and the cost.  The d(n)
-    table is sieved to y = n_max^(2/3), capped at SUBLINEAR_TABLE_CAP and
-    never below sqrt(n_max); n_max >= (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is
-    refused, because d(u) is needed up to sqrt(n_max).
+    See the module docstring for the identity and the cost.  d(u) is needed
+    up to sqrt(n_max), so the table must reach that far, and n_max >=
+    (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is refused.  Without a table, one of
+    summatory_table_size(n_max) entries is sieved.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -255,18 +347,17 @@ def divisor_square_summatory_sublinear(n_max: int) -> int:
             f"sublinear sum of d(n)^2 refused at N={n_max}: it needs d(n) up to "
             f"sqrt(N) = {root}, above the table cap {SUBLINEAR_TABLE_CAP}"
         )
-    y = min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3))))
-    table = sieve_divisor_counts(y)
-    prefix = np.cumsum(table.counts, dtype=np.int32)  # prefix[m] = D(m)
-    d = table.counts[: root + 1].astype(np.int64)
-    del table
+    if table is None:
+        table = summatory_table(summatory_table_size(n_max))
+    elif table.n_max < root:
+        raise ValueError(f"table.n_max={table.n_max} is below sqrt(n_max) = {root}")
+    d = table.counts(root)
 
     mu = _mobius_table(root)
     ks = np.flatnonzero(mu)
     signs = mu[ks].tolist()
     lengths = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
     ends = np.cumsum(lengths)
-    big_cache: dict[int, int] = {}  # D(q) for q > y; q = n_max // (k^2 u) recurs
     # The (k, u) pairs are laid out k by k, each k a run of u = 1..lengths[k],
     # and taken about _PAIR_CHUNK at a time; starts marks where each run begins.
     total = 0
@@ -279,38 +370,9 @@ def divisor_square_summatory_sublinear(n_max: int) -> int:
         starts = np.zeros(len(k), dtype=np.int64)
         np.cumsum(run[:-1], out=starts[1:])
         u = np.arange(1, int(ends[j - 1]) - done + 1, dtype=np.int64) - np.repeat(starts, run)
-        q = np.repeat(x, run) // u
-        big = q > y
-        d_sum = prefix[np.where(big, 0, q)].astype(np.int64)
-        if big.any():
-            at = np.flatnonzero(big)
-            values = []
-            for v in q[at].tolist():
-                if v not in big_cache:
-                    big_cache[v] = divisor_summatory(v)
-                values.append(big_cache[v])
-            d_sum[at] = values
+        d_sum = table.summatory(np.repeat(x, run) // u)
         sums = _hyperbola_sums(int(x[0]), d[u], d_sum, starts)
-        corners = prefix[run].tolist()
+        corners = table.prefix[run].tolist()
         total += sum(sign * (2 * s - c * c) for sign, s, c in zip(signs[i:j], sums, corners))
         i = j
     return total
-
-
-def floor_quotient_blocks(n: int) -> list[tuple[int, int, int]]:
-    """Decompose [1, n] into maximal runs of constant q = floor(n/b).
-
-    Returns (q, b_lo, b_hi) triples in increasing b order.  There are at
-    most 2*sqrt(n) + 1 of them, which is what caps the cost of sums like
-    sum_b D(floor(n/b)) at O(sqrt(n)) distinct D evaluations.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    blocks = []
-    b = 1
-    while b <= n:
-        q = n // b
-        b_hi = n // q
-        blocks.append((q, b, b_hi))
-        b = b_hi + 1
-    return blocks

@@ -83,7 +83,7 @@ class TripleSpace:
 
     def draw(self, trials: int, seed: int, threads: int = 1):
         """(a, b, r) arrays for `trials` seeded draws."""
-        chunks = _run_chunks(self, trials, seed, threads)
+        chunks = _run_chunks(_draw_chunk, self, trials, seed, threads)
         a = np.concatenate([c[0] for c in chunks])
         b = np.concatenate([c[1] for c in chunks])
         r = np.concatenate([c[2] for c in chunks])
@@ -141,7 +141,14 @@ def _draw_chunk(space: TripleSpace, count: int, seed: int, index: int):
     return a, b, r
 
 
-def _run_chunks(space: TripleSpace, trials: int, seed: int, threads: int):
+def _chunk_successes(space: TripleSpace, count: int, seed: int, index: int) -> int:
+    """Successes "r | a or r | b" among one chunk's draws; its arrays die here."""
+    a, b, r = _draw_chunk(space, count, seed, index)
+    return int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+
+
+def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int) -> list:
+    """[work(space, size, seed, i) for each chunk i], on `threads` workers."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
@@ -149,10 +156,8 @@ def _run_chunks(space: TripleSpace, trials: int, seed: int, threads: int):
     sizes = _chunk_sizes(trials)
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(
-                pool.map(lambda ic: _draw_chunk(space, ic[1], seed, ic[0]), enumerate(sizes))
-            )
-    return [_draw_chunk(space, size, seed, i) for i, size in enumerate(sizes)]
+            return list(pool.map(lambda ic: work(space, ic[1], seed, ic[0]), enumerate(sizes)))
+    return [work(space, size, seed, i) for i, size in enumerate(sizes)]
 
 
 def sample_triples(
@@ -164,16 +169,16 @@ def sample_triples(
 ) -> SampleEstimate:
     """Estimate P(r|a or r|b) over `trials` uniform triple draws.
 
-    Pass a prebuilt TripleSpace to amortize the sieve across many calls
-    (it does not affect the result).
+    Each chunk's successes are counted as soon as it is drawn, so memory
+    holds one chunk's draws per worker, not all of them.  Pass a prebuilt
+    TripleSpace to amortize the sieve across many calls (it does not affect
+    the result).
     """
     if space is None:
         space = build_triple_space(N)
     elif space.N != N:
         raise ValueError(f"space was built for N={space.N}, not N={N}")
-    successes = 0
-    for a, b, r in _run_chunks(space, trials, seed, threads):
-        successes += int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+    successes = sum(_run_chunks(_chunk_successes, space, trials, seed, threads))
     p_hat = successes / trials
     std_err = sqrt(p_hat * (1.0 - p_hat) / trials)
     return SampleEstimate(

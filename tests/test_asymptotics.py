@@ -4,6 +4,9 @@ import math
 
 import pytest
 
+from divcensus import asymptotics
+from divcensus.config import ResourceLimitError
+from divcensus.divisor_core import SUBLINEAR_TABLE_CAP
 from divcensus.asymptotics import (
     PI_SQUARED,
     a_asymptotic_check,
@@ -23,6 +26,14 @@ def test_ratio_table_at_one():
     assert math.isinf(pt.ramanujan_norm)
     assert math.isinf(pt.a_norm)
     assert math.isinf(pt.lemma_norm)
+
+
+def test_ratio_table_refuses_a_too_large_grid_up_front(monkeypatch):
+    calls = []
+    monkeypatch.setattr(asymptotics, "fast_census", lambda n: calls.append(n))
+    with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
+        ratio_table([2, 3, (SUBLINEAR_TABLE_CAP + 1) ** 2])
+    assert calls == []
 
 
 def test_ratio_table_at_four():

@@ -10,7 +10,7 @@ from math import isqrt
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divcensus import census
+from divcensus import census, divisor_core
 from divcensus.census import (
     SUBLINEAR_B_CUTOFF,
     Counterexample,
@@ -25,7 +25,13 @@ from divcensus.census import (
     list_counterexamples,
 )
 from divcensus.config import ResourceLimitError
-from divcensus.divisor_core import divisor_square_summatory, divisor_summatory, sieve_divisor_counts
+from divcensus.divisor_core import (
+    SUBLINEAR_TABLE_CAP,
+    divisor_square_summatory,
+    divisor_summatory,
+    sieve_divisor_counts,
+    summatory_table,
+)
 
 
 def loop_census(N):
@@ -88,9 +94,9 @@ def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
     calls = []
     sublinear = census.divisor_square_summatory_sublinear
 
-    def spy(n):
+    def spy(n, table=None):
         calls.append(n)
-        return sublinear(n)
+        return sublinear(n, table)
 
     monkeypatch.setattr(census, "divisor_square_summatory_sublinear", spy)
     c = SUBLINEAR_B_CUTOFF
@@ -110,6 +116,84 @@ def test_count_da_over_hyperbola_examples():
     assert count_da_over_hyperbola(1) == 1
     assert count_da_over_hyperbola(4) == 13  # D(4)+D(2)+D(1)+D(1)
     assert count_da_over_hyperbola(100) == loop_census(100)[3]
+
+
+def marked_divisor_counts(n_max):
+    """d(0..n_max) by marking the multiples of every k, in plain Python."""
+    d = [0] * (n_max + 1)
+    for k in range(1, n_max + 1):
+        for m in range(k, n_max + 1, k):
+            d[m] += 1
+    return d
+
+
+LOOP_D = marked_divisor_counts(30_000)
+LOOP_PREFIX = [0]
+for _d in LOOP_D[1:]:
+    LOOP_PREFIX.append(LOOP_PREFIX[-1] + _d)
+
+
+def loop_s_and_c(n):
+    """S(n) = sum_a d(a) floor(n/a) and C(n) = sum_r D(n // r^2), by loops."""
+    s = sum(LOOP_D[a] * (n // a) for a in range(1, n + 1))
+    c = sum(LOOP_PREFIX[n // (r * r)] for r in range(1, isqrt(n) + 1))
+    return s, c
+
+
+@settings(max_examples=120, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30_000), data=st.data())
+def test_s_and_c_from_any_table_size_match_loops(n, data):
+    # Tables below sqrt(n) send q > y through the fallback in both S sums
+    # and in C; larger ones only in the first S sum and in C.
+    y = data.draw(st.one_of(st.integers(1, isqrt(n)), st.integers(1, n)), label="y")
+    table = summatory_table(y)
+    got = (count_da_over_hyperbola(n, table), count_gcd_divisor_sum(n, table))
+    assert got == loop_s_and_c(n)
+
+
+def test_s_and_c_exact_in_python_ints(monkeypatch):
+    # Above INT64_CENSUS_N the same sums run on object arrays of Python ints.
+    want = {n: loop_s_and_c(n) for n in (1, 2, 99, 100, 12_345)}
+    monkeypatch.setattr(census, "INT64_CENSUS_N", 0)
+    for n, (s, c) in want.items():
+        for y in (1, isqrt(n), n):
+            table = summatory_table(y)
+            assert count_da_over_hyperbola(n, table) == s, (n, y)
+            assert count_gcd_divisor_sum(n, table) == c, (n, y)
+
+
+@pytest.mark.parametrize(
+    "n, s, c",
+    [
+        (10**9, 230375375227, 32467409097),
+        (10**10, 2824280446479, 362549612240),
+    ],
+)
+def test_s_and_c_pins(n, s, c):
+    # Pinned from the earlier route over floor-quotient blocks.
+    assert count_da_over_hyperbola(n) == s
+    assert count_gcd_divisor_sum(n) == c
+
+
+@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF - 1, 10**6])
+def test_fast_census_sieves_once(n, monkeypatch):
+    sieved = []
+    real = divisor_core.sieve_divisor_counts
+
+    def spy(n_max, *args, **kwargs):
+        sieved.append(n_max)
+        return real(n_max, *args, **kwargs)
+
+    monkeypatch.setattr(divisor_core, "sieve_divisor_counts", spy)
+    fast_census(n)
+    assert sieved == [n if n < SUBLINEAR_B_CUTOFF else divisor_core.summatory_table_size(n)]
+
+
+def test_fast_census_refuses_before_sieving(monkeypatch):
+    monkeypatch.setattr(divisor_core, "sieve_divisor_counts", None)
+    with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
+        fast_census((SUBLINEAR_TABLE_CAP + 1) ** 2)
+    census.check_census_size((SUBLINEAR_TABLE_CAP + 1) ** 2 - 1)  # the largest N it takes
 
 
 def test_count_good_triples_examples():

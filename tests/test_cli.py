@@ -3,10 +3,15 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from divcensus import divisor_core
+import divcensus
+from divcensus import asymptotics, census, divisor_core
 from divcensus.cli import geometric_grid, main, parse_count
 
 
@@ -154,6 +159,21 @@ def test_table_rejects_bad_grid(capsys):
     assert code == 2
 
 
+def test_table_refuses_a_huge_grid_before_any_point(capsys, monkeypatch):
+    calls = []
+    for module in (census, asymptotics):
+        monkeypatch.setattr(module, "fast_census", lambda n: calls.append(n))
+    # 1e400 would overflow the float grid; the size guard comes first.
+    code, out, err = run(capsys, "table", "--start", "2", "--stop", "1e400", "--points", "3")
+    assert code == 3
+    assert "resource refusal" in err and "SUBLINEAR_TABLE_CAP" in err
+    assert out == "" and calls == []
+    # The first refused N: sqrt(N) just above the table cap.
+    first = (divisor_core.SUBLINEAR_TABLE_CAP + 1) ** 2
+    code, _, _ = run(capsys, "table", "--start", "2", "--stop", str(first), "--points", "3")
+    assert code == 3 and calls == []
+
+
 def test_table_csv_round_trips_field_for_field(capsys):
     args = ("table", "--start", "10", "--stop", "100", "--points", "2")
     _, out_j, _ = run(capsys, *args)
@@ -245,6 +265,31 @@ def test_verify_checks_the_sublinear_identity(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "mismatch at N=100: B sublinear=" in out
+
+
+def test_verify_checks_the_table_fallback(capsys, monkeypatch):
+    # An off-by-one D(q) above the table reaches no census below the B
+    # cutoff; only the check from a table of size sqrt(max_n) sees it.
+    real = divisor_core.divisor_summatory
+    monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: real(x) + 1)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert "mismatch at N=100: S from a table of size 10=" in out
+
+
+# -- python -m divcensus ----------------------------------------------------------------
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(divcensus.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "divcensus", "census", "--n", "100"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert jsonl_records(done.stdout) == [
+        {"N": 100, "A": 2313, "B": 3046, "C": 629, "S": 1471, "method": "fast"}
+    ]
 
 
 # -- counterexamples --------------------------------------------------------------------

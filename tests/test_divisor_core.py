@@ -1,4 +1,4 @@
-"""Sieve, summatory, and floor-block primitives against trial-division oracles."""
+"""Sieve, summatory and summatory-table primitives against trial-division oracles."""
 
 import math
 from fractions import Fraction
@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from divcensus import divisor_core
+from divcensus.census import INT64_CENSUS_N
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import (
     INT64_HYPERBOLA_X,
@@ -20,9 +22,10 @@ from divcensus.divisor_core import (
     divisor_square_summatory_segmented,
     divisor_square_summatory_sublinear,
     divisor_summatory,
-    floor_quotient_blocks,
     iter_divisor_segments,
     sieve_divisor_counts,
+    summatory_table,
+    summatory_table_size,
 )
 
 EULER_GAMMA = 0.5772156649015329
@@ -275,6 +278,15 @@ def test_int64_hyperbola_bound_at_threshold():
     assert 2**24 * (1 + 24 * hi) < 2**31
 
 
+def test_int64_census_bound_at_threshold():
+    lo, hi = ln2_bounds()
+    assert INT64_CENSUS_N == 2**52
+    # C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 2^63 at N = 2^52 ...
+    assert 2**52 * (1 + 52 * hi) ** 2 < 2**63
+    # ... and one doubling further the bound no longer fits.
+    assert 2**53 * (1 + 53 * lo) ** 2 > 2**63
+
+
 def test_piltz_bound_holds_for_small_x():
     # D_k(x) <= x (1 + ln x)^(k-1) for k = 2 and 4, against a sieved d_4.
     n = 3000
@@ -301,36 +313,59 @@ def test_hyperbola_sums_guard():
     assert all(type(v) is int for v in got)
 
 
-# -- floor_quotient_blocks ---------------------------------------------------
+# -- summatory table -----------------------------------------------------------
 
-def test_blocks_known_values():
-    assert floor_quotient_blocks(1) == [(1, 1, 1)]
-    assert floor_quotient_blocks(4) == [(4, 1, 1), (2, 2, 2), (1, 3, 4)]
-
-
-def test_blocks_reconstruct_quotient_sum():
-    for n in list(range(1, 301)) + [10, 100, 9_999, 10_000]:
-        naive = sum(n // b for b in range(1, n + 1))
-        from_blocks = sum(q * (hi - lo + 1) for q, lo, hi in floor_quotient_blocks(n))
-        assert from_blocks == naive
-    assert sum(10 // b for b in range(1, 11)) == 27  # spot value for N=10
-
-
-@settings(max_examples=60, deadline=None)
-@given(n=st.integers(min_value=1, max_value=100_000))
-def test_blocks_partition_and_constancy(n):
-    blocks = floor_quotient_blocks(n)
-    assert blocks[0][1] == 1 and blocks[-1][2] == n
-    prev_hi = 0
-    for q, lo, hi in blocks:
-        assert lo == prev_hi + 1 and lo <= hi
-        assert n // lo == q and n // hi == q
-        if hi < n:
-            assert n // (hi + 1) != q
-        prev_hi = hi
-    assert len(blocks) <= 2 * math.isqrt(n) + 1
-
-
-def test_blocks_reject_zero():
+def test_summatory_table_size_rule():
+    assert summatory_table_size(1) == 1
+    assert summatory_table_size(10**6) == 10**4 - 1  # int(1e6 ** (2/3)) rounds down
+    assert summatory_table_size(10**9) == 999_999
+    for n in (2, 99, 6000, 10**7, 10**12):
+        y = summatory_table_size(n)
+        assert isqrt(n) <= y <= SUBLINEAR_TABLE_CAP
+    # Capped from N^(2/3) = 2^24 on, then at sqrt(N) = 2^24 and beyond,
+    # where y < sqrt(N); a huge N never reaches the float power.
+    assert summatory_table_size(2**36 + 2**30) == SUBLINEAR_TABLE_CAP
+    assert summatory_table_size(2**50) == SUBLINEAR_TABLE_CAP
+    assert summatory_table_size(10**400) == SUBLINEAR_TABLE_CAP
     with pytest.raises(ValueError):
-        floor_quotient_blocks(0)
+        summatory_table_size(0)
+
+
+def test_summatory_table_holds_d_and_prefix_sums():
+    table = summatory_table(10_000)
+    assert table.n_max == 10_000
+    assert table.counts(10_000).tolist() == ORACLE_D
+    assert table.counts(1).tolist() == [0, 1]
+    assert table.prefix.tolist() == np.cumsum(ORACLE_D).tolist()
+    assert not table.prefix.flags.writeable
+    with pytest.raises(ValueError):
+        table.counts(10_001)
+    with pytest.raises(ValueError, match="SUBLINEAR_TABLE_CAP"):
+        summatory_table(SUBLINEAR_TABLE_CAP + 1)
+
+
+def test_summatory_table_lookup_and_fallback(monkeypatch):
+    table = summatory_table(100)
+    calls = []
+    real = divisor_core.divisor_summatory
+    monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: calls.append(x) or real(x))
+    q = np.array([1, 100, 101, 5000, 101, 7, 5000], dtype=np.int64)
+    want = [divisor_summatory(int(v)) for v in q]
+    assert table.summatory(q).tolist() == want
+    assert sorted(calls) == [101, 5000]  # one call per distinct q above the table
+    assert table.summatory(q[::-1]).tolist() == want[::-1]
+    assert sorted(calls) == [101, 5000]  # remembered across calls
+    # Object arrays, the census's dtype above INT64_CENSUS_N, give Python ints.
+    got = table.summatory(np.array([2**40, 3, 2**40], dtype=object))
+    big = divisor_summatory(2**40)
+    assert got.dtype == object and got.tolist() == [big, 5, big]
+    assert all(type(v) is int for v in got)
+
+
+def test_sublinear_square_summatory_takes_a_table():
+    n = 30_000
+    want = divisor_square_summatory(n, TABLE_30K)
+    for y in (isqrt(n), 1000, n):
+        assert divisor_square_summatory_sublinear(n, summatory_table(y)) == want
+    with pytest.raises(ValueError, match="below sqrt"):
+        divisor_square_summatory_sublinear(n, summatory_table(isqrt(n) - 1))

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from divcensus.census import brute_force_census, count_all_triples
 from divcensus.config import ResourceLimitError
 from divcensus.sampler import (
+    CHUNK_TRIALS,
     SampleEstimate,
     TripleSpace,
     build_triple_space,
@@ -83,6 +84,17 @@ def test_thread_count_does_not_change_the_estimate():
     solo = sample_triples(1000, 600_000, seed=99, space=space, threads=1)
     pooled = sample_triples(1000, 600_000, seed=99, space=space, threads=3)
     assert solo == pooled
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_streamed_successes_equal_the_count_over_all_draws(threads):
+    # Three chunks and a partial fourth, counted chunk by chunk as drawn.
+    space = build_triple_space(300)
+    trials = 3 * CHUNK_TRIALS + 1234
+    a, b, r = space.draw(trials, seed=2024)
+    want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+    est = sample_triples(300, trials, seed=2024, space=space, threads=threads)
+    assert est.successes == want
 
 
 def test_chunk_boundaries_do_not_skew_totals():
