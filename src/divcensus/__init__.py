@@ -21,6 +21,7 @@ from .census import (
 from .config import Config, ResourceLimitError
 from .divisor_core import (
     DivisorTable,
+    divisor_list,
     divisor_summatory,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
@@ -36,6 +37,6 @@ from .asymptotics import (
     ratio_point,
     ratio_table,
 )
-from .sampler import SampleEstimate, build_triple_space, divisor_list, sample_triples
+from .sampler import SampleEstimate, build_triple_space, sample_triples
 
 __version__ = "0.1.0"

@@ -44,6 +44,13 @@ m <= N / y, cost O(sqrt(N / m)) each, about N^(2/3) in all, and are shared
 by B, S and C.  So S and C add about sqrt(N) vectorized lookups to the
 sieve and to B.
 
+The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
+the N whose sqrt(N) the table reaches, and refuse a larger N before any
+sieve (check_census_size).  Inside that domain every reduction is in
+machine integers: S and C in int64, since every term and partial sum is
+at most C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 4e17 < 2^63, and B's
+per-x sums in uint64 (divisor_core).
+
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
 against; the two routes share no code.
@@ -59,6 +66,7 @@ from .config import DEFAULT_ORACLE_CEILING, ResourceLimitError
 from .divisor_core import (
     SUBLINEAR_TABLE_CAP,
     SummatoryTable,
+    divisor_list,
     divisor_square_summatory_sublinear,
     summatory_table,
     summatory_table_size,
@@ -98,27 +106,24 @@ def _check_n(N: int) -> None:
         raise ValueError(f"N must be >= 1, got {N}")
 
 
-# S and C are reduced in int64 up to this N and in Python ints above it.
-# C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 (see divisor_core._hyperbola_sums),
-# below 2^52 (1 + 52 ln 2)^2 < 6.2e18 < 2^63 here, and every term and
-# partial sum of the reductions is nonnegative and at most the total.
-INT64_CENSUS_N = 1 << 52
-
 # Terms per vectorized step of S and C: a few int64 temporaries, ~10 MiB.
 _TERM_CHUNK = 1 << 18
 
 
 def check_census_size(N: int) -> None:
-    """Refuse at once an N whose B needs d(n) beyond the table cap.
+    """Refuse at once an N outside the fast census's domain.
 
-    B's identity looks up d(u) for every u <= sqrt(N), so the fast census
-    takes N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48.
+    B's identity looks up d(u) for every u <= sqrt(N), so the fast counts
+    take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2, where every reduction is
+    exact in machine integers (module docstring).
     """
+    _check_n(N)
     if isqrt(N) > SUBLINEAR_TABLE_CAP:
         shown = N if N.bit_length() <= 64 else f"2^{N.bit_length() - 1} or more"
         raise ResourceLimitError(
             f"fast census refused at N={shown}: B needs d(n) up to sqrt(N), above "
-            f"the table cap SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}, so N must be below 2^48"
+            f"the table cap SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}, so N must be below "
+            f"(SUBLINEAR_TABLE_CAP + 1)^2 = {(SUBLINEAR_TABLE_CAP + 1) ** 2}"
         )
 
 
@@ -131,19 +136,15 @@ def census_table(N: int) -> SummatoryTable:
     return summatory_table(N if N < SUBLINEAR_B_CUTOFF else summatory_table_size(N))
 
 
-def _ranges(stop: int, dtype) -> Iterator[np.ndarray]:
-    """1..stop as arrays of at most _TERM_CHUNK values."""
+def _ranges(stop: int) -> Iterator[np.ndarray]:
+    """1..stop as int64 arrays of at most _TERM_CHUNK values."""
     for lo in range(1, stop + 1, _TERM_CHUNK):
-        yield np.arange(lo, min(lo + _TERM_CHUNK, stop + 1), dtype=dtype)
-
-
-def _census_dtype(N: int):
-    return np.int64 if N <= INT64_CENSUS_N else object
+        yield np.arange(lo, min(lo + _TERM_CHUNK, stop + 1), dtype=np.int64)
 
 
 def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
     """B(N) = sum_{n<=N} d(n)^2: the sublinear identity from SUBLINEAR_B_CUTOFF on."""
-    _check_n(N)
+    check_census_size(N)
     if N >= SUBLINEAR_B_CUTOFF:
         return divisor_square_summatory_sublinear(N, table)
     d = (census_table(N) if table is None else table).counts(N)
@@ -156,11 +157,11 @@ def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int
     Each D is a lookup in the table, or one divisor_summatory call for the
     about sqrt(N / y) values N // r^2 above its size y.
     """
-    _check_n(N)
+    check_census_size(N)
     if table is None:
         table = census_table(N)
     total = 0
-    for r in _ranges(isqrt(N), _census_dtype(N)):
+    for r in _ranges(isqrt(N)):
         total += int(table.summatory(N // (r * r)).sum())
     return total
 
@@ -175,32 +176,29 @@ def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> i
 
     Every D is a lookup in a table of size y >= R, except the about N / y
     values N // b above it, one divisor_summatory call each: about N^(2/3)
-    work in all for y = N^(2/3).  The int64 reduction is exact up to
-    INT64_CENSUS_N; above it the terms are Python ints.
+    work in all for y = N^(2/3).
     """
-    _check_n(N)
+    check_census_size(N)
     if table is None:
         table = census_table(N)
-    dtype = _census_dtype(N)
     root = isqrt(N)
     total = 0
-    for b in _ranges(root, dtype):
+    for b in _ranges(root):
         total += int(table.summatory(N // b).sum())
-    for q in _ranges(N // (root + 1), dtype):
+    for q in _ranges(N // (root + 1)):
         total += int(np.dot(N // q - N // (q + 1), table.summatory(q)))
     return total
 
 
 def count_good_triples(N: int) -> int:
     """A(N) = 2*S(N) - C(N), exactly."""
-    _check_n(N)
+    check_census_size(N)
     table = census_table(N)
     return 2 * count_da_over_hyperbola(N, table) - count_gcd_divisor_sum(N, table)
 
 
 def fast_census(N: int) -> CensusResult:
     """All four counts by the identity-based routes, from one sieved table."""
-    _check_n(N)
     check_census_size(N)
     table = census_table(N)
     b = count_all_triples(N, table)
@@ -276,18 +274,6 @@ def brute_force_census(N: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> 
 # Counterexamples
 # ---------------------------------------------------------------------------
 
-def _divisors(n: int) -> list[int]:
-    """Ascending divisors by trial division up to sqrt(n)."""
-    small = []
-    large = []
-    for k in range(1, isqrt(n) + 1):
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-    return small + large[::-1]
-
-
 def iter_counterexamples(N: int) -> Iterator[Counterexample]:
     """All triples with r | ab, ab <= N, r dividing neither a nor b.
 
@@ -296,7 +282,7 @@ def iter_counterexamples(N: int) -> Iterator[Counterexample]:
     """
     _check_n(N)
     for n in range(1, N + 1):
-        divs = _divisors(n)
+        divs = divisor_list(n)
         for a in divs:
             b = n // a
             for r in divs:

@@ -30,14 +30,29 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
+class CountError(argparse.ArgumentTypeError, ValueError):
+    """A malformed count; argparse shows the message of this type of error."""
+
+
+# Counts with more digits are refused before int() builds them, which takes
+# about 40 s at a million digits.  4300 is the default of Python's own limit
+# on str -> int conversion (sys.get_int_max_str_digits).
+MAX_COUNT_DIGITS = 4300
+
+
 def parse_count(text: str) -> int:
     """Exact integer from decimal or scientific notation ('10000000', '1e7')."""
     try:
         value = Decimal(text)
     except InvalidOperation:
-        raise ValueError(f"not a number: {text!r}") from None
-    if value != value.to_integral_value():
-        raise ValueError(f"expected an integer, got {text!r}")
+        raise CountError(f"not a number: {text!r}") from None
+    if not value.is_finite() or value != value.to_integral_value():
+        raise CountError(f"expected an integer, got {text!r}")
+    if value.adjusted() >= MAX_COUNT_DIGITS:
+        raise CountError(
+            f"a count has at most MAX_COUNT_DIGITS = {MAX_COUNT_DIGITS} digits, "
+            f"got {value.adjusted() + 1}"
+        )
     return int(value)
 
 
@@ -230,7 +245,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     knobs = parser.add_argument_group("knobs (override DIVCENSUS_* environment)")
     knobs.add_argument("--oracle-ceiling", type=int, default=None, metavar="N")
-    knobs.add_argument("--segment-size", type=int, default=None, metavar="LEN")
     knobs.add_argument("--threads", type=int, default=None, metavar="K")
 
     sub = parser.add_subparsers(dest="command", required=True)
@@ -279,20 +293,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def resolve_config(args) -> Config:
     cfg = Config.from_env()
-    overrides = {}
-    if args.oracle_ceiling is not None:
-        overrides["oracle_ceiling"] = args.oracle_ceiling
-    if args.segment_size is not None:
-        overrides["segment_size"] = args.segment_size
-    if args.threads is not None:
-        overrides["threads"] = args.threads
-    if overrides:
-        cfg = Config(
-            oracle_ceiling=overrides.get("oracle_ceiling", cfg.oracle_ceiling),
-            segment_size=overrides.get("segment_size", cfg.segment_size),
-            threads=overrides.get("threads", cfg.threads),
-        )
-    return cfg
+    return Config(
+        oracle_ceiling=cfg.oracle_ceiling if args.oracle_ceiling is None else args.oracle_ceiling,
+        threads=cfg.threads if args.threads is None else args.threads,
+    )
 
 
 def main(argv=None) -> int:

@@ -1,6 +1,6 @@
 """Runtime knobs shared by the library and the CLI.
 
-Three knobs exist, resolved with precedence: explicit argument > environment
+Two knobs exist, resolved with precedence: explicit argument > environment
 variable (DIVCENSUS_* prefix) > built-in default.
 """
 
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 ENV_PREFIX = "DIVCENSUS_"
 
 DEFAULT_ORACLE_CEILING = 10_000
-DEFAULT_SEGMENT_SIZE = 1 << 20
 DEFAULT_THREADS = 1
 
 
@@ -25,11 +24,10 @@ class ResourceLimitError(Exception):
 @dataclass(frozen=True)
 class Config:
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING
-    segment_size: int = DEFAULT_SEGMENT_SIZE
     threads: int = DEFAULT_THREADS
 
     def __post_init__(self):
-        for name in ("oracle_ceiling", "segment_size", "threads"):
+        for name in ("oracle_ceiling", "threads"):
             value = getattr(self, name)
             if not isinstance(value, int) or value < 1:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
@@ -52,6 +50,5 @@ class Config:
 
         return cls(
             oracle_ceiling=read("ORACLE_CEILING", DEFAULT_ORACLE_CEILING),
-            segment_size=read("SEGMENT_SIZE", DEFAULT_SEGMENT_SIZE),
             threads=read("THREADS", DEFAULT_THREADS),
         )

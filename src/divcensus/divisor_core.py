@@ -24,7 +24,8 @@ sqrt(x) and using the a <-> b symmetry:
     D(x) = sum_{n<=x} d(n) = 2 * sum_{k<=sqrt(x)} floor(x/k) - floor(sqrt(x))^2
 
 which is O(sqrt(x)) and needs no table, so it stays usable for arguments
-as large as the census bound N itself.
+as large as the census bound N itself.  It is one int64 reduction, exact
+for x <= SUMMATORY_MAX_X = 2^52; a larger x is refused.
 
 Sum of d(n)^2
 -------------
@@ -37,6 +38,11 @@ at most x, and mu the Moebius function,
 the hyperbola split again gives
 
     D_4(x) = 2 * sum_{u<=sqrt(x)} d(u) * D(floor(x/u))  -  D(floor(sqrt(x)))^2.
+
+The sum over u is reduced in uint64.  It is at most D_4(x), and
+D_k(x) <= x (1 + ln x)^(k-1) (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m)
+with sum_{m<=x} 1/m <= 1 + ln x), so below 1.2e19 < 2^64 for every
+x < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1, the census's domain.
 
 divisor_square_summatory_sublinear costs about N^(2/3) sieve work plus
 sqrt(N) ln(N) lookups in a summatory table, against the N ln N of summing
@@ -58,28 +64,27 @@ N^(2/3).
 
 from dataclasses import dataclass, field
 from math import isqrt
-from operator import mul
 
 import numpy as np
 
-from .config import DEFAULT_SEGMENT_SIZE, ResourceLimitError
+from .config import ResourceLimitError
 
 # In-memory d(n) tables are refused above this (int32 table ~ 4 bytes/entry,
 # so the ceiling is ~0.5 GB).  Segmented iteration has no such bound.
 TABLE_LIMIT = 1 << 27
 
-# Pure-python loops beat numpy below this many terms (allocation overhead).
-_VECTOR_CUTOFF = 1024
+# Block length of the segmented sieve: ~12 MiB of working set.
+DEFAULT_SEGMENT_SIZE = 1 << 20
+
+# divisor_summatory reduces sum_{k<=sqrt(x)} x // k in int64 and refuses a
+# larger x: that sum is at most D(x) <= x (1 + ln x) < 2^63 for x <= 2^52.
+SUMMATORY_MAX_X = 1 << 52
 
 # The d(n) table behind the sublinear sum of d(n)^2 holds at most this many
 # entries.  Its int32 counts plus their int32 prefix sums peak at 8 bytes an
 # entry, 128 MiB at the cap, which N reaches at N^(2/3) = 2^24 (N ~ 6.9e10).
 # int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
 SUBLINEAR_TABLE_CAP = 1 << 24
-
-# Per-u sums of d(u) * D(x // u) for one x are bounded by D_4(x) (see
-# _hyperbola_sums); that bound stays below 2^63 for x <= 2^47.
-INT64_HYPERBOLA_X = 1 << 47
 
 # (k, u) pairs handled per vectorized step of the sublinear sum: about
 # 2^18 * 5 int64 temporaries, ~10 MiB.
@@ -123,20 +128,33 @@ def sieve_divisor_counts(n_max: int, table_limit: int = TABLE_LIMIT) -> DivisorT
 
 
 def divisor_summatory(x: int) -> int:
-    """D(x) = sum_{n<=x} d(n), exactly, in O(sqrt(x)) via the hyperbola split."""
+    """D(x) = sum_{n<=x} d(n), exactly, in O(sqrt(x)) via the hyperbola split.
+
+    x above SUMMATORY_MAX_X is refused, where the int64 sum could overflow.
+    """
     if x < 1:
         raise ValueError(f"x must be >= 1, got {x}")
+    if x > SUMMATORY_MAX_X:
+        raise ResourceLimitError(
+            f"D(x) refused at x={x}: its int64 sum is exact only up to "
+            f"SUMMATORY_MAX_X = 2^52"
+        )
     r = isqrt(x)
-    # Vectorized branch: sum_{k<=r} x//k < x*(ln(r)+1) stays below 2^63 for
-    # x <= 2^52, so the int64 reduction cannot overflow there.
-    if r >= _VECTOR_CUTOFF and x <= (1 << 52):
-        ks = np.arange(1, r + 1, dtype=np.int64)
-        s = int(np.sum(x // ks))
-    else:
-        s = 0
-        for k in range(1, r + 1):
-            s += x // k
-    return 2 * s - r * r
+    return 2 * int(np.sum(x // np.arange(1, r + 1, dtype=np.int64))) - r * r
+
+
+def divisor_list(n: int) -> list[int]:
+    """Ascending divisors of n by trial division up to sqrt(n)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    small = []
+    large = []
+    for k in range(1, isqrt(n) + 1):
+        if n % k == 0:
+            small.append(k)
+            if k != n // k:
+                large.append(n // k)
+    return small + large[::-1]
 
 
 @dataclass(frozen=True)
@@ -163,21 +181,18 @@ class SummatoryTable:
         return d
 
     def summatory(self, q: np.ndarray) -> np.ndarray:
-        """D(q) for each entry q >= 1 of an int64 or object array, in its dtype.
+        """D(q) as int64 for each entry 1 <= q <= SUMMATORY_MAX_X of an int64 array.
 
         q <= n_max is a table lookup.  Each distinct q above costs one
         divisor_summatory call over the table's lifetime: the first
-        _FOUND_LIMIT such values are remembered in `found`.  An int64 array
-        holds D(q) exactly while D(q) < 2^63, which D(q) <= q (1 + ln q)
-        guarantees for q <= 2^57; a value that does not fit raises instead
-        of wrapping.
+        _FOUND_LIMIT such values are remembered in `found`.
         """
         big = q > self.n_max
-        out = self.prefix[np.where(big, 0, q).astype(np.int64, copy=False)].astype(q.dtype)
+        out = self.prefix[np.where(big, 0, q)].astype(np.int64)
         if big.any():
             at = np.flatnonzero(big)
             values, where = np.unique(q[at], return_inverse=True)
-            out[at] = np.array([self._above(v) for v in values.tolist()], dtype=q.dtype)[where]
+            out[at] = np.array([self._above(v) for v in values.tolist()], dtype=np.int64)[where]
         return out
 
     def _above(self, q: int) -> int:
@@ -314,21 +329,15 @@ def _mobius_table(n_max: int) -> np.ndarray:
     return mu
 
 
-def _hyperbola_sums(x_max: int, d_u: np.ndarray, d_sum: np.ndarray, starts: np.ndarray) -> list[int]:
-    """Sums of d_u * d_sum over the segments that begin at `starts`, exactly.
+def _hyperbola_sums(d_u: np.ndarray, d_sum: np.ndarray, starts: np.ndarray) -> list[int]:
+    """Sums of d_u * d_sum over the segments that begin at `starts`, as ints.
 
-    Each segment holds the terms d(u) * D(x // u), u <= sqrt(x), of one
-    x <= x_max.  Its sum is at most D_4(x), and D_k(x) <= x (1 + ln x)^(k-1)
-    (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m) with sum_{m<=x} 1/m <= 1 + ln x),
-    so for x_max <= 2^47 every segment sum and every term stays below
-    2^47 * (1 + 47 ln 2)^3 < 5.5e18 < 2^63 and the int64 reduction is exact.
-    Above that the terms are accumulated as Python ints.
+    Each segment holds the nonnegative terms d(u) * D(x // u), u <= sqrt(x),
+    of one x < (SUBLINEAR_TABLE_CAP + 1)^2, so every term and every partial
+    sum is at most D_4(x) < 2^64 (module docstring) and the uint64
+    reduction is exact.
     """
-    if x_max <= INT64_HYPERBOLA_X:
-        return np.add.reduceat(d_u * d_sum, starts).tolist()
-    terms = list(map(mul, d_u.tolist(), d_sum.tolist()))
-    bounds = starts.tolist() + [len(terms)]
-    return [sum(terms[lo:hi]) for lo, hi in zip(bounds, bounds[1:])]
+    return np.add.reduceat(d_u.astype(np.uint64) * d_sum.astype(np.uint64), starts).tolist()
 
 
 def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None = None) -> int:
@@ -371,7 +380,7 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
         np.cumsum(run[:-1], out=starts[1:])
         u = np.arange(1, int(ends[j - 1]) - done + 1, dtype=np.int64) - np.repeat(starts, run)
         d_sum = table.summatory(np.repeat(x, run) // u)
-        sums = _hyperbola_sums(int(x[0]), d[u], d_sum, starts)
+        sums = _hyperbola_sums(d[u], d_sum, starts)
         corners = table.prefix[run].tolist()
         total += sum(sign * (2 * s - c * c) for sign, s, c in zip(signs[i:j], sums, corners))
         i = j

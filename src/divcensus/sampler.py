@@ -20,13 +20,14 @@ on (seed, i), so the merged estimate is a deterministic function of
 """
 
 from dataclasses import dataclass
-from math import isqrt, sqrt
+from math import sqrt
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from .config import ResourceLimitError
 from .divisor_core import TABLE_LIMIT, DivisorTable, sieve_divisor_counts
+from .divisor_core import divisor_list  # noqa: F401  (kept as divcensus.sampler.divisor_list)
 
 # Chunk size is part of the reproducibility contract: changing it changes
 # which stream serves which trial.
@@ -46,20 +47,6 @@ class SampleEstimate:
     p_hat: float
     std_err: float
     seed: int
-
-
-def divisor_list(n: int) -> list[int]:
-    """Ascending divisors of n by trial division up to sqrt(n)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    small = []
-    large = []
-    for k in range(1, isqrt(n) + 1):
-        if n % k == 0:
-            small.append(k)
-            if k != n // k:
-                large.append(n // k)
-    return small + large[::-1]
 
 
 @dataclass(frozen=True)

@@ -151,17 +151,6 @@ def test_s_and_c_from_any_table_size_match_loops(n, data):
     assert got == loop_s_and_c(n)
 
 
-def test_s_and_c_exact_in_python_ints(monkeypatch):
-    # Above INT64_CENSUS_N the same sums run on object arrays of Python ints.
-    want = {n: loop_s_and_c(n) for n in (1, 2, 99, 100, 12_345)}
-    monkeypatch.setattr(census, "INT64_CENSUS_N", 0)
-    for n, (s, c) in want.items():
-        for y in (1, isqrt(n), n):
-            table = summatory_table(y)
-            assert count_da_over_hyperbola(n, table) == s, (n, y)
-            assert count_gcd_divisor_sum(n, table) == c, (n, y)
-
-
 @pytest.mark.parametrize(
     "n, s, c",
     [
@@ -191,9 +180,17 @@ def test_fast_census_sieves_once(n, monkeypatch):
 
 def test_fast_census_refuses_before_sieving(monkeypatch):
     monkeypatch.setattr(divisor_core, "sieve_divisor_counts", None)
-    with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
-        fast_census((SUBLINEAR_TABLE_CAP + 1) ** 2)
-    census.check_census_size((SUBLINEAR_TABLE_CAP + 1) ** 2 - 1)  # the largest N it takes
+    first = (SUBLINEAR_TABLE_CAP + 1) ** 2
+    for op in (
+        count_all_triples,
+        count_da_over_hyperbola,
+        count_gcd_divisor_sum,
+        count_good_triples,
+        fast_census,
+    ):
+        with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
+            op(first)
+    census.check_census_size(first - 1)  # the largest N they take
 
 
 def test_count_good_triples_examples():

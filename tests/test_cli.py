@@ -39,6 +39,18 @@ def test_parse_count_accepts_scientific_notation():
         parse_count("1.5")
     with pytest.raises(ValueError):
         parse_count("ten")
+    assert parse_count("1" + "0" * 4299) == 10**4299
+    with pytest.raises(ValueError, match="MAX_COUNT_DIGITS"):
+        parse_count("1e4300")
+
+
+def test_huge_or_infinite_count_is_a_usage_error(capsys):
+    # Refused before int() builds the number, about 40 s at a million digits.
+    for text, reason in (("1e1000000", "MAX_COUNT_DIGITS = 4300"), ("inf", "expected an integer")):
+        with pytest.raises(SystemExit) as exc:
+            main(["census", "--n", text])
+        assert exc.value.code == 2
+        assert reason in capsys.readouterr().err
 
 
 def test_nonintegral_n_is_a_usage_error():
@@ -116,18 +128,21 @@ def test_ceiling_env_and_flag_precedence(capsys, monkeypatch):
 
 def test_segment_and_thread_env_knobs_change_nothing_numeric(capsys, monkeypatch):
     _, baseline, _ = run(capsys, "census", "--n", "5000")
-    monkeypatch.setenv("DIVCENSUS_SEGMENT_SIZE", "137")
     monkeypatch.setenv("DIVCENSUS_THREADS", "3")
+    monkeypatch.setenv("DIVCENSUS_ORACLE_CEILING", "50")
+    monkeypatch.setenv("DIVCENSUS_SEGMENT_SIZE", "137")  # no longer a knob: ignored
     code, out, _ = run(capsys, "census", "--n", "5000")
     assert code == 0
     assert out == baseline  # knobs steer resources, never values
 
 
 def test_garbage_env_knob_is_a_usage_error(capsys, monkeypatch):
-    monkeypatch.setenv("DIVCENSUS_SEGMENT_SIZE", "lots")
-    code, _, err = run(capsys, "census", "--n", "10")
-    assert code == 2
-    assert "DIVCENSUS_SEGMENT_SIZE" in err
+    for name in ("DIVCENSUS_THREADS", "DIVCENSUS_ORACLE_CEILING"):
+        with monkeypatch.context() as env:
+            env.setenv(name, "lots")
+            code, _, err = run(capsys, "census", "--n", "10")
+        assert code == 2
+        assert name in err
 
 
 def test_census_csv_matches_jsonl(capsys):

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from divcensus import divisor_core
-from divcensus.census import INT64_CENSUS_N
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import (
-    INT64_HYPERBOLA_X,
     SUBLINEAR_TABLE_CAP,
+    SUMMATORY_MAX_X,
     TABLE_LIMIT,
     DivisorTable,
     _hyperbola_sums,
@@ -127,8 +126,7 @@ def test_summatory_at_least_x():
 
 
 def test_summatory_vector_branch_agrees_with_segment_sums():
-    # x here is large enough to take the numpy reduction; the segmented
-    # sieve is a wholly different route to the same number.
+    # The segmented sieve is a wholly different route to the same number.
     for x in (2_000_000, 2_000_003):
         by_sieve = sum(int(block.sum()) for _, block in iter_divisor_segments(x))
         assert divisor_summatory(x) == by_sieve
@@ -144,6 +142,12 @@ def test_summatory_tracks_main_terms():
 def test_summatory_rejects_zero():
     with pytest.raises(ValueError):
         divisor_summatory(0)
+
+
+def test_summatory_refuses_above_int64_bound(monkeypatch):
+    monkeypatch.setattr(divisor_core, "isqrt", None)  # the refusal comes before any work
+    with pytest.raises(ResourceLimitError, match="SUMMATORY_MAX_X"):
+        divisor_summatory(SUMMATORY_MAX_X + 1)
 
 
 # -- sum of d(n)^2 -----------------------------------------------------------
@@ -253,38 +257,32 @@ def test_sublinear_square_summatory_rejects_and_refuses():
         divisor_square_summatory_sublinear((SUBLINEAR_TABLE_CAP + 1) ** 2)
 
 
-def ln2_bounds() -> tuple[Fraction, Fraction]:
-    """Rational bounds 2/3 < ln 2 < 7/10, proved with exact arithmetic.
+def ln2_upper_bound() -> Fraction:
+    """The rational bound ln 2 < 7/10, proved with exact arithmetic.
 
-    e lies between the partial sum of 1/k! to k = 15 and that sum plus
-    2/16!; 2^10 < e^7 gives ln 2 < 7/10 and e^2 < 2^3 gives ln 2 > 2/3.
+    e exceeds the partial sum of 1/k! to k = 15, and 2^10 < e^7 gives
+    ln 2 < 7/10.
     """
     e_lo = sum(Fraction(1, factorial(k)) for k in range(16))
-    e_hi = e_lo + Fraction(2, factorial(16))
     assert 2**10 < e_lo**7
-    assert e_hi**2 < 2**3
-    return Fraction(2, 3), Fraction(7, 10)
+    return Fraction(7, 10)
 
 
-def test_int64_hyperbola_bound_at_threshold():
-    lo, hi = ln2_bounds()
-    assert INT64_HYPERBOLA_X == 2**47
-    # D_4(x) <= x (1 + ln x)^3 < 2^63 at x = 2^47 ...
-    assert 2**47 * (1 + 47 * hi) ** 3 < 2**63
-    # ... and one doubling further the bound no longer fits.
-    assert 2**48 * (1 + 48 * lo) ** 3 > 2**63
+def test_machine_integer_bounds():
+    # D_k(x) <= x (1 + ln x)^(k-1), checked below with ln 2 < 7/10.
+    hi = ln2_upper_bound()
+    # The census takes N < (SUBLINEAR_TABLE_CAP + 1)^2 <= 2^49: S and C,
+    # at most D_3(N), fit int64; B's per-x sums, at most D_4(x), fit uint64.
+    top = (SUBLINEAR_TABLE_CAP + 1) ** 2
+    assert top <= 2**49
+    assert top * (1 + 49 * hi) ** 2 < 2**63
+    assert top * (1 + 49 * hi) ** 3 < 2**64
+    # divisor_summatory's int64 sum is at most D(x) < 2^63 for x <= 2^52.
+    assert SUMMATORY_MAX_X == 2**52
+    assert 2**52 * (1 + 52 * hi) < 2**63
     # The int32 prefix sums of the capped table: D(y) <= y (1 + ln y) < 2^31.
     assert SUBLINEAR_TABLE_CAP == 2**24
     assert 2**24 * (1 + 24 * hi) < 2**31
-
-
-def test_int64_census_bound_at_threshold():
-    lo, hi = ln2_bounds()
-    assert INT64_CENSUS_N == 2**52
-    # C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 2^63 at N = 2^52 ...
-    assert 2**52 * (1 + 52 * hi) ** 2 < 2**63
-    # ... and one doubling further the bound no longer fits.
-    assert 2**53 * (1 + 53 * lo) ** 2 > 2**63
 
 
 def test_piltz_bound_holds_for_small_x():
@@ -300,16 +298,15 @@ def test_piltz_bound_holds_for_small_x():
         assert D4[x] <= x * (1 + math.log(x)) ** 3
 
 
-def test_hyperbola_sums_guard():
+def test_hyperbola_sums_exact_between_2_63_and_2_64():
+    # Near N = 2^48 the proven bound on a per-x sum, D_4(x) < 2^64, passes
+    # 2^63: a sum between the two must reduce exactly, where int64 wraps.
     starts = np.array([0, 2], dtype=np.int64)
     d_u = np.array([3, 3, 1], dtype=np.int64)
-    # At the bound: the int64 reduction, exact for in-bound terms.
-    d_sum = np.array([5, 7, 11], dtype=np.int64)
-    assert _hyperbola_sums(INT64_HYPERBOLA_X, d_u, d_sum, starts) == [36, 11]
-    # Above it the sums are exact Python ints, even where int64 would wrap.
-    d_sum = np.array([2**62, 2**62, 11], dtype=np.int64)
-    got = _hyperbola_sums(INT64_HYPERBOLA_X + 1, d_u, d_sum, starts)
-    assert got == [6 * 2**62, 11]
+    d_sum = np.array([2**61, 2**61 + 5, 11], dtype=np.int64)
+    got = _hyperbola_sums(d_u, d_sum, starts)
+    assert got == [6 * 2**61 + 15, 11]
+    assert 2**63 < got[0] < 2**64
     assert all(type(v) is int for v in got)
 
 
@@ -351,15 +348,11 @@ def test_summatory_table_lookup_and_fallback(monkeypatch):
     monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: calls.append(x) or real(x))
     q = np.array([1, 100, 101, 5000, 101, 7, 5000], dtype=np.int64)
     want = [divisor_summatory(int(v)) for v in q]
-    assert table.summatory(q).tolist() == want
+    got = table.summatory(q)
+    assert got.dtype == np.int64 and got.tolist() == want
     assert sorted(calls) == [101, 5000]  # one call per distinct q above the table
     assert table.summatory(q[::-1]).tolist() == want[::-1]
     assert sorted(calls) == [101, 5000]  # remembered across calls
-    # Object arrays, the census's dtype above INT64_CENSUS_N, give Python ints.
-    got = table.summatory(np.array([2**40, 3, 2**40], dtype=object))
-    big = divisor_summatory(2**40)
-    assert got.dtype == object and got.tolist() == [big, 5, big]
-    assert all(type(v) is int for v in got)
 
 
 def test_sublinear_square_summatory_takes_a_table():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import divcensus
+from divcensus import divisor_core
 from divcensus.census import brute_force_census, count_all_triples
 from divcensus.config import ResourceLimitError
 from divcensus.sampler import (
@@ -16,6 +18,10 @@ from divcensus.sampler import (
     divisor_list,
     sample_triples,
 )
+
+
+def test_divisor_list_is_the_one_trial_division_helper():
+    assert divisor_list is divisor_core.divisor_list is divcensus.divisor_list
 
 
 def test_divisor_list_known_values():
