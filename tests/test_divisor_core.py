@@ -268,21 +268,34 @@ def ln2_upper_bound() -> Fraction:
     return Fraction(7, 10)
 
 
-def test_machine_integer_bounds():
-    # D_k(x) <= x (1 + ln x)^(k-1), checked below with ln 2 < 7/10.
+CENSUS_TOP = (SUBLINEAR_TABLE_CAP + 1) ** 2
+
+
+def test_int64_census_bound_at_threshold():
+    # The census takes N < CENSUS_TOP <= 2^49. S and C are at most
+    # D_3(N) <= N (1 + ln N)^2, checked with ln 2 < 7/10: they fit int64.
     hi = ln2_upper_bound()
-    # The census takes N < (SUBLINEAR_TABLE_CAP + 1)^2 <= 2^49: S and C,
-    # at most D_3(N), fit int64; B's per-x sums, at most D_4(x), fit uint64.
-    top = (SUBLINEAR_TABLE_CAP + 1) ** 2
-    assert top <= 2**49
-    assert top * (1 + 49 * hi) ** 2 < 2**63
-    assert top * (1 + 49 * hi) ** 3 < 2**64
-    # divisor_summatory's int64 sum is at most D(x) < 2^63 for x <= 2^52.
-    assert SUMMATORY_MAX_X == 2**52
-    assert 2**52 * (1 + 52 * hi) < 2**63
+    assert CENSUS_TOP <= 2**49
+    assert CENSUS_TOP * (1 + 49 * hi) ** 2 < 2**63
+
+
+def test_int64_hyperbola_bound_at_threshold():
+    # B's per-x sums are at most D_4(x) <= x (1 + ln x)^3 for x < CENSUS_TOP:
+    # they fit uint64.
+    hi = ln2_upper_bound()
+    assert CENSUS_TOP <= 2**49
+    assert CENSUS_TOP * (1 + 49 * hi) ** 3 < 2**64
     # The int32 prefix sums of the capped table: D(y) <= y (1 + ln y) < 2^31.
     assert SUBLINEAR_TABLE_CAP == 2**24
     assert 2**24 * (1 + 24 * hi) < 2**31
+
+
+def test_machine_integer_bounds():
+    # divisor_summatory's int64 sum is at most D(x) <= x (1 + ln x) < 2^63
+    # for x <= 2^52.
+    hi = ln2_upper_bound()
+    assert SUMMATORY_MAX_X == 2**52
+    assert 2**52 * (1 + 52 * hi) < 2**63
 
 
 def test_piltz_bound_holds_for_small_x():
