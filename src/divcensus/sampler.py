@@ -3,8 +3,10 @@
 A triple is drawn uniformly from the B(N) triples (a, b, r) with r | ab and
 ab <= N by a three-stage draw:
 
-    1. product n in [1, N] with probability d(n)^2 / B(N)
-       (cumulative weights + binary search),
+    1. product n in [1, N] with probability d(n)^2 / B(N): v uniform in
+       [0, B(N)), n the first index with cum_weights[n] > v, found by a
+       guide table (Chen & Asau 1974; Devroye 1986, III.2.4) that jumps to
+       the first candidate of v's bucket and steps forward from there,
     2. a uniform over the d(n) divisors of n, b = n/a,
     3. r uniform over the d(n) divisors of n.
 
@@ -56,6 +58,8 @@ class TripleSpace:
     cum_weights[n] = sum_{m<=n} d(m)^2, so cum_weights[N] = B(N).
     flat_divisors holds every divisor list back to back, ascending within
     each n; starts[n] indexes the first divisor of n.
+    guide[i] is the first n with cum_weights[n] > i * width, for the
+    ceil(B/width) buckets of width = ceil(B/N).
     """
 
     N: int
@@ -63,13 +67,31 @@ class TripleSpace:
     cum_weights: np.ndarray
     starts: np.ndarray
     flat_divisors: np.ndarray
+    guide: np.ndarray
+    width: int
 
     @property
     def total_triples(self) -> int:
         return int(self.cum_weights[self.N])
 
+    def products(self, v: np.ndarray) -> np.ndarray:
+        """n with cum_weights[n-1] <= v < cum_weights[n] for each v in [0, B).
+
+        Equal to np.searchsorted(cum_weights, v, side="right"): the guide
+        entry of v's bucket is never past the answer, and each step forward
+        is taken only by the entries still behind it.
+        """
+        cum = self.cum_weights
+        n = self.guide[v // self.width]
+        behind = np.flatnonzero(cum[n] <= v)
+        while behind.size:
+            n[behind] += 1
+            behind = behind[cum[n[behind]] <= v[behind]]
+        return n
+
     def draw(self, trials: int, seed: int, threads: int = 1):
         """(a, b, r) arrays for `trials` seeded draws."""
+        _check_trials_and_seed(trials, seed)
         chunks = _run_chunks(_draw_chunk, self, trials, seed, threads)
         a = np.concatenate([c[0] for c in chunks])
         b = np.concatenate([c[1] for c in chunks])
@@ -92,23 +114,43 @@ def build_triple_space(N: int, space_limit: int = SPACE_LIMIT) -> TripleSpace:
     cum = np.zeros(N + 1, dtype=np.int64)
     np.cumsum(d * d, out=cum[1:])
 
-    # Flatten all divisor lists, grouped by n.  Stable sort on the multiple
-    # preserves ascending k within each group.
-    ks = [np.arange(k, N + 1, k, dtype=np.int64) for k in range(1, N + 1)]
-    multiples = np.concatenate(ks)
-    divisors = np.concatenate(
-        [np.full(len(m), k, dtype=np.int64) for k, m in enumerate(ks, start=1)]
-    )
-    order = np.argsort(multiples, kind="stable")
-    flat = divisors[order]
+    width = -(-int(cum[N]) // N)
+    guide = np.searchsorted(cum, np.arange(0, cum[N], width, dtype=np.int64), side="right")
 
     starts = np.zeros(N + 1, dtype=np.int64)
     if N > 1:
         np.cumsum(d[:-1], out=starts[2:])
-    starts.setflags(write=False)
-    cum.setflags(write=False)
-    flat.setflags(write=False)
-    return TripleSpace(N=N, table=table, cum_weights=cum, starts=starts, flat_divisors=flat)
+    flat = _flat_divisor_lists(N)
+    for array in (cum, starts, flat, guide):
+        array.setflags(write=False)
+    return TripleSpace(
+        N=N, table=table, cum_weights=cum, starts=starts, flat_divisors=flat,
+        guide=guide, width=width,
+    )
+
+
+def _flat_divisor_lists(N: int) -> np.ndarray:
+    """The divisors of 1, 2, ..., N back to back, ascending within each n.
+
+    The multiples k*j (j <= N//k) are laid out k by k, so a stable sort on
+    the multiple keeps ascending k within each n.  Keys and divisors are
+    int32 (N <= TABLE_LIMIT < 2^31); the result is int64.
+    """
+    k = np.arange(1, N + 1, dtype=np.int32)
+    per_k = N // k
+    divisors = np.repeat(k, per_k)
+    # j = 1, 2, ..., N//k within the run of each k: a cumsum of ones that
+    # drops back to 1 where each run after the first begins.
+    multiples = np.ones(len(divisors), dtype=np.int32)
+    multiples[np.cumsum(per_k[:-1])] = 1 - per_k[:-1]
+    np.cumsum(multiples, out=multiples)
+    multiples *= divisors
+    # Each temporary is dropped once spent: at N = 10^6 each is 56-112 MiB.
+    order = np.argsort(multiples, kind="stable")
+    del multiples
+    flat = divisors[order]
+    del order, divisors
+    return flat.astype(np.int64)
 
 
 def _chunk_sizes(trials: int) -> list[int]:
@@ -119,7 +161,7 @@ def _chunk_sizes(trials: int) -> list[int]:
 def _draw_chunk(space: TripleSpace, count: int, seed: int, index: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
     v = rng.integers(0, space.total_triples, size=count, dtype=np.int64)
-    n = np.searchsorted(space.cum_weights, v, side="right").astype(np.int64)
+    n = space.products(v)
     d_n = space.table.counts[n].astype(np.int64)
     base = space.starts[n]
     a = space.flat_divisors[base + rng.integers(0, d_n)]
@@ -134,12 +176,15 @@ def _chunk_successes(space: TripleSpace, count: int, seed: int, index: int) -> i
     return int(np.count_nonzero((a % r == 0) | (b % r == 0)))
 
 
-def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int) -> list:
-    """[work(space, size, seed, i) for each chunk i], on `threads` workers."""
+def _check_trials_and_seed(trials: int, seed: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
+def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int) -> list:
+    """[work(space, size, seed, i) for each chunk i], on `threads` workers."""
     sizes = _chunk_sizes(trials)
     if threads > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -161,6 +206,7 @@ def sample_triples(
     TripleSpace to amortize the sieve across many calls (it does not affect
     the result).
     """
+    _check_trials_and_seed(trials, seed)
     if space is None:
         space = build_triple_space(N)
     elif space.N != N:

@@ -4,10 +4,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import divcensus
-from divcensus import divisor_core
+from divcensus import divisor_core, sampler
 from divcensus.census import brute_force_census, count_all_triples
 from divcensus.config import ResourceLimitError
 from divcensus.sampler import (
@@ -43,12 +43,38 @@ def test_space_weight_total_is_triple_count():
         assert space.total_triples == count_all_triples(n)
 
 
-def test_space_flat_divisor_layout():
-    space = build_triple_space(50)
-    for n in range(1, 51):
-        d = int(space.table.counts[n])
+@settings(deadline=None)
+@given(N=st.integers(min_value=1, max_value=1000))
+@example(N=1)
+@example(N=2)
+def test_space_flat_divisor_layout(N):
+    space = build_triple_space(N)
+    lists = [divisor_list(n) for n in range(1, N + 1)]
+    assert space.flat_divisors.dtype == np.int64
+    assert space.flat_divisors.tolist() == [k for divs in lists for k in divs]
+    for n, divs in enumerate(lists, start=1):
+        assert int(space.table.counts[n]) == len(divs)
         start = int(space.starts[n])
-        assert space.flat_divisors[start : start + d].tolist() == divisor_list(n)
+        assert space.flat_divisors[start : start + len(divs)].tolist() == divs
+
+
+@settings(deadline=None)
+@given(N=st.integers(min_value=1, max_value=2000))
+@example(N=1)
+@example(N=2)
+def test_guide_search_equals_binary_search(N):
+    space = build_triple_space(N)
+    cum = space.cum_weights
+    B = space.total_triples
+    bucket_edges = np.arange(0, B, space.width, dtype=np.int64)
+    v = np.concatenate(
+        [[0], cum[1:] - 1, cum[:-1], [B - 1], bucket_edges, bucket_edges[1:] - 1]
+    ).astype(np.int64)
+    before = v.copy()
+    n = space.products(v)
+    assert n.dtype == np.int64
+    assert np.array_equal(n, np.searchsorted(cum, v, side="right"))
+    assert np.array_equal(v, before)
 
 
 def test_space_refuses_oversized_n():
@@ -142,6 +168,31 @@ def test_unbiased_across_seeds_at_desk_scale():
     mean = np.mean([sample_triples(200, trials, s, space=space).p_hat for s in seeds])
     combined_se = math.sqrt(exact * (1 - exact) / (trials * len(seeds)))
     assert abs(mean - exact) <= 5 * combined_se
+
+
+# Successes computed with the binary-search sampler that preceded the guide
+# table: the draw stream is a fixed function of (N, trials, seed).
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "N, trials, seed, successes",
+    [
+        (6, 300_000, 5, 276_614),
+        (1000, 600_000, 99, 391_856),
+        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_820),
+    ],
+)
+def test_draw_stream_is_pinned(N, trials, seed, successes, threads):
+    assert sample_triples(N, trials, seed, threads=threads).successes == successes
+
+
+@pytest.mark.parametrize("trials, seed", [(0, 1), (10, -1), (10, 2**64)])
+def test_bad_trials_or_seed_refused_before_the_build(monkeypatch, trials, seed):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_triple_space called before the arguments were checked")
+
+    monkeypatch.setattr(sampler, "build_triple_space", no_build)
+    with pytest.raises(ValueError):
+        sample_triples(10**6, trials, seed)
 
 
 def test_invalid_arguments():
