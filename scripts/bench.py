@@ -1,0 +1,150 @@
+#!/usr/bin/env python3
+"""End-to-end census benchmark: `divcensus census` in a fresh process per N.
+
+For each N the command `python -m divcensus census --n N` runs in a new
+interpreter on the source tree of a checkout (this one by default), with
+every DIVCENSUS_* variable cleared and BLAS pinned to one thread.  Each run
+records its wall time, its CPU time and peak RSS (from the child's own
+rusage), its exit code and the four counts it printed.  The file
+BENCH_<label>.json holds the runs together with the machine facts and the
+commit and source digest of the checkout, so that files written before and
+after a change, on the same machine, can be compared.
+
+Usage:
+    python scripts/bench.py --label after [--checkout .] [--n 1e8 1e10 1e12 1e13]
+                            [--repeat 1]
+
+The file goes to bench/ in this repository, whichever checkout is run.
+"""
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+OUT_DIR = REPO / "bench"
+DEFAULT_NS = ["1e8", "1e10", "1e12", "1e13"]
+
+
+def machine_facts() -> dict:
+    cpu_model = ""
+    try:
+        for line in Path("/proc/cpuinfo").read_text().splitlines():
+            if line.startswith("model name"):
+                cpu_model = line.split(":", 1)[1].strip()
+                break
+    except OSError:
+        pass
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "cpu_model": cpu_model,
+        "mem_total_mib": os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") // 2**20,
+        "platform": platform.platform(),
+        "python": platform.python_version(),
+    }
+
+
+def checkout_facts(checkout: Path) -> dict:
+    """The commit, whether src/ differs from it, and a digest of src/**/*.py.
+
+    The git fields are None outside a git work tree.
+    """
+
+    def git(*args: str) -> str | None:
+        try:
+            done = subprocess.run(
+                ["git", *args], cwd=checkout, capture_output=True, text=True, timeout=10
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            return None
+        return done.stdout.strip() if done.returncode == 0 else None
+
+    commit = git("rev-parse", "HEAD") or None
+    status = git("status", "--porcelain", "--", "src")
+    digest = hashlib.sha256()
+    for path in sorted((checkout / "src").rglob("*.py")):
+        digest.update(str(path.relative_to(checkout)).encode() + b"\0" + path.read_bytes())
+    return {
+        "git_commit": commit,
+        "src_changed_since_commit": None if status is None else bool(status),
+        "src_sha256": digest.hexdigest(),
+    }
+
+
+def child_env(checkout: Path) -> dict:
+    env = {k: v for k, v in os.environ.items() if not k.startswith("DIVCENSUS_")}
+    env["PYTHONPATH"] = str(checkout / "src")
+    for name in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[name] = "1"
+    return env
+
+
+def run_census(n: str, env: dict) -> dict:
+    """One `divcensus census --n n` in a fresh process, measured by wait4."""
+    cmd = [sys.executable, "-m", "divcensus", "census", "--n", n]
+    with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(cmd, stdout=out, stderr=err, env=env)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        stdout, stderr = out.read().decode(), err.read().decode()
+    record = {
+        "n": n,
+        "exit": proc.returncode,
+        "wall_s": round(wall, 3),
+        "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
+        "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
+    }
+    if proc.returncode == 0:
+        line = json.loads(stdout.strip().splitlines()[-1])
+        record["N"] = line["N"]
+        record["counts"] = {key: line[key] for key in ("A", "B", "C", "S")}
+    else:
+        record["stderr"] = stderr[-2000:]
+    return record
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
+    parser.add_argument("--checkout", type=Path, default=REPO, help="tree whose src/ is run")
+    parser.add_argument("--n", nargs="+", default=DEFAULT_NS, help="census bounds, in order")
+    parser.add_argument("--repeat", type=int, default=1, help="runs per N (default 1)")
+    args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be >= 1")
+
+    checkout = args.checkout.resolve()
+    env = child_env(checkout)
+    runs = []
+    for n in args.n:
+        for _ in range(args.repeat):
+            record = run_census(n, env)
+            print(json.dumps(record), file=sys.stderr)
+            runs.append(record)
+    result = {
+        "label": args.label,
+        "command": "python -m divcensus census --n N",
+        "machine": machine_facts(),
+        "checkout": checkout_facts(checkout),
+        "runs": runs,
+    }
+    OUT_DIR.mkdir(exist_ok=True)
+    path = OUT_DIR / f"BENCH_{args.label}.json"
+    path.write_text(json.dumps(result, indent=2) + "\n")
+    print(path)
+    return 0 if all(r["exit"] == 0 for r in runs) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -30,10 +30,7 @@ from .divisor_core import (
 )
 from .asymptotics import (
     RatioPoint,
-    a_asymptotic_check,
-    lemma_bound_check,
     log_weighted_harmonic,
-    ramanujan_check,
     ratio_point,
     ratio_table,
 )

@@ -18,7 +18,7 @@ are final; the counts themselves are exact.
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -82,35 +82,6 @@ def ratio_table(Ns: Sequence[int]) -> list[RatioPoint]:
     _check_grid(Ns)
     check_census_size(Ns[-1])
     return [ratio_point(fast_census(n)) for n in Ns]
-
-
-def ramanujan_check(N: int, result: Optional[CensusResult] = None) -> float:
-    """B(N) * pi^2 / (N ln^3 N); drifts to 1 with O(1/ln N) correction."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    b = result.b_count if result is not None else fast_census(N).b_count
-    return b * PI_SQUARED / (N * math.log(N) ** 3)
-
-
-def a_asymptotic_check(N: int, result: Optional[CensusResult] = None) -> float:
-    """A(N) / (N ln^2 N); drifts to 1 with O(1/ln N) correction."""
-    if N < 2:
-        raise ValueError(f"N must be >= 2, got {N}")
-    a = result.a_count if result is not None else fast_census(N).a_count
-    return a / (N * math.log(N) ** 2)
-
-
-def lemma_bound_check(
-    Ns: Sequence[int],
-    results: Optional[Sequence[CensusResult]] = None,
-) -> list[float]:
-    """C(N) / (N ln N) per N; bounded, and empirically near zeta(2) ~ 1.6449."""
-    _check_grid(Ns)
-    if any(n < 2 for n in Ns):
-        raise ValueError("all N must be >= 2")
-    if results is None:
-        results = [fast_census(n) for n in Ns]
-    return [r.c_count / (n * math.log(n)) for n, r in zip(Ns, results)]
 
 
 def log_weighted_harmonic(N: int) -> float:

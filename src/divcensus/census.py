@@ -37,12 +37,15 @@ each taken by N // q - N // (q + 1) values of b, so
 
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-All three read D from one summatory table of size y (divisor_core), sieved
-once per census: to N below SUBLINEAR_B_CUTOFF, to about N^(2/3) from
-there on.  Every D(q) with q <= y is a lookup; the D(N // m) above y, for
-m <= N / y, cost O(sqrt(N / m)) each, about N^(2/3) in all, and are shared
-by B, S and C.  So S and C add about sqrt(N) vectorized lookups to the
-sieve and to B.
+All three read D from one summatory table of size y for this N
+(divisor_core), sieved once per census: to N below SUBLINEAR_B_CUTOFF, to
+about N^(2/3) from there on.  Every D(q) with q <= y is a lookup.  Every
+D(q) above y is D(N // m) for some m <= M = N // (y + 1) (B asks for
+m = k^2 u, S for m = b, C for m = r^2), kept in the table's dense array of
+M entries; each costs one O(sqrt(N / m)) evaluation the first time any of
+B, S and C asks for it, about N^(2/3) in all.  B asks for every m <= M,
+C for only the about sqrt(M) squares.  So S and C add about sqrt(N)
+vectorized lookups to the sieve and to B.
 
 The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
 the N whose sqrt(N) the table reaches, and refuse a larger N before any
@@ -133,7 +136,7 @@ def census_table(N: int) -> SummatoryTable:
     Below SUBLINEAR_B_CUTOFF it runs to N itself, where B is its sum of
     d(n)^2; from the cutoff on it has summatory_table_size(N) entries.
     """
-    return summatory_table(N if N < SUBLINEAR_B_CUTOFF else summatory_table_size(N))
+    return summatory_table(N if N < SUBLINEAR_B_CUTOFF else summatory_table_size(N), N)
 
 
 def _ranges(stop: int) -> Iterator[np.ndarray]:

@@ -211,7 +211,7 @@ def cmd_verify(args, cfg: Config) -> int:
     # was exercised.  Both are checked once here, at the largest N: S and C
     # from a table of size sqrt(N), then the sublinear B.
     y = math.isqrt(max_n)
-    small = divisor_core.summatory_table(y)
+    small = divisor_core.summatory_table(y, max_n)
     for label, got, want in (
         ("S", census.count_da_over_hyperbola(max_n, small), oracle.s_count),
         ("C", census.count_gcd_divisor_sum(max_n, small), oracle.c_count),

@@ -51,18 +51,22 @@ small N, the segmented one as an independent cross-check.
 
 Summatory table
 ---------------
-summatory_table(y) sieves d(n) once up to y and keeps the int32 prefix
-sums D(0..y); d(n) is read back as D(n) - D(n-1).  Its vectorized
-summatory(q) looks D(q) up for q <= y and makes one divisor_summatory call
-per distinct q above y, remembering the answer.  Every count of the census
-is a sum of such values (census.py has the identities), and the census
-asks for D above y only at q = N // m with m <= N / y.  With the one size
-rule, summatory_table_size(N) = N^(2/3) capped at SUBLINEAR_TABLE_CAP, the
-sieve and those N^(1/3) evaluations of O(sqrt(N / m)) each both cost about
-N^(2/3).
+summatory_table(y, N) serves one bound N.  It sieves d(n) once up to y
+and keeps the int32 prefix sums D(0..y); d(n) is read back as
+D(n) - D(n-1).  Every count of the census is a sum of D values (census.py
+has the identities), and every D it asks for above y is D(N // m) with
+m <= M = N // (y + 1), because (N // a) // b = N // (ab).  So the table
+also holds one dense int64 array above[m] = D(N // m), m <= M, filled
+lazily: its vectorized summatory(q) looks D(q) up for q <= y, and for
+q > y reads above[N // q], making one divisor_summatory call the first
+time an entry is asked for.  A q above y that is not a quotient of N is
+refused.  With the one size rule, summatory_table_size(N) = N^(2/3)
+capped at SUBLINEAR_TABLE_CAP, the sieve and those N^(1/3) evaluations of
+O(sqrt(N / m)) each both cost about N^(2/3); the array costs 8 N / y
+bytes, 4.8 MB at N = 10^13.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 import numpy as np
@@ -89,12 +93,6 @@ SUBLINEAR_TABLE_CAP = 1 << 24
 # (k, u) pairs handled per vectorized step of the sublinear sum: about
 # 2^18 * 5 int64 temporaries, ~10 MiB.
 _PAIR_CHUNK = 1 << 18
-
-# A summatory table remembers at most this many D(q) values above its size,
-# about 100 bytes each.  The census asks for D(N // m) with m <= N / y
-# repeatedly (B for m = k^2 u, S for m = b, C for m = r^2): N^(1/3) values
-# while y = N^(2/3), N / 2^24 once y is capped, 6e4 at N = 10^12.
-_FOUND_LIMIT = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -159,18 +157,24 @@ def divisor_list(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SummatoryTable:
-    """prefix[m] = D(m) = sum_{n<=m} d(n) for 0 <= m <= n_max, and D(q) beyond.
+    """D(q) for the q a census at N asks for: q <= n_max and q = N // m.
 
-    One table serves B, S and C at one N, so the census sieves d(n) once.
-    d(n) = prefix[n] - prefix[n-1] is read back from the prefix sums rather
-    than kept beside them, which halves the table's memory.  The prefix
-    sums are int32, exact because n_max <= SUBLINEAR_TABLE_CAP:
-    D(y) <= y (1 + ln y) < 3e8 < 2^31 there.
+    prefix[m] = D(m) = sum_{n<=m} d(n) for 0 <= m <= n_max.  d(n) =
+    prefix[n] - prefix[n-1] is read back from the prefix sums rather than
+    kept beside them, which halves the table's memory.  The prefix sums are
+    int32, exact because n_max <= SUBLINEAR_TABLE_CAP: D(y) <= y (1 + ln y)
+    < 3e8 < 2^31 there.
+
+    above[m] = D(N // m) for 1 <= m <= N // (n_max + 1), the only D above
+    n_max that B, S and C at N ask for.  An entry stays 0 until it is first
+    asked for, which is unambiguous as D(q) >= 1, so B, S and C share each
+    evaluation.
     """
 
+    N: int
     n_max: int
     prefix: np.ndarray
-    found: dict = field(default_factory=dict, repr=False, compare=False)
+    above: np.ndarray
 
     def counts(self, upto: int) -> np.ndarray:
         """d(0..upto) as int64, with d(0) = 0 as in DivisorTable.counts."""
@@ -181,27 +185,28 @@ class SummatoryTable:
         return d
 
     def summatory(self, q: np.ndarray) -> np.ndarray:
-        """D(q) as int64 for each entry 1 <= q <= SUMMATORY_MAX_X of an int64 array.
+        """D(q) as int64 for each entry q >= 1 of an int64 array.
 
-        q <= n_max is a table lookup.  Each distinct q above costs one
-        divisor_summatory call over the table's lifetime: the first
-        _FOUND_LIMIT such values are remembered in `found`.
+        q <= n_max is a table lookup.  q above is read from above[N // q]
+        and must be a quotient N // m, else ValueError; each entry costs one
+        divisor_summatory call over the table's lifetime.
         """
         big = q > self.n_max
         out = self.prefix[np.where(big, 0, q)].astype(np.int64)
         if big.any():
-            at = np.flatnonzero(big)
-            values, where = np.unique(q[at], return_inverse=True)
-            out[at] = np.array([self._above(v) for v in values.tolist()], dtype=np.int64)[where]
+            q_big = q[big]
+            m = np.maximum(self.N // q_big, 1)  # q > N gives 0, and N // 1 != q
+            wrong = self.N // m != q_big
+            if wrong.any():
+                raise ValueError(
+                    f"q={int(q_big[wrong][0])} exceeds table.n_max={self.n_max} "
+                    f"and is not N // m for the table's N={self.N}"
+                )
+            need = np.sort(m[self.above[m] == 0])
+            for k in need[np.diff(need, prepend=0) > 0].tolist():  # each distinct m once
+                self.above[k] = divisor_summatory(self.N // k)
+            out[big] = self.above[m]
         return out
-
-    def _above(self, q: int) -> int:
-        value = self.found.get(q)
-        if value is None:
-            value = divisor_summatory(q)
-            if len(self.found) < _FOUND_LIMIT:
-                self.found[q] = value
-        return value
 
 
 def summatory_table_size(n_max: int) -> int:
@@ -219,15 +224,18 @@ def summatory_table_size(n_max: int) -> int:
     return min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3))))
 
 
-def summatory_table(y: int) -> SummatoryTable:
-    """Sieve d(1..y) once and take the prefix sums D(1..y)."""
+def summatory_table(y: int, N: int) -> SummatoryTable:
+    """Sieve d(1..y) once and take the prefix sums D(1..y), for sums at bound N."""
+    if N < 1:
+        raise ValueError(f"N must be >= 1, got {N}")
     if y > SUBLINEAR_TABLE_CAP:
         raise ValueError(
             f"summatory table size {y} exceeds SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
         )
     prefix = np.cumsum(sieve_divisor_counts(y).counts, dtype=np.int32)
     prefix.setflags(write=False)
-    return SummatoryTable(n_max=y, prefix=prefix)
+    above = np.zeros(N // (y + 1) + 1, dtype=np.int64)
+    return SummatoryTable(N=N, n_max=y, prefix=prefix, above=above)
 
 
 def divisor_square_summatory(x: int, table: DivisorTable) -> int:
@@ -276,14 +284,6 @@ def iter_divisor_segments(n_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
         lo = hi + 1
 
 
-def _segment_square_sum(lo: int, hi: int) -> int:
-    d = _segment_counts(lo, hi).astype(np.int64)
-    # Partial sums stay far below 2^63: a segment of length L contributes at
-    # most L * max(d)^2, and d(n) < 2 * sqrt(n) keeps that bound tiny even
-    # for billion-scale hi.  The final accumulation is a Python int anyway.
-    return int(np.dot(d, d))
-
-
 def divisor_square_summatory_segmented(
     n_max: int,
     segment_size: int = DEFAULT_SEGMENT_SIZE,
@@ -294,13 +294,13 @@ def divisor_square_summatory_segmented(
     The census uses the sublinear route; this one is kept as an independent
     cross-check of it.
     """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_segment_size(segment_size)
-    ranges = (
-        (lo, min(lo + segment_size - 1, n_max)) for lo in range(1, n_max + 1, segment_size)
-    )
-    return sum(_segment_square_sum(lo, hi) for lo, hi in ranges)
+    total = 0
+    for _, counts in iter_divisor_segments(n_max, segment_size):
+        d = counts.astype(np.int64)
+        # Each block's int64 dot stays far below 2^63: a block of length L
+        # is at most L * max(d)^2, and d(n) < 2 * sqrt(n).
+        total += int(np.dot(d, d))
+    return total
 
 
 def _mobius_table(n_max: int) -> np.ndarray:
@@ -344,9 +344,9 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
     """sum_{n<=n_max} d(n)^2 = sum_{k<=sqrt(n_max)} mu(k) D_4(n_max // k^2), exactly.
 
     See the module docstring for the identity and the cost.  d(u) is needed
-    up to sqrt(n_max), so the table must reach that far, and n_max >=
-    (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is refused.  Without a table, one of
-    summatory_table_size(n_max) entries is sieved.
+    up to sqrt(n_max), so the table, built for N = n_max, must reach that
+    far, and n_max >= (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is refused.
+    Without a table, one of summatory_table_size(n_max) entries is sieved.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -357,7 +357,7 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
             f"sqrt(N) = {root}, above the table cap {SUBLINEAR_TABLE_CAP}"
         )
     if table is None:
-        table = summatory_table(summatory_table_size(n_max))
+        table = summatory_table(summatory_table_size(n_max), n_max)
     elif table.n_max < root:
         raise ValueError(f"table.n_max={table.n_max} is below sqrt(n_max) = {root}")
     d = table.counts(root)

@@ -21,6 +21,7 @@ on (seed, i), so the merged estimate is a deterministic function of
 (N, trials, seed) no matter how many workers execute the chunks.
 """
 
+import os
 from dataclasses import dataclass
 from math import sqrt
 from concurrent.futures import ThreadPoolExecutor
@@ -184,10 +185,15 @@ def _check_trials_and_seed(trials: int, seed: int) -> None:
 
 
 def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int) -> list:
-    """[work(space, size, seed, i) for each chunk i], on `threads` workers."""
+    """[work(space, size, seed, i) for each chunk i], on up to `threads` workers.
+
+    No more workers start than there are chunks or CPUs, however large
+    `threads` is; the results do not depend on the count.
+    """
     sizes = _chunk_sizes(trials)
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, len(sizes), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda ic: work(space, ic[1], seed, ic[0]), enumerate(sizes)))
     return [work(space, size, seed, i) for i, size in enumerate(sizes)]
 

@@ -9,10 +9,7 @@ from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import SUBLINEAR_TABLE_CAP
 from divcensus.asymptotics import (
     PI_SQUARED,
-    a_asymptotic_check,
-    lemma_bound_check,
     log_weighted_harmonic,
-    ramanujan_check,
     ratio_point,
     ratio_table,
 )
@@ -80,31 +77,23 @@ def test_census_gap_equals_counterexample_count():
         assert gap == len(list_counterexamples(result.N))
 
 
-def test_ramanujan_check_small_formula():
+def test_ramanujan_norm_small_formula():
     # B(2) = 5; no asymptotic content this small, just the formula itself
     want = 5 * PI_SQUARED / (2 * math.log(2) ** 3)
-    assert ramanujan_check(2) == pytest.approx(want, rel=1e-15)
-    assert ramanujan_check(2, result=brute_force_census(2)) == pytest.approx(want, rel=1e-15)
+    assert ratio_point(brute_force_census(2)).ramanujan_norm == pytest.approx(want, rel=1e-15)
+    assert ratio_table([2])[0].ramanujan_norm == pytest.approx(want, rel=1e-15)
 
 
-def test_a_asymptotic_check_small_formula():
-    assert a_asymptotic_check(4) == pytest.approx(17 / (4 * math.log(4) ** 2), rel=1e-15)
-    assert a_asymptotic_check(4) == pytest.approx(2.2115, abs=5e-4)
+def test_a_norm_small_formula():
+    value = ratio_point(brute_force_census(4)).a_norm
+    assert value == pytest.approx(17 / (4 * math.log(4) ** 2), rel=1e-15)
+    assert value == pytest.approx(2.2115, abs=5e-4)
 
 
-def test_lemma_bound_check_small_formula():
-    (value,) = lemma_bound_check([4])
+def test_lemma_norm_small_formula():
+    value = ratio_point(brute_force_census(4)).lemma_norm
     assert value == pytest.approx(9 / (4 * math.log(4)), rel=1e-15)
     assert value == pytest.approx(1.623, abs=5e-4)
-
-
-def test_checks_reject_n_below_two():
-    with pytest.raises(ValueError):
-        ramanujan_check(1)
-    with pytest.raises(ValueError):
-        a_asymptotic_check(1)
-    with pytest.raises(ValueError):
-        lemma_bound_check([1, 4])
 
 
 def test_log_weighted_harmonic_small_values():

@@ -146,7 +146,7 @@ def test_s_and_c_from_any_table_size_match_loops(n, data):
     # Tables below sqrt(n) send q > y through the fallback in both S sums
     # and in C; larger ones only in the first S sum and in C.
     y = data.draw(st.one_of(st.integers(1, isqrt(n)), st.integers(1, n)), label="y")
-    table = summatory_table(y)
+    table = summatory_table(y, n)
     got = (count_da_over_hyperbola(n, table), count_gcd_divisor_sum(n, table))
     assert got == loop_s_and_c(n)
 
@@ -176,6 +176,29 @@ def test_fast_census_sieves_once(n, monkeypatch):
     monkeypatch.setattr(divisor_core, "sieve_divisor_counts", spy)
     fast_census(n)
     assert sieved == [n if n < SUBLINEAR_B_CUTOFF else divisor_core.summatory_table_size(n)]
+
+
+def test_d_above_the_table_is_evaluated_once_per_census(monkeypatch):
+    # Every D above the table is D(n // m), m <= M = n // (y + 1); B asks
+    # for each of them, and S and C then find them all in the table.
+    n = 10**6
+    m_max = n // (divisor_core.summatory_table_size(n) + 1)
+    calls = []
+    real = divisor_core.divisor_summatory
+    monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: calls.append(x) or real(x))
+    fast_census(n)
+    assert m_max == 100
+    assert sorted(calls) == sorted(n // m for m in range(1, m_max + 1))
+    calls.clear()
+    table = census.census_table(n)
+    count_all_triples(n, table)
+    assert len(calls) == m_max
+    count_da_over_hyperbola(n, table)
+    count_gcd_divisor_sum(n, table)
+    assert len(calls) == m_max
+    calls.clear()
+    count_gcd_divisor_sum(n)  # alone, C asks only for the squares m = r^2 <= M
+    assert sorted(calls) == sorted(n // (r * r) for r in range(1, isqrt(m_max) + 1))
 
 
 def test_fast_census_refuses_before_sieving(monkeypatch):

@@ -342,23 +342,28 @@ def test_summatory_table_size_rule():
 
 
 def test_summatory_table_holds_d_and_prefix_sums():
-    table = summatory_table(10_000)
+    table = summatory_table(10_000, 10**6)
     assert table.n_max == 10_000
     assert table.counts(10_000).tolist() == ORACLE_D
     assert table.counts(1).tolist() == [0, 1]
     assert table.prefix.tolist() == np.cumsum(ORACLE_D).tolist()
     assert not table.prefix.flags.writeable
+    assert table.N == 10**6
+    assert table.above.dtype == np.int64 and table.above.tolist() == [0] * 100  # m = 0..99
     with pytest.raises(ValueError):
         table.counts(10_001)
     with pytest.raises(ValueError, match="SUBLINEAR_TABLE_CAP"):
-        summatory_table(SUBLINEAR_TABLE_CAP + 1)
+        summatory_table(SUBLINEAR_TABLE_CAP + 1, 2**48)
+    with pytest.raises(ValueError):
+        summatory_table(10, 0)
 
 
 def test_summatory_table_lookup_and_fallback(monkeypatch):
-    table = summatory_table(100)
+    table = summatory_table(100, 10**4)
     calls = []
     real = divisor_core.divisor_summatory
     monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: calls.append(x) or real(x))
+    # 101 = 10^4 // 99 and 5000 = 10^4 // 2 are quotients of the table's N.
     q = np.array([1, 100, 101, 5000, 101, 7, 5000], dtype=np.int64)
     want = [divisor_summatory(int(v)) for v in q]
     got = table.summatory(q)
@@ -366,12 +371,37 @@ def test_summatory_table_lookup_and_fallback(monkeypatch):
     assert sorted(calls) == [101, 5000]  # one call per distinct q above the table
     assert table.summatory(q[::-1]).tolist() == want[::-1]
     assert sorted(calls) == [101, 5000]  # remembered across calls
+    filled = {m: v for m, v in enumerate(table.above.tolist()) if v}
+    assert filled == {2: want[3], 99: want[2]}
+
+
+@pytest.mark.parametrize("q", [5001, 10**4 + 1, 2**40])
+def test_summatory_table_refuses_a_non_quotient(q):
+    # 5001 lies between 10^4 // 2 and 10^4 // 1; the others exceed N.
+    table = summatory_table(100, 10**4)
+    with pytest.raises(ValueError, match=f"q={q}"):
+        table.summatory(np.array([3, 5000, q], dtype=np.int64))
+    assert table.summatory(np.array([3, 101], dtype=np.int64)).tolist() == [5, divisor_summatory(101)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30_000), data=st.data())
+def test_summatory_table_answers_every_quotient(n, data):
+    y = data.draw(st.integers(min_value=1, max_value=n), label="y")
+    table = summatory_table(y, n)
+    q = n // np.arange(1, n + 1, dtype=np.int64)
+    distinct = np.unique(q).tolist()
+    by_q = dict(zip(distinct, (divisor_summatory(v) for v in distinct)))
+    assert table.summatory(q).tolist() == [by_q[v] for v in q.tolist()]
+    # Filled: the entry m = n // q of each distinct q above the table.
+    assert table.above.size == n // (y + 1) + 1
+    assert set(np.flatnonzero(table.above).tolist()) == {n // v for v in distinct if v > y}
 
 
 def test_sublinear_square_summatory_takes_a_table():
     n = 30_000
     want = divisor_square_summatory(n, TABLE_30K)
     for y in (isqrt(n), 1000, n):
-        assert divisor_square_summatory_sublinear(n, summatory_table(y)) == want
+        assert divisor_square_summatory_sublinear(n, summatory_table(y, n)) == want
     with pytest.raises(ValueError, match="below sqrt"):
-        divisor_square_summatory_sublinear(n, summatory_table(isqrt(n) - 1))
+        divisor_square_summatory_sublinear(n, summatory_table(isqrt(n) - 1, n))

@@ -118,6 +118,34 @@ def test_thread_count_does_not_change_the_estimate():
     assert solo == pooled
 
 
+class _InlinePool:
+    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
+
+    def __init__(self, started, max_workers):
+        started.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("cpus, pools", [(64, [3]), (2, [2]), (1, []), (None, [])])
+def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch, cpus, pools):
+    started = []
+    monkeypatch.setattr(sampler, "ThreadPoolExecutor", lambda max_workers: _InlinePool(started, max_workers))
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
+    space = build_triple_space(300)
+    trials = 2 * CHUNK_TRIALS + 5  # three chunks
+    est = sample_triples(300, trials, seed=5, space=space, threads=100_000)
+    assert started == pools
+    assert est == sample_triples(300, trials, seed=5, space=space, threads=1)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_streamed_successes_equal_the_count_over_all_draws(threads):
     # Three chunks and a partial fourth, counted chunk by chunk as drawn.
