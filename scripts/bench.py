@@ -1,18 +1,22 @@
 #!/usr/bin/env python3
-"""End-to-end census benchmark: `divcensus census` in a fresh process per N.
+"""End-to-end benchmark: `divcensus census` and `divcensus verify`, one fresh process a run.
 
-For each N the command `python -m divcensus census --n N` runs in a new
+For each N the command `python -m divcensus census --n N`, and for each M
+the command `python -m divcensus verify --max-n M`, runs in a new
 interpreter on the source tree of a checkout (this one by default), with
 every DIVCENSUS_* variable cleared and BLAS pinned to one thread.  Each run
 records its wall time, its CPU time and peak RSS (from the child's own
-rusage), its exit code and the four counts it printed.  The file
-BENCH_<label>.json holds the runs together with the machine facts and the
-commit and source digest of the checkout, so that files written before and
-after a change, on the same machine, can be compared.
+rusage) and its exit code; a census run adds the four counts it printed,
+a verify run its last line.  The file BENCH_<label>.json holds the runs
+together with the machine facts and the commit and source digest of the
+checkout, so that files written before and after a change, on the same
+machine, can be compared.
 
 Usage:
     python scripts/bench.py --label after [--checkout .] [--n 1e8 1e10 1e12 1e13]
-                            [--repeat 1]
+                            [--verify-max-n 2000 10000] [--repeat 1]
+
+An empty --n or --verify-max-n list skips that command.
 
 The file goes to bench/ in this repository, whichever checkout is run.
 """
@@ -31,6 +35,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 OUT_DIR = REPO / "bench"
 DEFAULT_NS = ["1e8", "1e10", "1e12", "1e13"]
+DEFAULT_VERIFY_MAX_NS = ["2000", "10000"]
 
 
 def machine_facts() -> dict:
@@ -86,55 +91,77 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
-def run_census(n: str, env: dict) -> dict:
-    """One `divcensus census --n n` in a fresh process, measured by wait4."""
-    cmd = [sys.executable, "-m", "divcensus", "census", "--n", n]
+def run_divcensus(argv: list[str], env: dict) -> tuple[dict, str]:
+    """One `python -m divcensus *argv` in a fresh process, measured by wait4.
+
+    Returns the measurements, with stderr's tail on failure, and stdout.
+    """
+    cmd = [sys.executable, "-m", "divcensus", *argv]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, stdout=out, stderr=err, env=env)
         _, status, usage = os.wait4(proc.pid, 0)
         wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)
         out.seek(0)
         err.seek(0)
         stdout, stderr = out.read().decode(), err.read().decode()
     record = {
-        "n": n,
-        "exit": proc.returncode,
+        "exit": os.waitstatus_to_exitcode(status),
         "wall_s": round(wall, 3),
         "cpu_s": round(usage.ru_utime + usage.ru_stime, 3),
         "peak_rss_mib": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
     }
-    if proc.returncode == 0:
+    if record["exit"] != 0:
+        record["stderr"] = stderr[-2000:]
+    return record, stdout
+
+
+def run_census(n: str, env: dict) -> dict:
+    """`divcensus census --n n`, with the four counts it printed."""
+    measured, stdout = run_divcensus(["census", "--n", n], env)
+    record = {"command": "census", "n": n, **measured}
+    if record["exit"] == 0:
         line = json.loads(stdout.strip().splitlines()[-1])
         record["N"] = line["N"]
         record["counts"] = {key: line[key] for key in ("A", "B", "C", "S")}
-    else:
-        record["stderr"] = stderr[-2000:]
     return record
+
+
+def run_verify(max_n: str, env: dict) -> dict:
+    """`divcensus verify --max-n max_n`, with the line it printed last."""
+    measured, stdout = run_divcensus(["verify", "--max-n", max_n], env)
+    lines = stdout.strip().splitlines()
+    return {"command": "verify", "max_n": max_n, **measured, "result": lines[-1] if lines else ""}
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
     parser.add_argument("--checkout", type=Path, default=REPO, help="tree whose src/ is run")
-    parser.add_argument("--n", nargs="+", default=DEFAULT_NS, help="census bounds, in order")
-    parser.add_argument("--repeat", type=int, default=1, help="runs per N (default 1)")
+    parser.add_argument("--n", nargs="*", default=DEFAULT_NS, help="census bounds, in order")
+    parser.add_argument(
+        "--verify-max-n",
+        nargs="*",
+        default=DEFAULT_VERIFY_MAX_NS,
+        help="verify bounds, in order, run after the census bounds",
+    )
+    parser.add_argument("--repeat", type=int, default=1, help="runs per bound (default 1)")
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
 
     checkout = args.checkout.resolve()
     env = child_env(checkout)
+    jobs = [(run_census, n) for n in args.n] + [(run_verify, m) for m in args.verify_max_n]
     runs = []
-    for n in args.n:
+    for run, bound in jobs:
         for _ in range(args.repeat):
-            record = run_census(n, env)
+            record = run(bound, env)
             print(json.dumps(record), file=sys.stderr)
             runs.append(record)
     result = {
         "label": args.label,
-        "command": "python -m divcensus census --n N",
+        "commands": ["python -m divcensus census --n N", "python -m divcensus verify --max-n M"],
         "machine": machine_facts(),
         "checkout": checkout_facts(checkout),
         "runs": runs,

@@ -38,8 +38,11 @@ each taken by N // q - N // (q + 1) values of b, so
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
 All three read D from one summatory table of size y for this N
-(divisor_core), sieved once per census: to N below SUBLINEAR_B_CUTOFF, to
-about N^(2/3) from there on.  Every D(q) with q <= y is a lookup.  Every
+(divisor_core).  Below SUBLINEAR_B_CUTOFF, y = N and the table is a view
+of one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1), sieved once per
+process on the first small census, so a run of small censuses (verify)
+sieves once; from the cutoff on, each census sieves its own table of
+about N^(2/3).  Every D(q) with q <= y is a lookup.  Every
 D(q) above y is D(N // m) for some m <= M = N // (y + 1) (B asks for
 m = k^2 u, S for m = b, C for m = r^2), kept in the table's dense array of
 M entries; each costs one O(sqrt(N / m)) evaluation the first time any of
@@ -60,6 +63,7 @@ against; the two routes share no code.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -130,13 +134,25 @@ def check_census_size(N: int) -> None:
         )
 
 
+@lru_cache(maxsize=1)
+def _small_prefix() -> np.ndarray:
+    """D(0..SUBLINEAR_B_CUTOFF - 1), read-only: sieved on first use, once per process."""
+    return summatory_table(SUBLINEAR_B_CUTOFF - 1, SUBLINEAR_B_CUTOFF - 1).prefix
+
+
 def census_table(N: int) -> SummatoryTable:
     """The one d(n) and D(m) table behind B, S and C at N.
 
     Below SUBLINEAR_B_CUTOFF it runs to N itself, where B is its sum of
-    d(n)^2; from the cutoff on it has summatory_table_size(N) entries.
+    d(n)^2, and its prefix is a read-only view of one table of
+    D(0..SUBLINEAR_B_CUTOFF - 1) that every such N shares (24 KB, sieved
+    on the first small census).  From the cutoff on it is sieved for this
+    N alone, with summatory_table_size(N) entries.
     """
-    return summatory_table(N if N < SUBLINEAR_B_CUTOFF else summatory_table_size(N), N)
+    if N < SUBLINEAR_B_CUTOFF:
+        above = np.zeros(1, dtype=np.int64)  # N // (N + 1) = 0: no D above the table
+        return SummatoryTable(N=N, n_max=N, prefix=_small_prefix()[: N + 1], above=above)
+    return summatory_table(summatory_table_size(N), N)
 
 
 def _ranges(stop: int) -> Iterator[np.ndarray]:

@@ -90,8 +90,8 @@ SUMMATORY_MAX_X = 1 << 52
 # int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
 SUBLINEAR_TABLE_CAP = 1 << 24
 
-# (k, u) pairs handled per vectorized step of the sublinear sum: about
-# 2^18 * 5 int64 temporaries, ~10 MiB.
+# (k, u) pairs handled per vectorized step of the sublinear sum, a long run
+# of one k split across steps: about 2^18 * 5 int64 temporaries, ~10 MiB.
 _PAIR_CHUNK = 1 << 18
 
 
@@ -332,10 +332,10 @@ def _mobius_table(n_max: int) -> np.ndarray:
 def _hyperbola_sums(d_u: np.ndarray, d_sum: np.ndarray, starts: np.ndarray) -> list[int]:
     """Sums of d_u * d_sum over the segments that begin at `starts`, as ints.
 
-    Each segment holds the nonnegative terms d(u) * D(x // u), u <= sqrt(x),
-    of one x < (SUBLINEAR_TABLE_CAP + 1)^2, so every term and every partial
-    sum is at most D_4(x) < 2^64 (module docstring) and the uint64
-    reduction is exact.
+    Each segment holds some or all of the nonnegative terms d(u) * D(x // u),
+    u <= sqrt(x), of one x < (SUBLINEAR_TABLE_CAP + 1)^2, so every term and
+    every partial sum is at most D_4(x) < 2^64 (module docstring) and the
+    uint64 reduction is exact.
     """
     return np.add.reduceat(d_u.astype(np.uint64) * d_sum.astype(np.uint64), starts).tolist()
 
@@ -367,21 +367,26 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
     signs = mu[ks].tolist()
     lengths = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
     ends = np.cumsum(lengths)
+    n_pairs = int(ends[-1])
     # The (k, u) pairs are laid out k by k, each k a run of u = 1..lengths[k],
-    # and taken about _PAIR_CHUNK at a time; starts marks where each run begins.
+    # and taken _PAIR_CHUNK at a time, so a long run (k = 1 has sqrt(n_max)
+    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs
+    # [lo, hi); `carried` holds the partial sum of a run that goes on into
+    # the next step, and each run's corner term is added once, at its end.
     total = 0
-    i = 0
-    while i < len(ks):
-        done = int(ends[i - 1]) if i else 0
-        j = max(i + 1, int(np.searchsorted(ends, done + _PAIR_CHUNK, side="right")))
-        k, run = ks[i:j], lengths[i:j]
-        x = n_max // (k * k)
-        starts = np.zeros(len(k), dtype=np.int64)
-        np.cumsum(run[:-1], out=starts[1:])
-        u = np.arange(1, int(ends[j - 1]) - done + 1, dtype=np.int64) - np.repeat(starts, run)
-        d_sum = table.summatory(np.repeat(x, run) // u)
-        sums = _hyperbola_sums(d[u], d_sum, starts)
-        corners = table.prefix[run].tolist()
+    carried = 0
+    for lo in range(0, n_pairs, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n_pairs)
+        i = int(np.searchsorted(ends, lo, side="right"))
+        j = int(np.searchsorted(ends, hi, side="left")) + 1
+        k, begin = ks[i:j], ends[i:j] - lengths[i:j]
+        first = np.maximum(begin, lo)
+        run = np.minimum(ends[i:j], hi) - first
+        u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin, run)
+        d_sum = table.summatory(np.repeat(n_max // (k * k), run) // u)
+        sums = _hyperbola_sums(d[u], d_sum, first - lo)
+        sums[0] += carried
+        carried = sums.pop() if ends[j - 1] > hi else 0
+        corners = table.prefix[lengths[i:j]].tolist()
         total += sum(sign * (2 * s - c * c) for sign, s, c in zip(signs[i:j], sums, corners))
-        i = j
     return total

@@ -7,6 +7,7 @@ enumeration (plain nested loops, no divisor lists) and hand counts.
 
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -166,6 +167,10 @@ def test_s_and_c_pins(n, s, c):
 
 @pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF - 1, 10**6])
 def test_fast_census_sieves_once(n, monkeypatch):
+    # Below the cutoff every census reads one shared table of
+    # D(0..SUBLINEAR_B_CUTOFF - 1), sieved by the first of them; from the
+    # cutoff on each census sieves its own.
+    census._small_prefix.cache_clear()
     sieved = []
     real = divisor_core.sieve_divisor_counts
 
@@ -174,8 +179,38 @@ def test_fast_census_sieves_once(n, monkeypatch):
         return real(n_max, *args, **kwargs)
 
     monkeypatch.setattr(divisor_core, "sieve_divisor_counts", spy)
-    fast_census(n)
-    assert sieved == [n if n < SUBLINEAR_B_CUTOFF else divisor_core.summatory_table_size(n)]
+    if n < SUBLINEAR_B_CUTOFF:
+        for m in (1, n, 17):
+            fast_census(m)
+        assert sieved == [SUBLINEAR_B_CUTOFF - 1]
+    else:
+        fast_census(n)
+        assert sieved == [divisor_core.summatory_table_size(n)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=SUBLINEAR_B_CUTOFF - 1))
+def test_small_census_from_the_shared_table_matches_a_private_table(n):
+    private = summatory_table(n, n)
+    got = fast_census(n)
+    assert (got.b_count, got.s_count, got.c_count) == (
+        count_all_triples(n, private),
+        count_da_over_hyperbola(n, private),
+        count_gcd_divisor_sum(n, private),
+    )
+
+
+def test_shared_small_table_is_read_only():
+    table = census.census_table(100)
+    assert (table.N, table.n_max, len(table.prefix)) == (100, 100, 101)
+    assert np.shares_memory(table.prefix, census.census_table(17).prefix)
+    assert not table.prefix.flags.writeable
+    with pytest.raises(ValueError):
+        table.prefix[5] = 0
+    with pytest.raises(ValueError):
+        table.prefix.setflags(write=True)
+    fast, brute = fast_census(100), brute_force_census(100)
+    assert (fast.b_count, fast.s_count, fast.c_count) == (brute.b_count, brute.s_count, brute.c_count)
 
 
 def test_d_above_the_table_is_evaluated_once_per_census(monkeypatch):

@@ -53,6 +53,11 @@ def test_sieve_matches_trial_division_everywhere():
     assert TABLE.counts[1:].tolist() == ORACLE_D[1:]
 
 
+def test_sieve_ends_exactly_at_every_small_n_max():
+    for n_max in range(1, 301):
+        assert sieve_divisor_counts(n_max).counts[1:].tolist() == ORACLE_D[1 : n_max + 1]
+
+
 def test_sieve_known_values():
     assert sieve_divisor_counts(1).counts.tolist() == [0, 1]
     assert TABLE.counts[6] == 4
@@ -232,6 +237,27 @@ def test_mobius_table_matches_factoring():
 @given(n=st.integers(min_value=1, max_value=30_000))
 def test_sublinear_square_summatory_matches_table(n):
     assert divisor_square_summatory_sublinear(n) == divisor_square_summatory(n, TABLE_30K)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30_000))
+def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
+    # With a chunk shorter than the runs of one k, each run spans several
+    # steps, and no step reduces more than the chunk's pairs.
+    sizes = []
+    real = divisor_core._hyperbola_sums
+
+    def spy(d_u, d_sum, starts):
+        sizes.append(len(d_u))
+        return real(d_u, d_sum, starts)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor_core, "_PAIR_CHUNK", chunk)
+        mp.setattr(divisor_core, "_hyperbola_sums", spy)
+        got = divisor_square_summatory_sublinear(n)
+    assert got == divisor_square_summatory(n, TABLE_30K)
+    assert max(sizes) <= chunk
 
 
 def test_sublinear_square_summatory_at_squares_and_neighbours():
