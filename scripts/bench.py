@@ -1,22 +1,23 @@
 #!/usr/bin/env python3
-"""End-to-end benchmark: `divcensus census` and `divcensus verify`, one fresh process a run.
+"""End-to-end benchmark: `divcensus census`, `verify` and `sample`, one fresh process a run.
 
-For each N the command `python -m divcensus census --n N`, and for each M
-the command `python -m divcensus verify --max-n M`, runs in a new
-interpreter on the source tree of a checkout (this one by default), with
-every DIVCENSUS_* variable cleared and BLAS pinned to one thread.  Each run
-records its wall time, its CPU time and peak RSS (from the child's own
-rusage) and its exit code; a census run adds the four counts it printed,
-a verify run its last line.  The file BENCH_<label>.json holds the runs
+For each N the command `python -m divcensus census --n N`, for each M the
+command `python -m divcensus verify --max-n M`, and for each N of the
+sample list `python -m divcensus sample --n N --trials 2e6 --seed 1`, runs
+in a new interpreter on the source tree of a checkout (this one by
+default), with every DIVCENSUS_* variable cleared and BLAS pinned to one
+thread.  Each run records its wall time, its CPU time and peak RSS (from
+the child's own rusage) and its exit code; a census run adds the four
+counts it printed, a verify or sample run its last line.  The file BENCH_<label>.json holds the runs
 together with the machine facts and the commit and source digest of the
 checkout, so that files written before and after a change, on the same
 machine, can be compared.
 
 Usage:
     python scripts/bench.py --label after [--checkout .] [--n 1e8 1e10 1e12 1e13]
-                            [--verify-max-n 2000 10000] [--repeat 1]
+                            [--verify-max-n 2000 10000] [--sample-n 5e4 1e6] [--repeat 1]
 
-An empty --n or --verify-max-n list skips that command.
+An empty --n, --verify-max-n or --sample-n list skips that command.
 
 The file goes to bench/ in this repository, whichever checkout is run.
 """
@@ -36,6 +37,8 @@ REPO = Path(__file__).resolve().parent.parent
 OUT_DIR = REPO / "bench"
 DEFAULT_NS = ["1e8", "1e10", "1e12", "1e13"]
 DEFAULT_VERIFY_MAX_NS = ["2000", "10000"]
+DEFAULT_SAMPLE_NS = ["5e4", "1e6"]
+SAMPLE_ARGS = ["--trials", "2e6", "--seed", "1"]
 
 
 def machine_facts() -> dict:
@@ -127,11 +130,21 @@ def run_census(n: str, env: dict) -> dict:
     return record
 
 
+def last_line(stdout: str) -> str:
+    lines = stdout.strip().splitlines()
+    return lines[-1] if lines else ""
+
+
 def run_verify(max_n: str, env: dict) -> dict:
     """`divcensus verify --max-n max_n`, with the line it printed last."""
     measured, stdout = run_divcensus(["verify", "--max-n", max_n], env)
-    lines = stdout.strip().splitlines()
-    return {"command": "verify", "max_n": max_n, **measured, "result": lines[-1] if lines else ""}
+    return {"command": "verify", "max_n": max_n, **measured, "result": last_line(stdout)}
+
+
+def run_sample(n: str, env: dict) -> dict:
+    """`divcensus sample --n n` with SAMPLE_ARGS, with the line it printed last."""
+    measured, stdout = run_divcensus(["sample", "--n", n, *SAMPLE_ARGS], env)
+    return {"command": "sample", "n": n, **measured, "result": last_line(stdout)}
 
 
 def main() -> int:
@@ -145,6 +158,12 @@ def main() -> int:
         default=DEFAULT_VERIFY_MAX_NS,
         help="verify bounds, in order, run after the census bounds",
     )
+    parser.add_argument(
+        "--sample-n",
+        nargs="*",
+        default=DEFAULT_SAMPLE_NS,
+        help="sample bounds, in order, run after the verify bounds",
+    )
     parser.add_argument("--repeat", type=int, default=1, help="runs per bound (default 1)")
     args = parser.parse_args()
     if args.repeat < 1:
@@ -152,7 +171,11 @@ def main() -> int:
 
     checkout = args.checkout.resolve()
     env = child_env(checkout)
-    jobs = [(run_census, n) for n in args.n] + [(run_verify, m) for m in args.verify_max_n]
+    jobs = (
+        [(run_census, n) for n in args.n]
+        + [(run_verify, m) for m in args.verify_max_n]
+        + [(run_sample, n) for n in args.sample_n]
+    )
     runs = []
     for run, bound in jobs:
         for _ in range(args.repeat):
@@ -161,7 +184,11 @@ def main() -> int:
             runs.append(record)
     result = {
         "label": args.label,
-        "commands": ["python -m divcensus census --n N", "python -m divcensus verify --max-n M"],
+        "commands": [
+            "python -m divcensus census --n N",
+            "python -m divcensus verify --max-n M",
+            "python -m divcensus sample --n N " + " ".join(SAMPLE_ARGS),
+        ],
         "machine": machine_facts(),
         "checkout": checkout_facts(checkout),
         "runs": runs,

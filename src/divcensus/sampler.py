@@ -1,43 +1,56 @@
 """Seeded uniform sampling from the triple census.
 
 A triple is drawn uniformly from the B(N) triples (a, b, r) with r | ab and
-ab <= N by a three-stage draw:
+ab <= N as a deterministic function of one uniform v in [0, B(N)):
 
-    1. product n in [1, N] with probability d(n)^2 / B(N): v uniform in
-       [0, B(N)), n the first index with cum_weights[n] > v, found by a
+    1. the product n is the first index with cum_weights[n] > v, found by a
        guide table (Chen & Asau 1974; Devroye 1986, III.2.4) that jumps to
        the first candidate of v's bucket and steps forward from there,
-    2. a uniform over the d(n) divisors of n, b = n/a,
-    3. r uniform over the d(n) divisors of n.
+    2. the residual w = v - cum_weights[n-1] is uniform over the d(n)^2
+       integers in [0, d(n)^2) and picks the pair (a, r) of divisors of n:
+       a is divisor w // d(n) of n, r is divisor w % d(n), and b = n/a.
 
-Stage 1's weight is exactly the number of triples with ab = n, so every
-triple has probability 1/B(N) and the success indicator "r | a or r | b"
-has mean A(N)/B(N).
+The d(n)^2 values of v that give n are exactly the d(n)^2 triples with
+ab = n, one each, so every triple has probability 1/B(N) and the success
+indicator "r | a or r | b" has mean A(N)/B(N).  Reusing the inversion
+uniform this way is Devroye 1986, II.2.
 
 Reproducibility: the generator is numpy's PCG64.  Trials are processed in
-fixed chunks of CHUNK_TRIALS; chunk i uses the stream seeded by
-SeedSequence(entropy=seed, spawn_key=(i,)).  The chunk streams depend only
-on (seed, i), so the merged estimate is a deterministic function of
-(N, trials, seed) no matter how many workers execute the chunks.
+fixed chunks of CHUNK_TRIALS; chunk i draws its v, one array, from the
+stream seeded by SeedSequence(entropy=seed, spawn_key=(i,)).  The chunk
+streams depend only on (seed, i), so the merged estimate is a
+deterministic function of (N, trials, seed) no matter how many workers
+execute the chunks.
 """
 
+import logging
 import os
-from dataclasses import dataclass
-from math import sqrt
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
+from dataclasses import dataclass
+from itertools import chain, islice, repeat
+from math import sqrt
 
 import numpy as np
 
 from .config import ResourceLimitError
-from .divisor_core import TABLE_LIMIT, DivisorTable, sieve_divisor_counts
+from .divisor_core import DivisorTable, sieve_divisor_counts
 from .divisor_core import divisor_list  # noqa: F401  (kept as divcensus.sampler.divisor_list)
 
 # Chunk size is part of the reproducibility contract: changing it changes
 # which stream serves which trial.
 CHUNK_TRIALS = 1 << 18
 
-# Above this N the flattened divisor lists (~ N ln N entries) get heavy.
+log = logging.getLogger(__name__)
+
+# Above this N the flattened divisor lists (~ N ln N entries) get heavy.  It
+# is also the int32 domain of the divisor lists: their length D(N) <= 2^31 - 1
+# (D(2*10^6) ~ 2.9e7) bounds every index into them, and the residual
+# w < d(n)^2 < 4n <= 4N < 2^31.  A space_limit argument may only lower it.
 SPACE_LIMIT = 2_000_000
+
+# One progress line at INFO per this many chunks.
+PROGRESS_CHUNKS = 64
 
 
 @dataclass(frozen=True)
@@ -58,7 +71,7 @@ class TripleSpace:
 
     cum_weights[n] = sum_{m<=n} d(m)^2, so cum_weights[N] = B(N).
     flat_divisors holds every divisor list back to back, ascending within
-    each n; starts[n] indexes the first divisor of n.
+    each n; starts[n] indexes the first divisor of n.  Both are int32.
     guide[i] is the first n with cum_weights[n] > i * width, for the
     ceil(B/width) buckets of width = ceil(B/N).
     """
@@ -90,10 +103,25 @@ class TripleSpace:
             behind = behind[cum[n[behind]] <= v[behind]]
         return n
 
+    def triples(self, v: np.ndarray):
+        """(a, b, r) for each int64 v in [0, B): a one-to-one map onto the triples.
+
+        v picks the product n = a*b, and its residual w = v - cum_weights[n-1]
+        in [0, d(n)^2) the divisor pair: a = divisor w // d(n) of n and
+        r = divisor w % d(n).  a, b and r are int32, as n <= N < 2^31.
+        """
+        n = self.products(v)
+        w = (v - self.cum_weights[n - 1]).astype(np.int32)
+        a_index, r_index = np.divmod(w, self.table.counts[n])
+        base = self.starts[n]
+        a = self.flat_divisors[base + a_index]
+        r = self.flat_divisors[base + r_index]
+        return a, n.astype(np.int32) // a, r
+
     def draw(self, trials: int, seed: int, threads: int = 1):
         """(a, b, r) arrays for `trials` seeded draws."""
         _check_trials_and_seed(trials, seed)
-        chunks = _run_chunks(_draw_chunk, self, trials, seed, threads)
+        chunks = list(_run_chunks(_draw_chunk, self, trials, seed, threads))
         a = np.concatenate([c[0] for c in chunks])
         b = np.concatenate([c[1] for c in chunks])
         r = np.concatenate([c[2] for c in chunks])
@@ -104,11 +132,11 @@ def build_triple_space(N: int, space_limit: int = SPACE_LIMIT) -> TripleSpace:
     """Sieve the weight and divisor tables for sampling at bound N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    if N > min(space_limit, TABLE_LIMIT):
+    limit = min(space_limit, SPACE_LIMIT)
+    if N > limit:
         raise ResourceLimitError(
-            f"sampling space refused at N={N} "
-            f"(limit {min(space_limit, TABLE_LIMIT)}): divisor lists need "
-            f"~N ln N entries in memory"
+            f"sampling space refused at N={N} (limit {limit}): divisor lists "
+            f"need ~N ln N entries in memory"
         )
     table = sieve_divisor_counts(N)
     d = table.counts[1 : N + 1].astype(np.int64)
@@ -118,9 +146,9 @@ def build_triple_space(N: int, space_limit: int = SPACE_LIMIT) -> TripleSpace:
     width = -(-int(cum[N]) // N)
     guide = np.searchsorted(cum, np.arange(0, cum[N], width, dtype=np.int64), side="right")
 
-    starts = np.zeros(N + 1, dtype=np.int64)
+    starts = np.zeros(N + 1, dtype=np.int32)
     if N > 1:
-        np.cumsum(d[:-1], out=starts[2:])
+        np.cumsum(table.counts[1:N], dtype=np.int32, out=starts[2:])
     flat = _flat_divisor_lists(N)
     for array in (cum, starts, flat, guide):
         array.setflags(write=False)
@@ -134,8 +162,8 @@ def _flat_divisor_lists(N: int) -> np.ndarray:
     """The divisors of 1, 2, ..., N back to back, ascending within each n.
 
     The multiples k*j (j <= N//k) are laid out k by k, so a stable sort on
-    the multiple keeps ascending k within each n.  Keys and divisors are
-    int32 (N <= TABLE_LIMIT < 2^31); the result is int64.
+    the multiple keeps ascending k within each n.  Keys, divisors and the
+    result are int32, which holds them for N <= SPACE_LIMIT.
     """
     k = np.arange(1, N + 1, dtype=np.int32)
     per_k = N // k
@@ -149,26 +177,18 @@ def _flat_divisor_lists(N: int) -> np.ndarray:
     # Each temporary is dropped once spent: at N = 10^6 each is 56-112 MiB.
     order = np.argsort(multiples, kind="stable")
     del multiples
-    flat = divisors[order]
-    del order, divisors
-    return flat.astype(np.int64)
+    return divisors[order]
 
 
-def _chunk_sizes(trials: int) -> list[int]:
+def _chunk_sizes(trials: int):
+    """The size of each chunk in turn, generated as needed."""
     full, rest = divmod(trials, CHUNK_TRIALS)
-    return [CHUNK_TRIALS] * full + ([rest] if rest else [])
+    return chain(repeat(CHUNK_TRIALS, full), [rest] if rest else [])
 
 
 def _draw_chunk(space: TripleSpace, count: int, seed: int, index: int):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    v = rng.integers(0, space.total_triples, size=count, dtype=np.int64)
-    n = space.products(v)
-    d_n = space.table.counts[n].astype(np.int64)
-    base = space.starts[n]
-    a = space.flat_divisors[base + rng.integers(0, d_n)]
-    r = space.flat_divisors[base + rng.integers(0, d_n)]
-    b = n // a
-    return a, b, r
+    return space.triples(rng.integers(0, space.total_triples, size=count, dtype=np.int64))
 
 
 def _chunk_successes(space: TripleSpace, count: int, seed: int, index: int) -> int:
@@ -180,22 +200,30 @@ def _chunk_successes(space: TripleSpace, count: int, seed: int, index: int) -> i
 def _check_trials_and_seed(trials: int, seed: int) -> None:
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if trials >= 2**63:
+        raise ValueError(f"trials must fit in 64 signed bits, got {trials}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
-def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int) -> list:
-    """[work(space, size, seed, i) for each chunk i], on up to `threads` workers.
+def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int):
+    """Yield work(space, size, seed, i) for each chunk i in order, on up to `threads` workers.
 
     No more workers start than there are chunks or CPUs, however large
-    `threads` is; the results do not depend on the count.
+    `threads` is; the results do not depend on the count.  Chunks are handed
+    out `workers` at a time, so memory does not grow with `trials`.
     """
-    sizes = _chunk_sizes(trials)
-    workers = min(threads, len(sizes), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda ic: work(space, ic[1], seed, ic[0]), enumerate(sizes)))
-    return [work(space, size, seed, i) for i, size in enumerate(sizes)]
+    chunks = -(-trials // CHUNK_TRIALS)
+    workers = min(threads, chunks, os.cpu_count() or 1)
+    sizes = enumerate(_chunk_sizes(trials))
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        map_chunks = map if pool is None else pool.map
+        while batch := list(islice(sizes, workers)):
+            results = map_chunks(lambda ic: work(space, ic[1], seed, ic[0]), batch)
+            for (i, _), result in zip(batch, results):
+                if (i + 1) % PROGRESS_CHUNKS == 0:
+                    log.info("sampled %d of %d chunks", i + 1, chunks)
+                yield result
 
 
 def sample_triples(

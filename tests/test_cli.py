@@ -235,6 +235,13 @@ def test_sample_invalid_arguments(capsys):
     assert code == 2
 
 
+def test_sample_trials_beyond_int64_is_an_argument_error(capsys):
+    code, out, err = run(capsys, "sample", "--n", "100", "--trials", "1e30", "--seed", "1")
+    assert code == 2
+    assert out == ""
+    assert "64 signed bits" in err and "Traceback" not in err
+
+
 def test_sample_oversized_n_is_a_resource_refusal(capsys):
     code, _, err = run(capsys, "sample", "--n", "1e9", "--trials", "10")
     assert code == 3

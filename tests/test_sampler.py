@@ -50,7 +50,7 @@ def test_space_weight_total_is_triple_count():
 def test_space_flat_divisor_layout(N):
     space = build_triple_space(N)
     lists = [divisor_list(n) for n in range(1, N + 1)]
-    assert space.flat_divisors.dtype == np.int64
+    assert space.flat_divisors.dtype == np.int32
     assert space.flat_divisors.tolist() == [k for divs in lists for k in divs]
     for n, divs in enumerate(lists, start=1):
         assert int(space.table.counts[n]) == len(divs)
@@ -198,15 +198,16 @@ def test_unbiased_across_seeds_at_desk_scale():
     assert abs(mean - exact) <= 5 * combined_se
 
 
-# Successes computed with the binary-search sampler that preceded the guide
-# table: the draw stream is a fixed function of (N, trials, seed).
+# Successes of the one-uniform draw, where v's residual picks a and r: the
+# draw stream is a fixed function of (N, trials, seed).  The draw that spent
+# two more uniforms per triple on a and r gave 276_614, 391_856 and 554_820.
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "N, trials, seed, successes",
     [
-        (6, 300_000, 5, 276_614),
-        (1000, 600_000, 99, 391_856),
-        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_820),
+        (6, 300_000, 5, 276_356),
+        (1000, 600_000, 99, 392_077),
+        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_316),
     ],
 )
 def test_draw_stream_is_pinned(N, trials, seed, successes, threads):
@@ -232,3 +233,117 @@ def test_invalid_arguments():
         sample_triples(5, 10, seed=-1)
     with pytest.raises(ValueError):
         sample_triples(5, 10, seed=2**64)
+
+
+def _nested_loop_triples(N):
+    """Every (a, b, r) with r | ab and ab <= N, in lexicographic order, by plain loops."""
+    found = []
+    for a in range(1, N + 1):
+        for b in range(1, N // a + 1):
+            for r in range(1, a * b + 1):
+                if a * b % r == 0:
+                    found.append((a, b, r))
+    return found
+
+
+def test_triples_maps_every_v_to_a_distinct_triple():
+    # v is uniform on [0, B), so a one-to-one map onto the B triples makes
+    # the draw exactly uniform: the exhaustive form of a chi-squared test.
+    everything = _nested_loop_triples(200)
+    for N in range(1, 201):
+        space = build_triple_space(N)
+        a, b, r = space.triples(np.arange(space.total_triples, dtype=np.int64))
+        got = sorted(zip(a.tolist(), b.tolist(), r.tolist()))
+        assert got == [t for t in everything if t[0] * t[1] <= N], f"N={N}"
+
+
+class _CountingGenerator:
+    """Wraps a numpy Generator and counts its integers() calls."""
+
+    def __init__(self, rng, calls):
+        self.rng, self.calls = rng, calls
+
+    def integers(self, *args, **kwargs):
+        self.calls.append(kwargs.get("size"))
+        return self.rng.integers(*args, **kwargs)
+
+
+def test_each_chunk_draws_one_uniform_array(monkeypatch):
+    space = build_triple_space(300)
+    trials = 2 * CHUNK_TRIALS + 7
+    want = space.draw(trials, seed=8)
+    calls = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda s: _CountingGenerator(default_rng(s), calls))
+    got = space.draw(trials, seed=8)
+    assert calls == [CHUNK_TRIALS, CHUNK_TRIALS, 7]
+    for want_array, got_array in zip(want, got):
+        assert np.array_equal(want_array, got_array)
+    # The first chunk's triples are triples() of its one stream's first array.
+    v = default_rng(np.random.SeedSequence(entropy=8, spawn_key=(0,))).integers(
+        0, space.total_triples, size=CHUNK_TRIALS, dtype=np.int64
+    )
+    for whole, first in zip(got, space.triples(v)):
+        assert np.array_equal(whole[:CHUNK_TRIALS], first)
+
+
+class _StopSampling(Exception):
+    pass
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_huge_trials_hand_out_chunks_lazily(monkeypatch, threads):
+    import tracemalloc
+
+    seen = []
+
+    def spy(space, count, seed, index):
+        seen.append(index)
+        if len(seen) > 3:
+            raise _StopSampling
+        return count
+
+    monkeypatch.setattr(sampler, "_chunk_successes", spy)
+    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    space = build_triple_space(10)
+    tracemalloc.start()
+    try:
+        with pytest.raises(_StopSampling):
+            sample_triples(10, 10**15, seed=1, space=space, threads=threads)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert sorted(seen) == list(range(len(seen))) and len(seen) <= 3 + threads
+
+
+def test_progress_is_logged_every_64_chunks(caplog):
+    space = build_triple_space(10)
+    trials = 130 * CHUNK_TRIALS
+    with caplog.at_level("INFO", logger="divcensus.sampler"):
+        done = list(sampler._run_chunks(lambda *args: 0, space, trials, seed=1, threads=1))
+    assert len(done) == 130
+    assert [rec.getMessage() for rec in caplog.records] == [
+        "sampled 64 of 130 chunks",
+        "sampled 128 of 130 chunks",
+    ]
+
+
+@pytest.mark.parametrize("trials", [2**63, 10**30])
+def test_trials_beyond_int64_refused_before_the_build(monkeypatch, trials):
+    def no_build(*args, **kwargs):
+        raise AssertionError("build_triple_space called before the arguments were checked")
+
+    monkeypatch.setattr(sampler, "build_triple_space", no_build)
+    with pytest.raises(ValueError, match="64 signed bits"):
+        sample_triples(100, trials, seed=1)
+
+
+def test_space_limit_is_the_int32_domain():
+    # flat_divisors has D(N) entries, indexed in int32, and the residual
+    # w < d(n)^2 < 4n is int32 too.
+    assert divisor_core.divisor_summatory(sampler.SPACE_LIMIT) < 2**31
+    assert 4 * sampler.SPACE_LIMIT < 2**31
+    # A larger space_limit cannot lift it.
+    with pytest.raises(ResourceLimitError, match=f"limit {sampler.SPACE_LIMIT}"):
+        build_triple_space(sampler.SPACE_LIMIT + 1, space_limit=10 * sampler.SPACE_LIMIT)
