@@ -1,6 +1,7 @@
 """Seeded triple sampling: determinism, uniformity, unbiasedness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,8 +294,6 @@ class _StopSampling(Exception):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_huge_trials_hand_out_chunks_lazily(monkeypatch, threads):
-    import tracemalloc
-
     seen = []
 
     def spy(space, count, seed, index):
