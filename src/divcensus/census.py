@@ -41,14 +41,15 @@ All three read D from one summatory table of size y for this N
 (divisor_core).  Below SUBLINEAR_B_CUTOFF, y = N and the table is a view
 of one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1), sieved once per
 process on the first small census, so a run of small censuses (verify)
-sieves once; from the cutoff on, each census sieves its own table of
-about N^(2/3).  Every D(q) with q <= y is a lookup.  Every
-D(q) above y is D(N // m) for some m <= M = N // (y + 1) (B asks for
-m = k^2 u, S for m = b, C for m = r^2), kept in the table's dense array of
-M entries; each costs one O(sqrt(N / m)) evaluation the first time any of
-B, S and C asks for it, about N^(2/3) in all.  B asks for every m <= M,
-C for only the about sqrt(M) squares.  So S and C add about sqrt(N)
-vectorized lookups to the sieve and to B.
+sieves once.  From the cutoff on, y is that same shared table while
+N^(2/3) is below the cutoff (N up to about 4.6e5), and beyond that each
+census sieves its own table of about N^(2/3).  Every D(q) with q <= y is
+a lookup.  Every D(q) above y is D(N // m) for some m <= M = N // (y + 1)
+(B asks for m = k^2 u, S for m = b, C for m = r^2), kept in the table's
+dense array of M entries; each costs one O(sqrt(N / m)) evaluation the
+first time any of B, S and C asks for it, about N^(2/3) in all.  B asks
+for every m <= M, C for only the about sqrt(M) squares.  So S and C add
+about sqrt(N) vectorized lookups to the sieve and to B.
 
 The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
 the N whose sqrt(N) the table reaches, and refuse a larger N before any
@@ -146,13 +147,18 @@ def census_table(N: int) -> SummatoryTable:
     Below SUBLINEAR_B_CUTOFF it runs to N itself, where B is its sum of
     d(n)^2, and its prefix is a read-only view of one table of
     D(0..SUBLINEAR_B_CUTOFF - 1) that every such N shares (24 KB, sieved
-    on the first small census).  From the cutoff on it is sieved for this
-    N alone, with summatory_table_size(N) entries.
+    on the first small census).  From the cutoff on, while
+    summatory_table_size(N) is still below the cutoff (N up to about
+    4.6e5), it is that whole shared table, larger than a private one would
+    be, with N's own array of D(N // m) above it.  Beyond that it is sieved
+    for this N alone, with summatory_table_size(N) entries.
     """
-    if N < SUBLINEAR_B_CUTOFF:
-        above = np.zeros(1, dtype=np.int64)  # N // (N + 1) = 0: no D above the table
-        return SummatoryTable(N=N, n_max=N, prefix=_small_prefix()[: N + 1], above=above)
-    return summatory_table(summatory_table_size(N), N)
+    size = summatory_table_size(N)  # <= N, so every N below the cutoff shares the table
+    if size >= SUBLINEAR_B_CUTOFF:
+        return summatory_table(size, N)
+    n_max = min(N, SUBLINEAR_B_CUTOFF - 1)
+    above = np.zeros(N // (n_max + 1) + 1, dtype=np.int64)  # one unused entry below the cutoff
+    return SummatoryTable(N=N, n_max=n_max, prefix=_small_prefix()[: n_max + 1], above=above)
 
 
 def _ranges(stop: int) -> Iterator[np.ndarray]:

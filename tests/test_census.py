@@ -188,16 +188,53 @@ def test_fast_census_sieves_once(n, monkeypatch):
         assert sieved == [divisor_core.summatory_table_size(n)]
 
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(min_value=1, max_value=SUBLINEAR_B_CUTOFF - 1))
-def test_small_census_from_the_shared_table_matches_a_private_table(n):
-    private = summatory_table(n, n)
-    got = fast_census(n)
-    assert (got.b_count, got.s_count, got.c_count) == (
+def private_b_s_c(n, y):
+    """B, S and C at n from a table of size y sieved for n alone."""
+    private = summatory_table(y, n)
+    return (
         count_all_triples(n, private),
         count_da_over_hyperbola(n, private),
         count_gcd_divisor_sum(n, private),
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=SUBLINEAR_B_CUTOFF - 1))
+def test_small_census_from_the_shared_table_matches_a_private_table(n):
+    got = fast_census(n)
+    assert (got.b_count, got.s_count, got.c_count) == private_b_s_c(n, n)
+
+
+# The largest N whose own table would be smaller than the shared one.
+LAST_SHARED_N = 464_758
+
+
+def test_shared_table_reaches_exactly_as_far_as_it_is_larger():
+    size = divisor_core.summatory_table_size
+    assert size(LAST_SHARED_N) < SUBLINEAR_B_CUTOFF <= size(LAST_SHARED_N + 1)
+    shared, own = census.census_table(LAST_SHARED_N), census.census_table(LAST_SHARED_N + 1)
+    assert shared.n_max == SUBLINEAR_B_CUTOFF - 1
+    assert np.shares_memory(shared.prefix, census._small_prefix())
+    assert len(shared.above) == LAST_SHARED_N // SUBLINEAR_B_CUTOFF + 1
+    assert own.n_max == size(LAST_SHARED_N + 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(min_value=SUBLINEAR_B_CUTOFF, max_value=5 * 10**5))
+def test_census_from_the_shared_table_above_the_cutoff_matches_a_private_table(n):
+    got = fast_census(n)
+    want = private_b_s_c(n, divisor_core.summatory_table_size(n))
+    assert (got.b_count, got.s_count, got.c_count) == want
+
+
+@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF, 10**5])
+def test_census_above_the_cutoff_reads_the_shared_table_without_sieving(n, monkeypatch):
+    want = private_b_s_c(n, divisor_core.summatory_table_size(n))
+    census._small_prefix()  # sieved once per process, by whichever census comes first
+    monkeypatch.setattr(divisor_core, "sieve_divisor_counts", None)
+    got = fast_census(n)
+    assert (got.b_count, got.s_count, got.c_count) == want
+    assert census.census_table(n).n_max == SUBLINEAR_B_CUTOFF - 1
 
 
 def test_shared_small_table_is_read_only():

@@ -59,6 +59,50 @@ def test_space_flat_divisor_layout(N):
         assert space.flat_divisors[start : start + len(divs)].tolist() == divs
 
 
+def _reference_divisor_layout(N):
+    """flat_divisors and starts[1:] from a lexsort of every (k, k*j) pair with k*j <= N."""
+    k = np.repeat(np.arange(1, N + 1, dtype=np.int64), N // np.arange(1, N + 1))
+    multiple = np.concatenate([np.arange(d, N + 1, d, dtype=np.int64) for d in range(1, N + 1)])
+    order = np.lexsort((k, multiple))  # by multiple, then by divisor
+    return k[order], np.searchsorted(multiple[order], np.arange(1, N + 1))
+
+
+@pytest.mark.parametrize("N", [1, 10**5])
+def test_flat_divisor_layout_at_scale(N):
+    # 10^5 takes in every perfect square up to 316^2, where the front and
+    # back of a list meet, and primes up to 99991.
+    space = build_triple_space(N)
+    flat, starts = _reference_divisor_layout(N)
+    assert space.flat_divisors.dtype == space.starts.dtype == np.int32
+    assert np.array_equal(space.flat_divisors, flat)
+    assert np.array_equal(space.starts[1:], starts)
+
+
+def test_build_peaks_below_twice_the_tables_it_keeps():
+    tracemalloc.start()
+    try:
+        space = build_triple_space(200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = (space.table.counts, space.cum_weights, space.starts, space.flat_divisors, space.guide)
+    assert peak <= 2 * sum(array.nbytes for array in kept)
+
+
+def test_full_chunk_draws_in_bounded_memory():
+    # The chunk's v (2 MiB) plus one block's temporaries, not a dozen
+    # whole-chunk arrays.
+    space = build_triple_space(50_000)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sampler._chunk_successes(space, CHUNK_TRIALS, 1, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 6 * 2**20
+
+
 @settings(deadline=None)
 @given(N=st.integers(min_value=1, max_value=2000))
 @example(N=1)
@@ -154,6 +198,21 @@ def test_streamed_successes_equal_the_count_over_all_draws(threads):
     trials = 3 * CHUNK_TRIALS + 1234
     a, b, r = space.draw(trials, seed=2024)
     want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+    est = sample_triples(300, trials, seed=2024, space=space, threads=threads)
+    assert est.successes == want
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block", [7, 1000])
+def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block, threads):
+    # Neither block length divides a chunk, so every chunk ends on a
+    # partial block, and the last chunk is partial too.
+    assert CHUNK_TRIALS % block
+    space = build_triple_space(300)
+    trials = 3 * CHUNK_TRIALS + 1234
+    a, b, r = space.draw(trials, seed=2024)
+    want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
     est = sample_triples(300, trials, seed=2024, space=space, threads=threads)
     assert est.successes == want
 
