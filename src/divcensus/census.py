@@ -56,7 +56,8 @@ the N whose sqrt(N) the table reaches, and refuse a larger N before any
 sieve (check_census_size).  Inside that domain every reduction is in
 machine integers: S and C in int64, since every term and partial sum is
 at most C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 4e17 < 2^63, and B's
-per-x sums in uint64 (divisor_core).
+hyperbola terms in uint64, grouped by the sign of mu(k) into two sums of
+nonnegative terms, each below 2^64 (divisor_core).
 
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
@@ -65,6 +66,7 @@ against; the two routes share no code.
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import islice
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -303,9 +305,14 @@ def iter_counterexamples(N: int) -> Iterator[Counterexample]:
     """All triples with r | ab, ab <= N, r dividing neither a nor b.
 
     Emitted in lexicographic (a*b, a, r) order, which the product-first
-    enumeration produces for free.
+    enumeration produces for free.  N < 1 raises ValueError at the call,
+    before any triple is asked for.
     """
     _check_n(N)
+    return _counterexamples(N)
+
+
+def _counterexamples(N: int) -> Iterator[Counterexample]:
     for n in range(1, N + 1):
         divs = divisor_list(n)
         for a in divs:
@@ -319,9 +326,4 @@ def list_counterexamples(N: int, limit: Optional[int] = None) -> list[Counterexa
     """The first `limit` counterexamples (all of them when limit is None)."""
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
-    out = []
-    for cx in iter_counterexamples(N):
-        out.append(cx)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(islice(iter_counterexamples(N), limit))

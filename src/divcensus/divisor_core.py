@@ -39,10 +39,21 @@ the hyperbola split again gives
 
     D_4(x) = 2 * sum_{u<=sqrt(x)} d(u) * D(floor(x/u))  -  D(floor(sqrt(x)))^2.
 
-The sum over u is reduced in uint64.  It is at most D_4(x), and
-D_k(x) <= x (1 + ln x)^(k-1) (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m)
-with sum_{m<=x} 1/m <= 1 + ln x), so below 1.2e19 < 2^64 for every
-x < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1, the census's domain.
+Grouping the k by the sign of mu(k), with x_k = N // k^2,
+
+    sum_{n<=N} d(n)^2 = 2 (P - M)  -  sum_k mu(k) * D(isqrt(N) // k)^2,
+
+where P and M sum d(u) * D(x_k // u) over the pairs (k, u), u <= sqrt(x_k),
+with mu(k) = +1 and mu(k) = -1.  Their terms are nonnegative, so each is
+reduced in uint64, a step of pairs at a time, into a Python int.  The sum
+over u of one x is at most D_4(x), as it is at least D(floor(sqrt(x)))^2,
+and D_k(x) <= x (1 + ln x)^(k-1) (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m)
+with sum_{m<=x} 1/m <= 1 + ln x).  The smallest k > 1 with mu(k) = 1 is 6,
+and sum_{k>=6} 1/k^2 < 1/5, so P <= (6/5) N (1 + ln N)^3, and
+M <= (zeta(2) - 1) N (1 + ln N)^3: both below 1.5e19 < 2^64 for every
+N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1, the census's domain.
+The corner term is one int64 dot whose terms add up to at most
+zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
 
 divisor_square_summatory_sublinear costs about N^(2/3) sieve work plus
 sqrt(N) ln(N) lookups in a summatory table, against the N ln N of summing
@@ -91,7 +102,8 @@ SUMMATORY_MAX_X = 1 << 52
 SUBLINEAR_TABLE_CAP = 1 << 24
 
 # (k, u) pairs handled per vectorized step of the sublinear sum, a long run
-# of one k split across steps: about 2^18 * 5 int64 temporaries, ~10 MiB.
+# of one k split across steps: about ten 2 MiB temporaries, 22 MiB traced at
+# N = 10^11.
 _PAIR_CHUNK = 1 << 18
 
 
@@ -107,14 +119,14 @@ class DivisorTable:
     counts: np.ndarray
 
 
-def sieve_divisor_counts(n_max: int, table_limit: int = TABLE_LIMIT) -> DivisorTable:
+def sieve_divisor_counts(n_max: int) -> DivisorTable:
     """Sieve d(1..n_max) via the paired-divisor pass described above."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > table_limit:
+    if n_max > TABLE_LIMIT:
         raise ResourceLimitError(
             f"in-memory divisor table refused at n_max={n_max} "
-            f"(limit {table_limit}); use the segmented operations instead"
+            f"(limit {TABLE_LIMIT}); use the segmented operations instead"
         )
     counts = np.zeros(n_max + 1, dtype=np.int32)
     for k in range(1, isqrt(n_max) + 1):
@@ -329,17 +341,6 @@ def _mobius_table(n_max: int) -> np.ndarray:
     return mu
 
 
-def _hyperbola_sums(d_u: np.ndarray, d_sum: np.ndarray, starts: np.ndarray) -> list[int]:
-    """Sums of d_u * d_sum over the segments that begin at `starts`, as ints.
-
-    Each segment holds some or all of the nonnegative terms d(u) * D(x // u),
-    u <= sqrt(x), of one x < (SUBLINEAR_TABLE_CAP + 1)^2, so every term and
-    every partial sum is at most D_4(x) < 2^64 (module docstring) and the
-    uint64 reduction is exact.
-    """
-    return np.add.reduceat(d_u.astype(np.uint64) * d_sum.astype(np.uint64), starts).tolist()
-
-
 def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None = None) -> int:
     """sum_{n<=n_max} d(n)^2 = sum_{k<=sqrt(n_max)} mu(k) D_4(n_max // k^2), exactly.
 
@@ -364,29 +365,26 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
 
     mu = _mobius_table(root)
     ks = np.flatnonzero(mu)
-    signs = mu[ks].tolist()
     lengths = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
+    corner = table.prefix[lengths].astype(np.int64)  # D(isqrt(n_max // k^2))
+    corners = int(np.dot(mu[ks] * corner, corner))
     ends = np.cumsum(lengths)
     n_pairs = int(ends[-1])
     # The (k, u) pairs are laid out k by k, each k a run of u = 1..lengths[k],
     # and taken _PAIR_CHUNK at a time, so a long run (k = 1 has sqrt(n_max)
-    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs
-    # [lo, hi); `carried` holds the partial sum of a run that goes on into
-    # the next step, and each run's corner term is added once, at its end.
-    total = 0
-    carried = 0
+    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs [lo, hi).
+    # positive and negative are P and M of the module docstring.
+    positive = negative = 0
     for lo in range(0, n_pairs, _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, n_pairs)
         i = int(np.searchsorted(ends, lo, side="right"))
         j = int(np.searchsorted(ends, hi, side="left")) + 1
         k, begin = ks[i:j], ends[i:j] - lengths[i:j]
-        first = np.maximum(begin, lo)
-        run = np.minimum(ends[i:j], hi) - first
+        run = np.minimum(ends[i:j], hi) - np.maximum(begin, lo)
         u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin, run)
         d_sum = table.summatory(np.repeat(n_max // (k * k), run) // u)
-        sums = _hyperbola_sums(d[u], d_sum, first - lo)
-        sums[0] += carried
-        carried = sums.pop() if ends[j - 1] > hi else 0
-        corners = table.prefix[lengths[i:j]].tolist()
-        total += sum(sign * (2 * s - c * c) for sign, s, c in zip(signs[i:j], sums, corners))
-    return total
+        terms = d[u].astype(np.uint64) * d_sum.astype(np.uint64)
+        plus = np.repeat(mu[k] > 0, run)
+        positive += int(terms[plus].sum())
+        negative += int(terms[~plus].sum())
+    return 2 * (positive - negative) - corners

@@ -42,7 +42,6 @@ import numpy as np
 
 from .config import ResourceLimitError
 from .divisor_core import DivisorTable, sieve_divisor_counts
-from .divisor_core import divisor_list  # noqa: F401  (kept as divcensus.sampler.divisor_list)
 
 # Chunk size is part of the reproducibility contract: changing it changes
 # which stream serves which trial.
@@ -53,7 +52,7 @@ log = logging.getLogger(__name__)
 # Above this N the flattened divisor lists (~ N ln N entries) get heavy.  It
 # is also the int32 domain of the divisor lists: their length D(N) <= 2^31 - 1
 # (D(2*10^6) ~ 2.9e7) bounds every index into them, and the residual
-# w < d(n)^2 < 4n <= 4N < 2^31.  A space_limit argument may only lower it.
+# w < d(n)^2 < 4n <= 4N < 2^31.
 SPACE_LIMIT = 2_000_000
 
 # Draws per step of a chunk's success count.  Each step's dozen or so
@@ -141,14 +140,13 @@ class TripleSpace:
         return a, b, r
 
 
-def build_triple_space(N: int, space_limit: int = SPACE_LIMIT) -> TripleSpace:
+def build_triple_space(N: int) -> TripleSpace:
     """Sieve the weight and divisor tables for sampling at bound N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    limit = min(space_limit, SPACE_LIMIT)
-    if N > limit:
+    if N > SPACE_LIMIT:
         raise ResourceLimitError(
-            f"sampling space refused at N={N} (limit {limit}): divisor lists "
+            f"sampling space refused at N={N} (limit {SPACE_LIMIT}): divisor lists "
             f"need ~N ln N entries in memory"
         )
     table = sieve_divisor_counts(N)

@@ -1,11 +1,13 @@
 """CLI surface: subcommands, formats, exit codes, config precedence."""
 
 import csv
+import dataclasses
 import io
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -274,8 +276,20 @@ def test_verify_rejects_zero(capsys):
     assert "invalid argument" in err
 
 
-def test_verify_fault_injection_names_the_n(capsys):
-    code, out, _ = run(capsys, "verify", "--max-n", "100", "--inject-mismatch-at", "37")
+def b_off_by_one_at(monkeypatch, at):
+    """Make census.fast_census report B one too large at N = at."""
+    real = census.fast_census
+
+    def fast_census(n):
+        result = real(n)
+        return dataclasses.replace(result, b_count=result.b_count + 1) if n == at else result
+
+    monkeypatch.setattr(census, "fast_census", fast_census)
+
+
+def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
+    b_off_by_one_at(monkeypatch, 37)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "N=37" in out
     assert "fast=" in out and "brute=" in out
@@ -351,6 +365,34 @@ def test_counterexamples_invalid_limit(capsys):
     assert code == 2
 
 
+def test_counterexamples_invalid_n_writes_nothing(capsys):
+    code, out, err = run(capsys, "counterexamples", "--n", "0", "--format", "csv")
+    assert code == 2
+    assert out == "" and "invalid argument" in err
+
+
+def test_counterexamples_stream_without_buffering(monkeypatch):
+    # Each record is written as it is found: the traced peak does not grow
+    # with the count of records (124877 at N = 3000).
+    class LineCounter:
+        lines = 0
+
+        def write(self, text):
+            self.lines += text.count("\n")
+
+    sink = LineCounter()
+    monkeypatch.setattr(sys, "stdout", sink)
+    tracemalloc.start()
+    try:
+        code = main(["counterexamples", "--n", "3000", "--limit", "1000000000"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert sink.lines == 124_877
+    assert peak < 2 * 2**20
+
+
 # -- output hygiene -----------------------------------------------------------------------
 
 def test_data_on_stdout_logs_on_stderr(capsys):
@@ -361,10 +403,11 @@ def test_data_on_stdout_logs_on_stderr(capsys):
     assert "divcensus" not in out
 
 
-def test_exit_codes_stay_in_contract(capsys):
+def test_exit_codes_stay_in_contract(capsys, monkeypatch):
     observed = set()
     observed.add(run(capsys, "census", "--n", "5")[0])
     observed.add(run(capsys, "census", "--n", "0")[0])
     observed.add(run(capsys, "census", "--n", "99999", "--method", "brute")[0])
-    observed.add(run(capsys, "verify", "--max-n", "50", "--inject-mismatch-at", "10")[0])
+    b_off_by_one_at(monkeypatch, 10)
+    observed.add(run(capsys, "verify", "--max-n", "50")[0])
     assert observed == {0, 1, 2, 3}

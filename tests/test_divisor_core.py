@@ -15,7 +15,7 @@ from divcensus.divisor_core import (
     SUMMATORY_MAX_X,
     TABLE_LIMIT,
     DivisorTable,
-    _hyperbola_sums,
+    SummatoryTable,
     _mobius_table,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
@@ -89,9 +89,10 @@ def test_sieve_rejects_zero():
         sieve_divisor_counts(0)
 
 
-def test_sieve_refuses_above_table_limit():
+def test_sieve_refuses_above_table_limit(monkeypatch):
+    monkeypatch.setattr(divisor_core, "np", None)  # the refusal comes before any allocation
     with pytest.raises(ResourceLimitError, match="segmented"):
-        sieve_divisor_counts(101, table_limit=100)
+        sieve_divisor_counts(TABLE_LIMIT + 1)
     assert TABLE_LIMIT >= 10**8  # the documented reachability floor
 
 
@@ -244,20 +245,24 @@ def test_sublinear_square_summatory_matches_table(n):
 @given(n=st.integers(min_value=1, max_value=30_000))
 def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
     # With a chunk shorter than the runs of one k, each run spans several
-    # steps, and no step reduces more than the chunk's pairs.
+    # steps.  Each step looks up the D(x_k // u) of its pairs with one
+    # table.summatory call, so the calls' arrays are the steps' arrays: none
+    # holds more than the chunk's pairs, and together they hold each pair once.
     sizes = []
-    real = divisor_core._hyperbola_sums
+    real = SummatoryTable.summatory
 
-    def spy(d_u, d_sum, starts):
-        sizes.append(len(d_u))
-        return real(d_u, d_sum, starts)
+    def spy(table, q):
+        sizes.append(len(q))
+        return real(table, q)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divisor_core, "_PAIR_CHUNK", chunk)
-        mp.setattr(divisor_core, "_hyperbola_sums", spy)
+        mp.setattr(SummatoryTable, "summatory", spy)
         got = divisor_square_summatory_sublinear(n)
     assert got == divisor_square_summatory(n, TABLE_30K)
     assert max(sizes) <= chunk
+    root = isqrt(n)
+    assert sum(sizes) == sum(root // k for k in range(1, root + 1) if moebius_by_factoring(k))
 
 
 def test_sublinear_square_summatory_at_squares_and_neighbours():
@@ -311,6 +316,16 @@ def test_int64_hyperbola_bound_at_threshold():
     hi = ln2_upper_bound()
     assert CENSUS_TOP <= 2**49
     assert CENSUS_TOP * (1 + 49 * hi) ** 3 < 2**64
+    # P, the sum over the k with mu(k) = 1, is at most (6/5) N (1 + ln N)^3:
+    # the smallest such k > 1 is 6, and sum_{k>=6} 1/k^2 < 1/5 (the tail past
+    # 100 is below 1/100).  M, over mu(k) = -1, has zeta(2) - 1 < 1 in its
+    # place.  Both fit uint64.
+    assert [k for k in range(2, 7) if moebius_by_factoring(k) == 1] == [6]
+    assert sum(Fraction(1, k * k) for k in range(6, 101)) + Fraction(1, 100) < Fraction(1, 5)
+    assert Fraction(6, 5) * CENSUS_TOP * (1 + 49 * hi) ** 3 < 2**64
+    # The corner term sum_k mu(k) D(isqrt(N) // k)^2 is one int64 dot; its
+    # terms add up to at most zeta(2) N (1 + ln N)^2 < 2 N (1 + ln N)^2.
+    assert 2 * CENSUS_TOP * (1 + 49 * hi) ** 2 < 2**63
     # The int32 prefix sums of the capped table: D(y) <= y (1 + ln y) < 2^31.
     assert SUBLINEAR_TABLE_CAP == 2**24
     assert 2**24 * (1 + 24 * hi) < 2**31
@@ -337,16 +352,39 @@ def test_piltz_bound_holds_for_small_x():
         assert D4[x] <= x * (1 + math.log(x)) ** 3
 
 
+def sublinear_in_python_ints(n: int, table: SummatoryTable) -> tuple[int, int]:
+    """B from the table's D values by the k loop in Python ints, and its P."""
+    root = isqrt(n)
+    d = table.counts(root).tolist()
+    total = positive = 0
+    for k in range(1, root + 1):
+        mu = moebius_by_factoring(k)
+        x = n // (k * k)
+        if mu:
+            hyperbola = sum(
+                d[u] * int(table.summatory(np.array([x // u]))[0])
+                for u in range(1, isqrt(x) + 1)
+            )
+            total += mu * (2 * hyperbola - int(table.prefix[isqrt(x)]) ** 2)
+            positive += hyperbola if mu == 1 else 0
+    return total, positive
+
+
 def test_hyperbola_sums_exact_between_2_63_and_2_64():
-    # Near N = 2^48 the proven bound on a per-x sum, D_4(x) < 2^64, passes
-    # 2^63: a sum between the two must reduce exactly, where int64 wraps.
-    starts = np.array([0, 2], dtype=np.int64)
-    d_u = np.array([3, 3, 1], dtype=np.int64)
-    d_sum = np.array([2**61, 2**61 + 5, 11], dtype=np.int64)
-    got = _hyperbola_sums(d_u, d_sum, starts)
-    assert got == [6 * 2**61 + 15, 11]
-    assert 2**63 < got[0] < 2**64
-    assert all(type(v) is int for v in got)
+    # Near N = 2^48 the proven bound on P, the sum over the pairs with
+    # mu(k) = 1, passes 2^63: a sum between the two must reduce exactly,
+    # where int64 wraps.  Here D(100 // m) for m = 1, 2, 3, which only the
+    # pairs (k, u) = (1, m) read, is faked near 2^61 in a table for N = 100,
+    # so that P = 5 * 2^61 + O(10^3).
+    n = 100
+    table = summatory_table(isqrt(n), n)
+    for m in range(1, table.above.size):
+        table.above[m] = divisor_summatory(n // m)
+    table.above[1:4] = [2**61 + 7, 2**61 + 3, 2**61 + 1]
+    want, positive = sublinear_in_python_ints(n, table)
+    assert 2**63 < positive < 2**64
+    got = divisor_square_summatory_sublinear(n, table)
+    assert type(got) is int and got == want
 
 
 # -- summatory table -----------------------------------------------------------

@@ -11,18 +11,18 @@ import divcensus
 from divcensus import divisor_core, sampler
 from divcensus.census import brute_force_census, count_all_triples
 from divcensus.config import ResourceLimitError
+from divcensus.divisor_core import divisor_list
 from divcensus.sampler import (
     CHUNK_TRIALS,
     SampleEstimate,
     TripleSpace,
     build_triple_space,
-    divisor_list,
     sample_triples,
 )
 
 
 def test_divisor_list_is_the_one_trial_division_helper():
-    assert divisor_list is divisor_core.divisor_list is divcensus.divisor_list
+    assert divisor_list is divcensus.divisor_list is divcensus.census.divisor_list
 
 
 def test_divisor_list_known_values():
@@ -122,9 +122,14 @@ def test_guide_search_equals_binary_search(N):
     assert np.array_equal(v, before)
 
 
-def test_space_refuses_oversized_n():
-    with pytest.raises(ResourceLimitError):
-        build_triple_space(101, space_limit=100)
+def test_space_refuses_oversized_n(monkeypatch):
+    def no_sieve(*args, **kwargs):
+        raise AssertionError("sieve_divisor_counts called before the size was checked")
+
+    monkeypatch.setattr(sampler, "sieve_divisor_counts", no_sieve)
+    for n in (sampler.SPACE_LIMIT + 1, 10**12):
+        with pytest.raises(ResourceLimitError, match=f"limit {sampler.SPACE_LIMIT}"):
+            build_triple_space(n)
 
 
 def test_estimate_fields_and_determinism():
@@ -402,6 +407,3 @@ def test_space_limit_is_the_int32_domain():
     # w < d(n)^2 < 4n is int32 too.
     assert divisor_core.divisor_summatory(sampler.SPACE_LIMIT) < 2**31
     assert 4 * sampler.SPACE_LIMIT < 2**31
-    # A larger space_limit cannot lift it.
-    with pytest.raises(ResourceLimitError, match=f"limit {sampler.SPACE_LIMIT}"):
-        build_triple_space(sampler.SPACE_LIMIT + 1, space_limit=10 * sampler.SPACE_LIMIT)
