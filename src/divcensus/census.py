@@ -45,19 +45,23 @@ sieves once.  From the cutoff on, y is that same shared table while
 N^(2/3) is below the cutoff (N up to about 4.6e5), and beyond that each
 census sieves its own table of about N^(2/3).  Every D(q) with q <= y is
 a lookup.  Every D(q) above y is D(N // m) for some m <= M = N // (y + 1)
-(B asks for m = k^2 u, S for m = b, C for m = r^2), kept in the table's
-dense array of M entries; each costs one O(sqrt(N / m)) evaluation the
-first time any of B, S and C asks for it, about N^(2/3) in all.  B asks
-for every m <= M, C for only the about sqrt(M) squares.  So S and C add
-about sqrt(N) vectorized lookups to the sieve and to B.
+(B asks for m = k^2 u, S for m = b, C for m = r^2).  The table's pass
+evaluates each of them once, in float64 blocks, and keeps only two sums:
+sum_{m<=M} D(N // m), which is the part of S with b <= M, and
+sum_{m<=M} 2^omega(m) D(N // m), which holds every term of B with
+k^2 u <= M (divisor_core has the weights).  B and S at one N share the
+pass, which costs about 2 N / sqrt(y) terms, about N^(2/3) below the table
+cap.  C evaluates only its about sqrt(M) values N // r^2 above y itself.
+Below SUBLINEAR_B_CUTOFF, M = 0 and there is no pass.
 
 The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
 the N whose sqrt(N) the table reaches, and refuse a larger N before any
-sieve (check_census_size).  Inside that domain every reduction is in
-machine integers: S and C in int64, since every term and partial sum is
-at most C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 4e17 < 2^63, and B's
-hyperbola terms in uint64, grouped by the sign of mu(k) into two sums of
-nonnegative terms, each below 2^64 (divisor_core).
+sieve (check_census_size).  Inside that domain every reduction is exact:
+S and C in int64, since every term and partial sum is at most
+C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 4e17 < 2^63, B's hyperbola
+terms in uint64, grouped by the sign of mu(k) into two sums of
+nonnegative terms, each below 2^64, and the pass's sums of integers below
+2^53 in float64 (divisor_core).
 
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
@@ -78,6 +82,7 @@ from .divisor_core import (
     SummatoryTable,
     divisor_list,
     divisor_square_summatory_sublinear,
+    divisor_summatory_batch,
     summatory_table,
     summatory_table_size,
 )
@@ -152,20 +157,28 @@ def census_table(N: int) -> SummatoryTable:
     on the first small census).  From the cutoff on, while
     summatory_table_size(N) is still below the cutoff (N up to about
     4.6e5), it is that whole shared table, larger than a private one would
-    be, with N's own array of D(N // m) above it.  Beyond that it is sieved
-    for this N alone, with summatory_table_size(N) entries.
+    be, with N's own pass above it.  Beyond that it is sieved for this N
+    alone, with summatory_table_size(N) entries.
     """
     size = summatory_table_size(N)  # <= N, so every N below the cutoff shares the table
     if size >= SUBLINEAR_B_CUTOFF:
         return summatory_table(size, N)
     n_max = min(N, SUBLINEAR_B_CUTOFF - 1)
-    above = np.zeros(N // (n_max + 1) + 1, dtype=np.int64)  # one unused entry below the cutoff
-    return SummatoryTable(N=N, n_max=n_max, prefix=_small_prefix()[: n_max + 1], above=above)
+    return SummatoryTable(N=N, n_max=n_max, prefix=_small_prefix()[: n_max + 1])
 
 
-def _ranges(stop: int) -> Iterator[np.ndarray]:
-    """1..stop as int64 arrays of at most _TERM_CHUNK values."""
-    for lo in range(1, stop + 1, _TERM_CHUNK):
+def _table_for(N: int, table: Optional[SummatoryTable]) -> SummatoryTable:
+    """census_table(N) when no table is given, else the given one, if it was built for N."""
+    if table is None:
+        return census_table(N)
+    if table.N != N:
+        raise ValueError(f"table built for N={table.N}, not for N={N}")
+    return table
+
+
+def _ranges(start: int, stop: int) -> Iterator[np.ndarray]:
+    """start..stop as int64 arrays of at most _TERM_CHUNK values."""
+    for lo in range(start, stop + 1, _TERM_CHUNK):
         yield np.arange(lo, min(lo + _TERM_CHUNK, stop + 1), dtype=np.int64)
 
 
@@ -174,21 +187,23 @@ def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
     check_census_size(N)
     if N >= SUBLINEAR_B_CUTOFF:
         return divisor_square_summatory_sublinear(N, table)
-    d = (census_table(N) if table is None else table).counts(N)
+    d = _table_for(N, table).counts(N)
     return int(np.dot(d, d))
 
 
 def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int:
     """C(N) = sum_{ab<=N} d(gcd(a,b)) = sum_{r<=sqrt(N)} D(floor(N/r^2)).
 
-    Each D is a lookup in the table, or one divisor_summatory call for the
-    about sqrt(N / y) values N // r^2 above its size y.
+    The about sqrt(M) values N // r^2 above the table, r^2 <= M, are
+    evaluated by divisor_summatory_batch; the rest are lookups.
     """
     check_census_size(N)
-    if table is None:
-        table = census_table(N)
+    table = _table_for(N, table)
+    above = isqrt(table.M)
     total = 0
-    for r in _ranges(isqrt(N)):
+    if above:
+        total += int(divisor_summatory_batch(N // np.arange(1, above + 1, dtype=np.int64) ** 2).sum())
+    for r in _ranges(above + 1, isqrt(N)):
         total += int(table.summatory(N // (r * r)).sum())
     return total
 
@@ -201,18 +216,16 @@ def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> i
 
         S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-    Every D is a lookup in a table of size y >= R, except the about N / y
-    values N // b above it, one divisor_summatory call each: about N^(2/3)
-    work in all for y = N^(2/3).
+    The b <= M, whose D(N // b) lie above the table, are the plain sum of
+    the table's pass; every other D is a lookup, since M <= R <= y.
     """
     check_census_size(N)
-    if table is None:
-        table = census_table(N)
+    table = _table_for(N, table)
     root = isqrt(N)
-    total = 0
-    for b in _ranges(root):
+    total = table.pass_sums[0]
+    for b in _ranges(table.M + 1, root):
         total += int(table.summatory(N // b).sum())
-    for q in _ranges(N // (root + 1)):
+    for q in _ranges(1, N // (root + 1)):
         total += int(np.dot(N // q - N // (q + 1), table.summatory(q)))
     return total
 

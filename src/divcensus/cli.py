@@ -186,13 +186,15 @@ def cmd_verify(args, cfg: Config) -> int:
             log.info("verified through N=%d", n)
     # Most of these N are below census.SUBLINEAR_B_CUTOFF, where the census
     # table runs to N, so neither the sublinear B nor any D above the table
-    # was exercised.  Both are checked once here, at the largest N: S and C
-    # from a table of size sqrt(N), then the sublinear B.
+    # was exercised.  Both are checked once here, at the largest N: S, C and
+    # B from a table of size sqrt(N), whose pass has the largest M, then B
+    # from the table of the default size.
     y = math.isqrt(max_n)
     small = divisor_core.summatory_table(y, max_n)
     for label, got, want in (
         ("S", census.count_da_over_hyperbola(max_n, small), oracle.s_count),
         ("C", census.count_gcd_divisor_sum(max_n, small), oracle.c_count),
+        ("B", divisor_core.divisor_square_summatory_sublinear(max_n, small), oracle.b_count),
     ):
         if got != want:
             print(f"mismatch at N={max_n}: {label} from a table of size {y}={got} brute={want}")

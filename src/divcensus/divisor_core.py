@@ -1,6 +1,7 @@
 """Divisor-count primitives: d(n) tables, D(x) = sum_{n<=x} d(n), sum d(n)^2.
 
-Everything here is exact integer arithmetic; floats never enter.
+Every result here is exact.  The one route through floats, the batched
+D, is exact under the bound stated in its section.
 
 Sieve
 -----
@@ -41,16 +42,18 @@ the hyperbola split again gives
 
 Grouping the k by the sign of mu(k), with x_k = N // k^2,
 
-    sum_{n<=N} d(n)^2 = 2 (P - M)  -  sum_k mu(k) * D(isqrt(N) // k)^2,
+    sum_{n<=N} d(n)^2 = 2 (P+ - P-)  -  sum_k mu(k) * D(isqrt(N) // k)^2,
 
-where P and M sum d(u) * D(x_k // u) over the pairs (k, u), u <= sqrt(x_k),
-with mu(k) = +1 and mu(k) = -1.  Their terms are nonnegative, so each is
-reduced in uint64, a step of pairs at a time, into a Python int.  The sum
+where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
+u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1; the pairs whose
+D(x_k // u) lies above the summatory table come from its pass instead
+(below), which only shrinks P+ and P-.  Their terms are nonnegative, so
+each is reduced in uint64, a step of pairs at a time, into a Python int.  The sum
 over u of one x is at most D_4(x), as it is at least D(floor(sqrt(x)))^2,
 and D_k(x) <= x (1 + ln x)^(k-1) (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m)
 with sum_{m<=x} 1/m <= 1 + ln x).  The smallest k > 1 with mu(k) = 1 is 6,
-and sum_{k>=6} 1/k^2 < 1/5, so P <= (6/5) N (1 + ln N)^3, and
-M <= (zeta(2) - 1) N (1 + ln N)^3: both below 1.5e19 < 2^64 for every
+and sum_{k>=6} 1/k^2 < 1/5, so P+ <= (6/5) N (1 + ln N)^3, and
+P- <= (zeta(2) - 1) N (1 + ln N)^3: both below 1.5e19 < 2^64 for every
 N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1, the census's domain.
 The corner term is one int64 dot whose terms add up to at most
 zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
@@ -60,25 +63,68 @@ sqrt(N) ln(N) lookups in a summatory table, against the N ln N of summing
 d(n)^2 term by term.  The term-by-term routes stay: the in-memory one for
 small N, the segmented one as an independent cross-check.
 
-Summatory table
----------------
-summatory_table(y, N) serves one bound N.  It sieves d(n) once up to y
-and keeps the int32 prefix sums D(0..y); d(n) is read back as
-D(n) - D(n-1).  Every count of the census is a sum of D values (census.py
-has the identities), and every D it asks for above y is D(N // m) with
-m <= M = N // (y + 1), because (N // a) // b = N // (ab).  So the table
-also holds one dense int64 array above[m] = D(N // m), m <= M, filled
-lazily: its vectorized summatory(q) looks D(q) up for q <= y, and for
-q > y reads above[N // q], making one divisor_summatory call the first
-time an entry is asked for.  A q above y that is not a quotient of N is
-refused.  With the one size rule, summatory_table_size(N) = N^(2/3)
-capped at SUBLINEAR_TABLE_CAP, the sieve and those N^(1/3) evaluations of
-O(sqrt(N / m)) each both cost about N^(2/3); the array costs 8 N / y
-bytes, 4.8 MB at N = 10^13.
+Summatory table and the pass above it
+-------------------------------------
+summatory_table(y, N) serves one bound N, with sqrt(N) <= y.  It sieves
+d(n) once up to y and takes the int32 prefix sums D(0..y) in place; d(n)
+is read back as D(n) - D(n-1).  Every count of the census is a sum of D
+values (census.py has the identities), and every D it asks for above y is
+D(N // m) with m <= M = N // (y + 1) <= sqrt(N), because
+(N // a) // b = N // (ab).  So a D(q) with q <= y is a plain lookup, and
+the D above the table are taken in one streaming pass over m <= M
+(SummatoryTable.pass_sums).  The pass evaluates each D(N // m) once, block
+by block, and reduces it into two sums:
+
+    sum_{m<=M} D(N // m)              the part of S with b <= M, and
+    sum_{m<=M} 2^omega(m) D(N // m)   the part of the sum of d(n)^2 above,
+
+with omega(m) the number of distinct primes of m, from a sieve to M.  The
+second sum holds every hyperbola term of B with k^2 u = m <= M: those
+terms all read D(N // m), and their weights sum_{k^2 u = m} mu(k) d(u) are
+the coefficients of zeta(s)^2 / zeta(2s), which are 2^omega(m).  Each such
+pair has u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum, because
+M <= sqrt(N).  The terms sum_{m<=M} 2^omega(m) D(N // m) are at most
+N (1 + ln N) sum_{m<=sqrt(N)} d(m) / m <= N (1 + ln N) (1 + ln sqrt(N))^2
+< 2^62 on the census domain, so each block reduces in int64.  B then walks
+only its pairs with k^2 u > M, whose D(N // (k^2 u)) <= y are lookups, and
+C evaluates its about sqrt(M) values N // r^2 above y directly.
+
+With the one size rule, summatory_table_size(N) = N^(2/3) capped at
+SUBLINEAR_TABLE_CAP, the sieve costs about N^(2/3) and the pass
+sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y) terms, also about N^(2/3) below
+the cap.
+
+Batched summatory function
+--------------------------
+divisor_summatory_batch evaluates D(x) for an int64 array of x in float64
+blocks of about _BLOCK_CELLS cells: rows of x, sorted by r = isqrt(x),
+against one shared row of reciprocals 1/k, k = 1, 2, ...  A row wider than
+a block is split across column blocks.  A block of several rows is as
+wide as its widest, w, and needs no mask for the cells k > r of its
+narrower rows: x // k >= k exactly when k <= r, so max(x // k, k - 1)
+keeps the cells k <= r and puts k - 1 in the others, whose sum
+(w (w - 1) - r (r - 1)) / 2 is then taken back.  Three facts make it exact
+for x <= SUMMATORY_BATCH_MAX_X, the largest N of the census domain, and it
+refuses a larger x:
+
+- floor((x + 1/2) * fl(1/k)) = x // k.  With x = Qk + j, 0 <= j < k, the
+  exact (x + 1/2) / k lies in [Q + 1/(2k), Q + 1 - 1/(2k)], and the two
+  roundings move it by a relative 2^-52 at most, less than 1/(2k) while
+  x + 1/2 < 2^50.
+- floor(sqrt(x)) in float64 is isqrt(x) = r: the root of x = (r + 1)^2 - 1
+  falls short of r + 1 by about 1/(2r), more than half an ulp of r + 1
+  while x < 2^52, and sqrt is correctly rounded and monotone.
+- Every cell and every partial row sum is an integer of at most
+  sum_{k<=r} x / k + w^2 / 2 <= x (1 + ln sqrt(x)) + 2^47 < 2^53, so
+  float64 adds it exactly.
+
+The int64 divisor_summatory stays as the independent per-x route.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
+from typing import Iterator
 
 import numpy as np
 
@@ -106,6 +152,21 @@ SUBLINEAR_TABLE_CAP = 1 << 24
 # N = 10^11.
 _PAIR_CHUNK = 1 << 18
 
+# divisor_summatory_batch is exact up to the largest N of the census domain:
+# there sum_{k<=sqrt(x)} x / k <= x (1 + ln sqrt(x)) < 2^53 (module docstring).
+SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1) ** 2 - 1
+
+# Cells of one float64 block of divisor_summatory_batch: a 1 MiB working array.
+_BLOCK_CELLS = 1 << 17
+
+# Cells past its rows' ends that a block of divisor_summatory_batch may
+# carry rather than be split: about the cost of one more block's numpy
+# calls, and a 16th of a full block.
+_SPARE_CELLS = 1 << 13
+
+# Values m per step of a summatory table's pass over m <= M.
+_PASS_ROWS = 1 << 14
+
 
 @dataclass(frozen=True)
 class DivisorTable:
@@ -119,6 +180,16 @@ class DivisorTable:
     counts: np.ndarray
 
 
+def _sieve(n_max: int) -> np.ndarray:
+    """d(0..n_max) as a writable int32 array, d(0) = 0, by the paired-divisor pass."""
+    counts = np.zeros(n_max + 1, dtype=np.int32)
+    r = isqrt(n_max)
+    for k in range(1, r + 1):
+        counts[k * k :: k] += 2
+    counts[np.arange(1, r + 1) ** 2] -= 1
+    return counts
+
+
 def sieve_divisor_counts(n_max: int) -> DivisorTable:
     """Sieve d(1..n_max) via the paired-divisor pass described above."""
     if n_max < 1:
@@ -128,11 +199,7 @@ def sieve_divisor_counts(n_max: int) -> DivisorTable:
             f"in-memory divisor table refused at n_max={n_max} "
             f"(limit {TABLE_LIMIT}); use the segmented operations instead"
         )
-    counts = np.zeros(n_max + 1, dtype=np.int32)
-    for k in range(1, isqrt(n_max) + 1):
-        sq = k * k
-        counts[sq::k] += 2
-        counts[sq] -= 1
+    counts = _sieve(n_max)
     counts.setflags(write=False)
     return DivisorTable(n_max=n_max, counts=counts)
 
@@ -153,6 +220,61 @@ def divisor_summatory(x: int) -> int:
     return 2 * int(np.sum(x // np.arange(1, r + 1, dtype=np.int64))) - r * r
 
 
+def divisor_summatory_batch(x: np.ndarray) -> np.ndarray:
+    """D(x) as int64 for each entry of a nonincreasing 1-D int64 array, in float64 blocks.
+
+    Exact for 1 <= x <= SUMMATORY_BATCH_MAX_X, and a larger x is refused
+    (module docstring, "Batched summatory function").  The quotients
+    N // m of increasing m are nonincreasing; x in another order is refused.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if x.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if (x[1:] > x[:-1]).any():
+        raise ValueError("x must be nonincreasing")
+    if int(x[-1]) < 1:
+        raise ValueError(f"x must be >= 1, got {int(x[-1])}")
+    if int(x[0]) > SUMMATORY_BATCH_MAX_X:
+        raise ResourceLimitError(
+            f"batched D(x) refused at x={int(x[0])}: its float64 sums are exact "
+            f"only up to SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1)^2 - 1"
+        )
+    width = np.sqrt(x.astype(np.float64)).astype(np.int64)  # isqrt(x), nonincreasing
+    filled = np.cumsum(width)  # filled[j] - filled[i] = cells of rows i+1..j
+    shifted = x + 0.5  # exact in float64
+    sums = np.zeros(x.size)
+    block_width = np.empty(x.size, dtype=np.int64)
+    head = min(int(width[0]), _BLOCK_CELLS)
+    inv = 1.0 / np.arange(1, head + 1)
+    k_minus_1 = np.arange(head, dtype=np.float64)
+    cells = np.empty(min(_BLOCK_CELLS, x.size * int(width[0])))
+    i = 0
+    while i < x.size:
+        # Rows i..j-1: at most a block of cells, of which at most
+        # _SPARE_CELLS lie past the narrower rows' ends.
+        w = int(width[i])
+        rows = np.arange(1, min(x.size - i, max(1, _BLOCK_CELLS // w)) + 1)
+        spare = rows * w - (filled[i : i + rows.size] - filled[i] + w)  # nondecreasing
+        j = i + int(np.searchsorted(spare, _SPARE_CELLS, side="right"))
+        narrowest = int(width[j - 1])
+        step = _BLOCK_CELLS // (j - i)  # a lone row wider than a block spans several
+        for c0 in range(0, w, step):
+            c1 = min(c0 + step, w)
+            row = inv[c0:c1] if c1 <= inv.size else 1.0 / np.arange(c0 + 1, c1 + 1)
+            q = cells[: (j - i) * (c1 - c0)].reshape(j - i, c1 - c0)
+            np.multiply(shifted[i:j, None], row, out=q)
+            np.floor(q, out=q)
+            if c1 > narrowest:  # only in a block of several rows, so c1 <= head
+                tail = q[:, max(c0, narrowest) - c0 :]
+                np.maximum(tail, k_minus_1[max(c0, narrowest) : c1], out=tail)
+            sums[i:j] += q.sum(axis=1)
+        block_width[i:j] = w
+        i = j
+    # Each row's cells k = r + 1..w held k - 1: take them back.
+    spare = (block_width * (block_width - 1) - width * (width - 1)) // 2
+    return 2 * (sums.astype(np.int64) - spare) - width * width
+
+
 def divisor_list(n: int) -> list[int]:
     """Ascending divisors of n by trial division up to sqrt(n)."""
     if n < 1:
@@ -169,24 +291,32 @@ def divisor_list(n: int) -> list[int]:
 
 @dataclass(frozen=True)
 class SummatoryTable:
-    """D(q) for the q a census at N asks for: q <= n_max and q = N // m.
+    """D(q) for the q a census at N asks for: q <= n_max, and the pass above.
 
-    prefix[m] = D(m) = sum_{n<=m} d(n) for 0 <= m <= n_max.  d(n) =
-    prefix[n] - prefix[n-1] is read back from the prefix sums rather than
-    kept beside them, which halves the table's memory.  The prefix sums are
-    int32, exact because n_max <= SUBLINEAR_TABLE_CAP: D(y) <= y (1 + ln y)
-    < 3e8 < 2^31 there.
+    prefix[m] = D(m) = sum_{n<=m} d(n) for 0 <= m <= n_max, with n_max at
+    least sqrt(N).  d(n) = prefix[n] - prefix[n-1] is read back from the
+    prefix sums rather than kept beside them, which halves the table's
+    memory.  The prefix sums are int32, exact because n_max <=
+    SUBLINEAR_TABLE_CAP: D(y) <= y (1 + ln y) < 3e8 < 2^31 there.
 
-    above[m] = D(N // m) for 1 <= m <= N // (n_max + 1), the only D above
-    n_max that B, S and C at N ask for.  An entry stays 0 until it is first
-    asked for, which is unambiguous as D(q) >= 1, so B, S and C share each
-    evaluation.
+    The D(q) above n_max that B, S and C at N ask for are D(N // m) with
+    m <= M = N // (n_max + 1); pass_sums reduces them, once per table.
     """
 
     N: int
     n_max: int
     prefix: np.ndarray
-    above: np.ndarray
+
+    def __post_init__(self):
+        if self.n_max < isqrt(self.N):
+            raise ValueError(
+                f"summatory table size {self.n_max} is below sqrt(N) = {isqrt(self.N)}"
+            )
+
+    @property
+    def M(self) -> int:
+        """The m <= M whose D(N // m) lie above the table."""
+        return self.N // (self.n_max + 1)
 
     def counts(self, upto: int) -> np.ndarray:
         """d(0..upto) as int64, with d(0) = 0 as in DivisorTable.counts."""
@@ -197,28 +327,27 @@ class SummatoryTable:
         return d
 
     def summatory(self, q: np.ndarray) -> np.ndarray:
-        """D(q) as int64 for each entry q >= 1 of an int64 array.
+        """D(q) as int64 for each entry 1 <= q <= n_max of an int64 array."""
+        return self.prefix[q].astype(np.int64)
 
-        q <= n_max is a table lookup.  q above is read from above[N // q]
-        and must be a quotient N // m, else ValueError; each entry costs one
-        divisor_summatory call over the table's lifetime.
+    @cached_property
+    def pass_sums(self) -> tuple[int, int]:
+        """(sum_{m<=M} D(N // m), sum_{m<=M} 2^omega(m) D(N // m)), from one pass.
+
+        Each D(N // m) is evaluated once, _PASS_ROWS values of m at a time,
+        and dropped after the two sums take it (module docstring).  M = 0
+        costs nothing.
         """
-        big = q > self.n_max
-        out = self.prefix[np.where(big, 0, q)].astype(np.int64)
-        if big.any():
-            q_big = q[big]
-            m = np.maximum(self.N // q_big, 1)  # q > N gives 0, and N // 1 != q
-            wrong = self.N // m != q_big
-            if wrong.any():
-                raise ValueError(
-                    f"q={int(q_big[wrong][0])} exceeds table.n_max={self.n_max} "
-                    f"and is not N // m for the table's N={self.N}"
-                )
-            need = np.sort(m[self.above[m] == 0])
-            for k in need[np.diff(need, prepend=0) > 0].tolist():  # each distinct m once
-                self.above[k] = divisor_summatory(self.N // k)
-            out[big] = self.above[m]
-        return out
+        plain = weighted = 0
+        M = self.M
+        if M:
+            weights = _two_pow_omega_table(M)
+            for lo in range(1, M + 1, _PASS_ROWS):
+                m = np.arange(lo, min(lo + _PASS_ROWS, M + 1), dtype=np.int64)
+                d = divisor_summatory_batch(self.N // m)
+                plain += int(d.sum())
+                weighted += int(np.dot(weights[m].astype(np.int64), d))
+        return plain, weighted
 
 
 def summatory_table_size(n_max: int) -> int:
@@ -237,17 +366,21 @@ def summatory_table_size(n_max: int) -> int:
 
 
 def summatory_table(y: int, N: int) -> SummatoryTable:
-    """Sieve d(1..y) once and take the prefix sums D(1..y), for sums at bound N."""
+    """Sieve d(1..y) once and take the prefix sums D(1..y) in place, for sums at bound N.
+
+    y must be at least sqrt(N).  The prefix sums overwrite the sieve's own
+    int32 counts, so the table peaks at 4 bytes an entry.
+    """
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if y > SUBLINEAR_TABLE_CAP:
         raise ValueError(
             f"summatory table size {y} exceeds SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
         )
-    prefix = np.cumsum(sieve_divisor_counts(y).counts, dtype=np.int32)
+    prefix = _sieve(y)
+    np.cumsum(prefix, out=prefix)
     prefix.setflags(write=False)
-    above = np.zeros(N // (y + 1) + 1, dtype=np.int64)
-    return SummatoryTable(N=N, n_max=y, prefix=prefix, above=above)
+    return SummatoryTable(N=N, n_max=y, prefix=prefix)
 
 
 def divisor_square_summatory(x: int, table: DivisorTable) -> int:
@@ -315,39 +448,69 @@ def divisor_square_summatory_segmented(
     return total
 
 
-def _mobius_table(n_max: int) -> np.ndarray:
-    """mu(0..n_max) as int8, mu(0) = 0.
-
-    Each prime p <= sqrt(n_max) flips the sign of its multiples, zeroes the
-    multiples of p^2 and is multiplied into small_part, the product of the
-    distinct small primes of each multiple.  A number that small_part falls
-    short of has exactly one prime factor above sqrt(n_max) left, which
-    flips the sign once more.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    mu = np.ones(n_max + 1, dtype=np.int8)
-    small_part = np.ones(n_max + 1, dtype=np.int64)
+def _small_primes(n_max: int) -> Iterator[int]:
+    """The primes p <= sqrt(n_max), by a sieve of Eratosthenes."""
     r = isqrt(n_max)
     is_prime = np.ones(r + 1, dtype=bool)
     for p in range(2, r + 1):
         if is_prime[p]:
             is_prime[p * p :: p] = False
-            mu[p::p] *= -1
-            mu[p * p :: p * p] = 0
-            small_part[p::p] *= p
-    mu[small_part < np.arange(n_max + 1)] *= -1
+            yield p
+
+
+def _mobius_table(n_max: int) -> np.ndarray:
+    """mu(0..n_max) as int8, mu(0) = 0.
+
+    Each prime p <= sqrt(n_max) flips the sign of its multiples, zeroes the
+    multiples of p^2 and is divided once out of rest, an int32 copy of n
+    (n_max <= SUBLINEAR_TABLE_CAP here).  A squarefree n whose rest stays
+    above 1 has exactly one prime factor above sqrt(n_max) left, which
+    flips the sign once more; mu is 0 already wherever rest misses a power.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    mu = np.ones(n_max + 1, dtype=np.int8)
+    rest = np.arange(n_max + 1, dtype=np.int32)
+    for p in _small_primes(n_max):
+        mu[p::p] *= -1
+        mu[p * p :: p * p] = 0
+        rest[p::p] //= p
+    mu[rest > 1] *= -1
     mu[0] = 0
     return mu
+
+
+def _two_pow_omega_table(n_max: int) -> np.ndarray:
+    """2^omega(n) for 0 <= n <= n_max as int16, omega(n) the number of distinct
+    primes of n; 0 at n = 0.
+
+    As in _mobius_table, but each prime p <= sqrt(n_max) doubles its
+    multiples and is divided out of rest at every power p^e <= n_max, so
+    that a rest above 1 always is one prime above sqrt(n_max), which
+    doubles once more.  2^omega(n) <= 2^8 for n <= SUBLINEAR_TABLE_CAP.
+    """
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
+    weights = np.ones(n_max + 1, dtype=np.int16)
+    weights[0] = 0
+    rest = np.arange(n_max + 1, dtype=np.int32)
+    for p in _small_primes(n_max):
+        weights[p::p] *= 2
+        power = p
+        while power <= n_max:
+            rest[power::power] //= p
+            power *= p
+    weights[rest > 1] *= 2
+    return weights
 
 
 def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None = None) -> int:
     """sum_{n<=n_max} d(n)^2 = sum_{k<=sqrt(n_max)} mu(k) D_4(n_max // k^2), exactly.
 
     See the module docstring for the identity and the cost.  d(u) is needed
-    up to sqrt(n_max), so the table, built for N = n_max, must reach that
-    far, and n_max >= (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is refused.
-    Without a table, one of summatory_table_size(n_max) entries is sieved.
+    up to sqrt(n_max), which a table built for N = n_max reaches, and
+    n_max >= (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is refused.  Without a
+    table, one of summatory_table_size(n_max) entries is sieved.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -359,32 +522,46 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
         )
     if table is None:
         table = summatory_table(summatory_table_size(n_max), n_max)
-    elif table.n_max < root:
-        raise ValueError(f"table.n_max={table.n_max} is below sqrt(n_max) = {root}")
-    d = table.counts(root)
+    elif table.N != n_max:
+        raise ValueError(f"table built for N={table.N}, not for n_max={n_max}")
 
+    above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
     mu = _mobius_table(root)
     ks = np.flatnonzero(mu)
-    lengths = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
-    corner = table.prefix[lengths].astype(np.int64)  # D(isqrt(n_max // k^2))
+    runs = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
+    corner = table.prefix[runs].astype(np.int64)  # D(isqrt(n_max // k^2))
     corners = int(np.dot(mu[ks] * corner, corner))
-    ends = np.cumsum(lengths)
-    n_pairs = int(ends[-1])
-    # The (k, u) pairs are laid out k by k, each k a run of u = 1..lengths[k],
-    # and taken _PAIR_CHUNK at a time, so a long run (k = 1 has sqrt(n_max)
-    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs [lo, hi).
-    # positive and negative are P and M of the module docstring.
+    del corner
+    # The pairs with u <= M // k^2 are in the pass's weighted sum.  The walk
+    # takes the rest, u = M // k^2 + 1..isqrt(n_max) // k, whose
+    # D(n_max // (k^2 u)) <= n_max are in the table.  Only the k <= sqrt(M)
+    # lose pairs, and only k = 1 can lose its whole run (when M = isqrt(n_max)):
+    # for k >= 2, M <= isqrt(n_max) gives isqrt(n_max) // k >= k (M // k^2).
+    few = int(np.searchsorted(ks, isqrt(table.M), side="right"))
+    runs[:few] -= table.M // (ks[:few] * ks[:few])
+    first = int(runs[0] == 0)
+    ks, runs = ks[first:], runs[first:]
+    ends = np.cumsum(runs)
+    n_pairs = int(ends[-1]) if ends.size else 0
+    # The (k, u) pairs are laid out k by k, each k a run, and taken
+    # _PAIR_CHUNK at a time, so a long run (k = 1 has about sqrt(n_max)
+    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs
+    # [lo, hi), none of them empty.  positive and negative are P+ and P- of
+    # the module docstring.
     positive = negative = 0
     for lo in range(0, n_pairs, _PAIR_CHUNK):
         hi = min(lo + _PAIR_CHUNK, n_pairs)
         i = int(np.searchsorted(ends, lo, side="right"))
         j = int(np.searchsorted(ends, hi, side="left")) + 1
-        k, begin = ks[i:j], ends[i:j] - lengths[i:j]
+        k, begin = ks[i:j], ends[i:j] - runs[i:j]
         run = np.minimum(ends[i:j], hi) - np.maximum(begin, lo)
-        u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin, run)
+        skip = table.M // (k * k)
+        u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin - skip, run)
         d_sum = table.summatory(np.repeat(n_max // (k * k), run) // u)
-        terms = d[u].astype(np.uint64) * d_sum.astype(np.uint64)
-        plus = np.repeat(mu[k] > 0, run)
-        positive += int(terms[plus].sum())
-        negative += int(terms[~plus].sum())
-    return 2 * (positive - negative) - corners
+        d_u = table.prefix[u] - table.prefix[u - 1]
+        terms = d_u.astype(np.uint64) * d_sum.astype(np.uint64)
+        by_k = np.add.reduceat(terms, np.cumsum(run) - run)
+        plus = mu[k] > 0
+        positive += int(by_k[plus].sum())
+        negative += int(by_k[~plus].sum())
+    return 2 * (above + positive - negative) - corners

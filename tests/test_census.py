@@ -144,12 +144,26 @@ def loop_s_and_c(n):
 @settings(max_examples=120, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000), data=st.data())
 def test_s_and_c_from_any_table_size_match_loops(n, data):
-    # Tables below sqrt(n) send q > y through the fallback in both S sums
-    # and in C; larger ones only in the first S sum and in C.
-    y = data.draw(st.one_of(st.integers(1, isqrt(n)), st.integers(1, n)), label="y")
-    table = summatory_table(y, n)
+    # A table of size y in [sqrt(n), n] leaves M = n // (y + 1) <= sqrt(n)
+    # values D(n // m) to its pass: up to sqrt(n) of them at y = isqrt(n),
+    # none at y = n.  B from the same table is checked against the
+    # segmented sum of d(n)^2, a route that shares no code with the pass.
+    root = isqrt(n)
+    y = data.draw(st.one_of(st.integers(root, 2 * root), st.integers(root, n)), label="y")
+    table = summatory_table(min(y, n), n)
     got = (count_da_over_hyperbola(n, table), count_gcd_divisor_sum(n, table))
     assert got == loop_s_and_c(n)
+    b = divisor_core.divisor_square_summatory_sublinear(n, table)
+    assert b == divisor_core.divisor_square_summatory_segmented(n)
+
+
+def test_tables_below_sqrt_n_or_for_another_n_are_refused():
+    with pytest.raises(ValueError, match="below sqrt"):
+        summatory_table(99, 10**4)
+    table = summatory_table(100, 10**4)
+    for op in (count_all_triples, count_da_over_hyperbola, count_gcd_divisor_sum):
+        with pytest.raises(ValueError, match="N=10000"):
+            op(10**4 - 1, table)
 
 
 @pytest.mark.parametrize(
@@ -172,13 +186,13 @@ def test_fast_census_sieves_once(n, monkeypatch):
     # cutoff on each census sieves its own.
     census._small_prefix.cache_clear()
     sieved = []
-    real = divisor_core.sieve_divisor_counts
+    real = divisor_core._sieve
 
     def spy(n_max, *args, **kwargs):
         sieved.append(n_max)
         return real(n_max, *args, **kwargs)
 
-    monkeypatch.setattr(divisor_core, "sieve_divisor_counts", spy)
+    monkeypatch.setattr(divisor_core, "_sieve", spy)
     if n < SUBLINEAR_B_CUTOFF:
         for m in (1, n, 17):
             fast_census(m)
@@ -215,7 +229,7 @@ def test_shared_table_reaches_exactly_as_far_as_it_is_larger():
     shared, own = census.census_table(LAST_SHARED_N), census.census_table(LAST_SHARED_N + 1)
     assert shared.n_max == SUBLINEAR_B_CUTOFF - 1
     assert np.shares_memory(shared.prefix, census._small_prefix())
-    assert len(shared.above) == LAST_SHARED_N // SUBLINEAR_B_CUTOFF + 1
+    assert shared.M == LAST_SHARED_N // SUBLINEAR_B_CUTOFF
     assert own.n_max == size(LAST_SHARED_N + 1)
 
 
@@ -231,7 +245,7 @@ def test_census_from_the_shared_table_above_the_cutoff_matches_a_private_table(n
 def test_census_above_the_cutoff_reads_the_shared_table_without_sieving(n, monkeypatch):
     want = private_b_s_c(n, divisor_core.summatory_table_size(n))
     census._small_prefix()  # sieved once per process, by whichever census comes first
-    monkeypatch.setattr(divisor_core, "sieve_divisor_counts", None)
+    monkeypatch.setattr(divisor_core, "_sieve", None)
     got = fast_census(n)
     assert (got.b_count, got.s_count, got.c_count) == want
     assert census.census_table(n).n_max == SUBLINEAR_B_CUTOFF - 1
@@ -250,31 +264,61 @@ def test_shared_small_table_is_read_only():
     assert (fast.b_count, fast.s_count, fast.c_count) == (brute.b_count, brute.s_count, brute.c_count)
 
 
-def test_d_above_the_table_is_evaluated_once_per_census(monkeypatch):
-    # Every D above the table is D(n // m), m <= M = n // (y + 1); B asks
-    # for each of them, and S and C then find them all in the table.
+def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
+    # Every D above the table is D(n // m), m <= M = n // (y + 1).  The
+    # table's pass evaluates each once, for B and S together; C evaluates
+    # only its squares m = r^2 <= M.
     n = 10**6
     m_max = n // (divisor_core.summatory_table_size(n) + 1)
-    calls = []
-    real = divisor_core.divisor_summatory
-    monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: calls.append(x) or real(x))
-    fast_census(n)
     assert m_max == 100
-    assert sorted(calls) == sorted(n // m for m in range(1, m_max + 1))
-    calls.clear()
+    in_pass, in_c = [], []
+    real = divisor_core.divisor_summatory_batch
+
+    def spy(calls):
+        return lambda x: calls.extend(x.tolist()) or real(x)
+
+    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", spy(in_pass))
+    monkeypatch.setattr(census, "divisor_summatory_batch", spy(in_c))
+    fast_census(n)
+    assert sorted(in_pass) == sorted(n // m for m in range(1, m_max + 1))
+    assert sorted(in_c) == sorted(n // (r * r) for r in range(1, isqrt(m_max) + 1))
+    in_pass.clear()
     table = census.census_table(n)
     count_all_triples(n, table)
-    assert len(calls) == m_max
+    assert len(in_pass) == m_max
     count_da_over_hyperbola(n, table)
-    count_gcd_divisor_sum(n, table)
-    assert len(calls) == m_max
-    calls.clear()
-    count_gcd_divisor_sum(n)  # alone, C asks only for the squares m = r^2 <= M
-    assert sorted(calls) == sorted(n // (r * r) for r in range(1, isqrt(m_max) + 1))
+    assert len(in_pass) == m_max  # S reads the same pass
+    in_pass.clear()
+    count_gcd_divisor_sum(n)  # alone, C makes no pass
+    assert in_pass == []
+
+
+def test_small_census_makes_no_pass(monkeypatch):
+    # Below SUBLINEAR_B_CUTOFF the table runs to N, so M = 0.
+    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", None)
+    monkeypatch.setattr(census, "divisor_summatory_batch", None)
+    for n in (1, 100, SUBLINEAR_B_CUTOFF - 1):
+        table = census.census_table(n)
+        assert table.M == 0 and table.pass_sums == (0, 0)
+        fast_census(n)  # neither the pass nor C calls the batched D
+    got, want = fast_census(100), ORACLE[99]
+    assert (got.b_count, got.s_count, got.c_count) == (want.b_count, want.s_count, want.c_count)
+
+
+def test_census_pins_at_10_12():
+    # At 10^12 the pass evaluates 59604 D(N // m) and B walks its pairs with
+    # k^2 u > M; the pins come from the earlier route, which evaluated each
+    # D(N // m) by the per-x int64 divisor_summatory.
+    got = fast_census(10**12)
+    assert (got.b_count, got.s_count, got.c_count) == (
+        2728918556059128,
+        402439152166882,
+        43830142939380,
+    )
 
 
 def test_fast_census_refuses_before_sieving(monkeypatch):
-    monkeypatch.setattr(divisor_core, "sieve_divisor_counts", None)
+    monkeypatch.setattr(divisor_core, "_sieve", None)
     first = (SUBLINEAR_TABLE_CAP + 1) ** 2
     for op in (
         count_all_triples,

@@ -296,18 +296,37 @@ def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
 
 
 def test_verify_checks_the_sublinear_identity(capsys, monkeypatch):
+    # Off by one from the table of the default size only.
     real = divisor_core.divisor_square_summatory_sublinear
-    monkeypatch.setattr(divisor_core, "divisor_square_summatory_sublinear", lambda n: real(n) + 1)
+    monkeypatch.setattr(
+        divisor_core,
+        "divisor_square_summatory_sublinear",
+        lambda n, table=None: real(n, table) + (table is None),
+    )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "mismatch at N=100: B sublinear=" in out
 
 
+def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
+    # Off by one from the table of size sqrt(max_n) only.
+    real = divisor_core.divisor_square_summatory_sublinear
+    monkeypatch.setattr(
+        divisor_core,
+        "divisor_square_summatory_sublinear",
+        lambda n, table=None: real(n, table) + (table is not None),
+    )
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert "mismatch at N=100: B from a table of size 10=" in out
+
+
 def test_verify_checks_the_table_fallback(capsys, monkeypatch):
     # An off-by-one D(q) above the table reaches no census below the B
-    # cutoff; only the check from a table of size sqrt(max_n) sees it.
-    real = divisor_core.divisor_summatory
-    monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: real(x) + 1)
+    # cutoff; only the checks from a table of size sqrt(max_n) see it, in
+    # the pass that S and B share.
+    real = divisor_core.divisor_summatory_batch
+    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", lambda x: real(x) + 1)
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "mismatch at N=100: S from a table of size 10=" in out

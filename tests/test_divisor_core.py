@@ -1,6 +1,7 @@
 """Sieve, summatory and summatory-table primitives against trial-division oracles."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 from math import factorial, gcd, isqrt
 
@@ -12,15 +13,18 @@ from divcensus import divisor_core
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import (
     SUBLINEAR_TABLE_CAP,
+    SUMMATORY_BATCH_MAX_X,
     SUMMATORY_MAX_X,
     TABLE_LIMIT,
     DivisorTable,
     SummatoryTable,
     _mobius_table,
+    _two_pow_omega_table,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
     divisor_square_summatory_sublinear,
     divisor_summatory,
+    divisor_summatory_batch,
     iter_divisor_segments,
     sieve_divisor_counts,
     summatory_table,
@@ -156,6 +160,44 @@ def test_summatory_refuses_above_int64_bound(monkeypatch):
         divisor_summatory(SUMMATORY_MAX_X + 1)
 
 
+# -- divisor_summatory_batch -------------------------------------------------
+
+def test_batch_summatory_matches_per_x_route_up_to_1e5():
+    x = np.arange(10**5, 0, -1, dtype=np.int64)
+    assert divisor_summatory_batch(x).tolist() == [divisor_summatory(v) for v in range(10**5, 0, -1)]
+    # Repeats, gaps and the empty array.
+    picked = np.sort(np.random.default_rng(1).integers(1, 10**5, size=5000))[::-1]
+    assert divisor_summatory_batch(picked).tolist() == [divisor_summatory(int(v)) for v in picked]
+    assert divisor_summatory_batch(np.array([], dtype=np.int64)).size == 0
+
+
+@settings(max_examples=15, deadline=None)
+@given(x=st.lists(st.integers(min_value=1, max_value=2**48 - 1), min_size=1, max_size=3))
+def test_batch_summatory_matches_per_x_route_below_2_48(x):
+    x = sorted(x, reverse=True)
+    assert divisor_summatory_batch(np.array(x, dtype=np.int64)).tolist() == [
+        divisor_summatory(v) for v in x
+    ]
+
+
+def test_batch_summatory_at_its_bound_and_refused_above(monkeypatch):
+    # isqrt(SUMMATORY_BATCH_MAX_X) = 2^24 columns: the one row is split
+    # across many column blocks.  Beside it, a row of one column block.
+    x = np.array([SUMMATORY_BATCH_MAX_X, 10**6], dtype=np.int64)
+    assert isqrt(SUMMATORY_BATCH_MAX_X) > 64 * divisor_core._BLOCK_CELLS
+    assert divisor_summatory_batch(x).tolist() == [divisor_summatory(int(v)) for v in x]
+    # A smaller block splits rows of the 10^4 range too.
+    monkeypatch.setattr(divisor_core, "_BLOCK_CELLS", 16)
+    small = np.arange(10_000, 8_999, -7, dtype=np.int64)
+    assert divisor_summatory_batch(small).tolist() == [divisor_summatory(int(v)) for v in small]
+    with pytest.raises(ResourceLimitError, match="SUMMATORY_BATCH_MAX_X"):
+        divisor_summatory_batch(np.array([SUMMATORY_BATCH_MAX_X + 1, 5], dtype=np.int64))
+    with pytest.raises(ValueError, match=">= 1"):
+        divisor_summatory_batch(np.array([5, 0], dtype=np.int64))
+    with pytest.raises(ValueError, match="nonincreasing"):
+        divisor_summatory_batch(np.array([5, 6], dtype=np.int64))
+
+
 # -- sum of d(n)^2 -----------------------------------------------------------
 
 def test_square_summatory_known_values():
@@ -227,11 +269,47 @@ def moebius_by_factoring(n: int) -> int:
     return -sign if n > 1 else sign
 
 
+def omega_by_factoring(n: int) -> int:
+    """Independent oracle: the number of distinct primes of n, by trial division."""
+    count, p = 0, 2
+    while p * p <= n:
+        if n % p == 0:
+            count += 1
+            while n % p == 0:
+                n //= p
+        p += 1
+    return count + (n > 1)
+
+
 def test_mobius_table_matches_factoring():
     mu = _mobius_table(5000)
     assert mu[0] == 0
     assert mu[1:].tolist() == [moebius_by_factoring(n) for n in range(1, 5001)]
     assert _mobius_table(1).tolist() == [0, 1]
+
+
+def test_two_pow_omega_table_matches_factoring():
+    weights = _two_pow_omega_table(5000)
+    assert weights.tolist() == [0] + [2 ** omega_by_factoring(n) for n in range(1, 5001)]
+    assert _two_pow_omega_table(1).tolist() == [0, 1]
+    assert _two_pow_omega_table(30030)[30030] == 2**6  # 2 * 3 * 5 * 7 * 11 * 13
+    # 2^omega(m) = sum_{k^2 u = m} mu(k) d(u), the weight of D(N // m) in the pass.
+    for m in range(1, 2001):
+        weight = sum(
+            moebius_by_factoring(k) * ORACLE_D[m // (k * k)]
+            for k in range(1, isqrt(m) + 1)
+            if m % (k * k) == 0
+        )
+        assert weight == weights[m], m
+
+
+def test_mobius_table_traces_under_eight_bytes_an_entry():
+    n = 10**6
+    tracemalloc.start()
+    _mobius_table(n)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 8 * n
 
 
 @settings(max_examples=150, deadline=None)
@@ -260,9 +338,12 @@ def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
         mp.setattr(SummatoryTable, "summatory", spy)
         got = divisor_square_summatory_sublinear(n)
     assert got == divisor_square_summatory(n, TABLE_30K)
-    assert max(sizes) <= chunk
+    assert max(sizes, default=0) <= chunk
+    # Only the pairs with k^2 u > M are walked; the pass has the rest.
     root = isqrt(n)
-    assert sum(sizes) == sum(root // k for k in range(1, root + 1) if moebius_by_factoring(k))
+    m_max = n // (summatory_table_size(n) + 1)
+    pairs = sum(root // k - m_max // (k * k) for k in range(1, root + 1) if moebius_by_factoring(k))
+    assert sum(sizes) == pairs
 
 
 def test_sublinear_square_summatory_at_squares_and_neighbours():
@@ -331,6 +412,40 @@ def test_int64_hyperbola_bound_at_threshold():
     assert 2**24 * (1 + 24 * hi) < 2**31
 
 
+def test_batch_summatory_bounds_at_threshold():
+    # floor((x + 1/2) * fl(1/k)) = x // k needs x + 1/2 < 2^50, and each row
+    # sum is at most x (1 + ln sqrt(x)) < 2^53, as sqrt(x) < 2^25.
+    hi = ln2_upper_bound()
+    assert SUMMATORY_BATCH_MAX_X == CENSUS_TOP - 1
+    assert SUMMATORY_BATCH_MAX_X + 1 < 2**50
+    assert SUMMATORY_BATCH_MAX_X * (1 + 25 * hi) < 2**53
+    # The pass's weighted sum, at most N (1 + ln N) (1 + ln sqrt(N))^2, fits int64.
+    assert CENSUS_TOP * (1 + 49 * hi) * (1 + 25 * hi) ** 2 < 2**63
+
+
+def test_reciprocal_floor_is_exact_at_multiples_near_the_bound():
+    # x // k by the reciprocal fails first where k divides x: (x + 1/2) / k
+    # then sits 1/(2k) above an integer.  Check x = jk - 1, jk, jk + 1
+    # near SUMMATORY_BATCH_MAX_X for random k <= 2^24.
+    rng = np.random.default_rng(7)
+    k = rng.integers(1, 2**24 + 1, size=1 << 16)
+    j = SUMMATORY_BATCH_MAX_X // k - rng.integers(0, 3, size=k.size)
+    inv = 1.0 / k.astype(np.float64)
+    for x in (j * k - 1, j * k, j * k + 1):
+        x = np.minimum(x, SUMMATORY_BATCH_MAX_X)
+        assert (np.floor((x + 0.5) * inv).astype(np.int64) == x // k).all()
+
+
+def test_float_root_is_isqrt_near_the_bound():
+    # The float64 root of x floors to isqrt(x) while x < 2^52; the closest
+    # calls are x = r^2 - 1 just below a square.
+    r = np.arange(2**24 - 2**12, 2**24 + 2, dtype=np.int64)
+    for x in (r * r - 1, r * r, r * r + 1):
+        x = x[x <= SUMMATORY_BATCH_MAX_X]
+        root = np.sqrt(x.astype(np.float64)).astype(np.int64)
+        assert (root * root <= x).all() and ((root + 1) ** 2 > x).all()
+
+
 def test_machine_integer_bounds():
     # divisor_summatory's int64 sum is at most D(x) <= x (1 + ln x) < 2^63
     # for x <= 2^52.
@@ -353,38 +468,48 @@ def test_piltz_bound_holds_for_small_x():
 
 
 def sublinear_in_python_ints(n: int, table: SummatoryTable) -> tuple[int, int]:
-    """B from the table's D values by the k loop in Python ints, and its P."""
+    """B by the k loop in Python ints, and P+ over its pairs read from the table.
+
+    D(q) is the table's prefix[q] for q <= n_max and the per-x
+    divisor_summatory above, and d(u) = prefix[u] - prefix[u - 1].
+    """
+    prefix = [int(v) for v in table.prefix]
     root = isqrt(n)
-    d = table.counts(root).tolist()
     total = positive = 0
     for k in range(1, root + 1):
         mu = moebius_by_factoring(k)
         x = n // (k * k)
         if mu:
-            hyperbola = sum(
-                d[u] * int(table.summatory(np.array([x // u]))[0])
-                for u in range(1, isqrt(x) + 1)
-            )
-            total += mu * (2 * hyperbola - int(table.prefix[isqrt(x)]) ** 2)
-            positive += hyperbola if mu == 1 else 0
+            hyperbola = above = 0
+            for u in range(1, isqrt(x) + 1):
+                q = x // u
+                d_sum = prefix[q] if q <= table.n_max else divisor_summatory(q)
+                term = (prefix[u] - prefix[u - 1]) * d_sum
+                hyperbola += term
+                above += term if q > table.n_max else 0
+            total += mu * (2 * hyperbola - prefix[isqrt(x)] ** 2)
+            positive += hyperbola - above if mu == 1 else 0
     return total, positive
 
 
 def test_hyperbola_sums_exact_between_2_63_and_2_64():
-    # Near N = 2^48 the proven bound on P, the sum over the pairs with
-    # mu(k) = 1, passes 2^63: a sum between the two must reduce exactly,
-    # where int64 wraps.  Here D(100 // m) for m = 1, 2, 3, which only the
-    # pairs (k, u) = (1, m) read, is faked near 2^61 in a table for N = 100,
-    # so that P = 5 * 2^61 + O(10^3).
-    n = 100
-    table = summatory_table(isqrt(n), n)
-    for m in range(1, table.above.size):
-        table.above[m] = divisor_summatory(n // m)
-    table.above[1:4] = [2**61 + 7, 2**61 + 3, 2**61 + 1]
+    # Near N = 2^48 the proven bound on P+, the sum over the pairs with
+    # mu(k) = 1 that the table answers, passes 2^63: a sum between the two
+    # must reduce exactly, where int64 wraps.  Here, in a table for
+    # N = 10^4 of size 1000, D(909) and D(769), which only the pairs
+    # (k, u) = (1, 11) and (1, 13) read, with d(11) = d(13) = 2, are faked
+    # near 2^61, so that P+ = 2^63 + O(10^7).  Above sqrt(N) = 100 the
+    # prefix is only read as D, never as d(u).
+    n, y = 10**4, 1000
+    real = summatory_table(y, n)
+    prefix = real.prefix.astype(np.int64)
+    prefix[909], prefix[769] = 2**61 + 7, 2**61 + 3
+    table = SummatoryTable(N=n, n_max=y, prefix=prefix)
     want, positive = sublinear_in_python_ints(n, table)
     assert 2**63 < positive < 2**64
     got = divisor_square_summatory_sublinear(n, table)
     assert type(got) is int and got == want
+    assert sublinear_in_python_ints(n, real)[0] == divisor_square_summatory(n, TABLE)
 
 
 # -- summatory table -----------------------------------------------------------
@@ -411,9 +536,9 @@ def test_summatory_table_holds_d_and_prefix_sums():
     assert table.counts(10_000).tolist() == ORACLE_D
     assert table.counts(1).tolist() == [0, 1]
     assert table.prefix.tolist() == np.cumsum(ORACLE_D).tolist()
-    assert not table.prefix.flags.writeable
+    assert table.prefix.dtype == np.int32 and not table.prefix.flags.writeable
     assert table.N == 10**6
-    assert table.above.dtype == np.int64 and table.above.tolist() == [0] * 100  # m = 0..99
+    assert table.M == 99  # 10^6 // 10001
     with pytest.raises(ValueError):
         table.counts(10_001)
     with pytest.raises(ValueError, match="SUBLINEAR_TABLE_CAP"):
@@ -422,44 +547,56 @@ def test_summatory_table_holds_d_and_prefix_sums():
         summatory_table(10, 0)
 
 
-def test_summatory_table_lookup_and_fallback(monkeypatch):
+def test_summatory_table_lookup():
     table = summatory_table(100, 10**4)
-    calls = []
-    real = divisor_core.divisor_summatory
-    monkeypatch.setattr(divisor_core, "divisor_summatory", lambda x: calls.append(x) or real(x))
-    # 101 = 10^4 // 99 and 5000 = 10^4 // 2 are quotients of the table's N.
-    q = np.array([1, 100, 101, 5000, 101, 7, 5000], dtype=np.int64)
-    want = [divisor_summatory(int(v)) for v in q]
+    q = np.array([1, 100, 99, 7, 100], dtype=np.int64)
     got = table.summatory(q)
-    assert got.dtype == np.int64 and got.tolist() == want
-    assert sorted(calls) == [101, 5000]  # one call per distinct q above the table
-    assert table.summatory(q[::-1]).tolist() == want[::-1]
-    assert sorted(calls) == [101, 5000]  # remembered across calls
-    filled = {m: v for m, v in enumerate(table.above.tolist()) if v}
-    assert filled == {2: want[3], 99: want[2]}
+    assert got.dtype == np.int64 and got.tolist() == [divisor_summatory(int(v)) for v in q]
 
 
-@pytest.mark.parametrize("q", [5001, 10**4 + 1, 2**40])
-def test_summatory_table_refuses_a_non_quotient(q):
-    # 5001 lies between 10^4 // 2 and 10^4 // 1; the others exceed N.
+@pytest.mark.parametrize("q", [101, 5001, 10**4 + 1, 2**40])
+def test_summatory_table_refuses_q_above_the_table(q):
+    # Every D above the table comes from its pass, never from a lookup.
     table = summatory_table(100, 10**4)
-    with pytest.raises(ValueError, match=f"q={q}"):
-        table.summatory(np.array([3, 5000, q], dtype=np.int64))
-    assert table.summatory(np.array([3, 101], dtype=np.int64)).tolist() == [5, divisor_summatory(101)]
+    with pytest.raises(IndexError):
+        table.summatory(np.array([3, q], dtype=np.int64))
 
 
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000), data=st.data())
 def test_summatory_table_answers_every_quotient(n, data):
-    y = data.draw(st.integers(min_value=1, max_value=n), label="y")
+    # Each D(n // m) is a lookup when n // m <= y, and otherwise, m <= M,
+    # a term of the pass: plain, and weighted by 2^omega(m).
+    y = data.draw(st.integers(min_value=isqrt(n), max_value=n), label="y")
     table = summatory_table(y, n)
-    q = n // np.arange(1, n + 1, dtype=np.int64)
-    distinct = np.unique(q).tolist()
-    by_q = dict(zip(distinct, (divisor_summatory(v) for v in distinct)))
-    assert table.summatory(q).tolist() == [by_q[v] for v in q.tolist()]
-    # Filled: the entry m = n // q of each distinct q above the table.
-    assert table.above.size == n // (y + 1) + 1
-    assert set(np.flatnonzero(table.above).tolist()) == {n // v for v in distinct if v > y}
+    m = np.arange(1, n + 1, dtype=np.int64)
+    q = n // m
+    below = q <= y
+    assert table.M == n // (y + 1) == int((~below).sum())
+    assert table.summatory(q[below]).tolist() == [divisor_summatory(v) for v in q[below].tolist()]
+    above = [(int(v), divisor_summatory(int(n // v))) for v in m[~below]]
+    weights = {v: 2 ** omega_by_factoring(v) for v, _ in above}
+    assert table.pass_sums == (sum(d for _, d in above), sum(weights[v] * d for v, d in above))
+
+
+def test_pass_is_taken_once_per_table(monkeypatch):
+    table = summatory_table(1000, 10**6)
+    calls = []
+    real = divisor_core.divisor_summatory_batch
+    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", lambda x: calls.append(x.size) or real(x))
+    monkeypatch.setattr(divisor_core, "_PASS_ROWS", 300)  # M = 999 in four steps
+    sums = table.pass_sums
+    assert calls == [300, 300, 300, 99]
+    assert table.pass_sums is sums and len(calls) == 4
+
+
+def test_summatory_table_peaks_at_four_bytes_an_entry():
+    y = 10**6
+    tracemalloc.start()
+    summatory_table(y, y)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 4 * y + 2**16
 
 
 def test_sublinear_square_summatory_takes_a_table():
