@@ -202,7 +202,8 @@ def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int
     above = isqrt(table.M)
     total = 0
     if above:
-        total += int(divisor_summatory_batch(N // np.arange(1, above + 1, dtype=np.int64) ** 2).sum())
+        r = np.arange(1, above + 1, dtype=np.int64)
+        total += int(divisor_summatory_batch(N // (r * r)).sum())
     for r in _ranges(above + 1, isqrt(N)):
         total += int(table.summatory(N // (r * r)).sum())
     return total

@@ -48,11 +48,12 @@ where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
 u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1; the pairs whose
 D(x_k // u) lies above the summatory table come from its pass instead
 (below), which only shrinks P+ and P-.  Their terms are nonnegative, so
-each is reduced in uint64, a step of pairs at a time, into a Python int.  The sum
-over u of one x is at most D_4(x), as it is at least D(floor(sqrt(x)))^2,
-and D_k(x) <= x (1 + ln x)^(k-1) (induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m)
-with sum_{m<=x} 1/m <= 1 + ln x).  The smallest k > 1 with mu(k) = 1 is 6,
-and sum_{k>=6} 1/k^2 < 1/5, so P+ <= (6/5) N (1 + ln N)^3, and
+each is reduced in uint64, a step of pairs at a time, into a Python int.
+The sum over u of one x is at most D_4(x), as it is at least
+D(floor(sqrt(x)))^2, and D_k(x) <= x (1 + ln x)^(k-1) (induct on
+D_k(x) = sum_{m<=x} D_{k-1}(x/m) with sum_{m<=x} 1/m <= 1 + ln x).  The
+smallest k > 1 with mu(k) = 1 is 6, and sum_{k>=6} 1/k^2 < 1/5, so
+P+ <= (6/5) N (1 + ln N)^3, and
 P- <= (zeta(2) - 1) N (1 + ln N)^3: both below 1.5e19 < 2^64 for every
 N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1, the census's domain.
 The corner term is one int64 dot whose terms add up to at most
@@ -96,9 +97,9 @@ the cap.
 
 Batched summatory function
 --------------------------
-divisor_summatory_batch evaluates D(x) for an int64 array of x in float64
-blocks of about _BLOCK_CELLS cells: rows of x, sorted by r = isqrt(x),
-against one shared row of reciprocals 1/k, k = 1, 2, ...  A row wider than
+divisor_summatory_batch evaluates D(x) for a nonincreasing int64 array of
+x in float64 blocks of about _BLOCK_CELLS cells: rows of x, of widths
+r = isqrt(x), against one shared row of reciprocals 1/k, k = 1, 2, ...  A row wider than
 a block is split across column blocks.  A block of several rows is as
 wide as its widest, w, and needs no mask for the cells k > r of its
 narrower rows: x // k >= k exactly when k <= r, so max(x // k, k - 1)
