@@ -415,11 +415,12 @@ def test_int64_hyperbola_bound_at_threshold():
 
 def test_batch_summatory_bounds_at_threshold():
     # floor((x + 1/2) * fl(1/k)) = x // k needs x + 1/2 < 2^50, and each row
-    # sum is at most x (1 + ln sqrt(x)) < 2^53, as sqrt(x) < 2^25.
+    # sum is at most x (1 + ln sqrt(x)) plus the k - 1 in the cells past
+    # sqrt(x), at most w^2 / 2 <= 2^47: below 2^53, as sqrt(x) < 2^25.
     hi = ln2_upper_bound()
     assert SUMMATORY_BATCH_MAX_X == CENSUS_TOP - 1
     assert SUMMATORY_BATCH_MAX_X + 1 < 2**50
-    assert SUMMATORY_BATCH_MAX_X * (1 + 25 * hi) < 2**53
+    assert SUMMATORY_BATCH_MAX_X * (1 + 25 * hi) + 2**47 < 2**53
     # The pass's weighted sum, at most N (1 + ln N) (1 + ln sqrt(N))^2, fits int64.
     assert CENSUS_TOP * (1 + 49 * hi) * (1 + 25 * hi) ** 2 < 2**62
 
