@@ -183,12 +183,18 @@ def _ranges(start: int, stop: int) -> Iterator[np.ndarray]:
 
 
 def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
-    """B(N) = sum_{n<=N} d(n)^2: the sublinear identity from SUBLINEAR_B_CUTOFF on."""
+    """B(N) = sum_{n<=N} d(n)^2.
+
+    Term by term below SUBLINEAR_B_CUTOFF, when the table reaches N;
+    otherwise by the sublinear identity.
+    """
     check_census_size(N)
-    if N >= SUBLINEAR_B_CUTOFF:
-        return divisor_square_summatory_sublinear(N, table)
-    d = _table_for(N, table).counts(N)
-    return int(np.dot(d, d))
+    if N < SUBLINEAR_B_CUTOFF:
+        table = _table_for(N, table)
+        if table.n_max >= N:
+            d = table.counts(N)
+            return int(np.dot(d, d))
+    return divisor_square_summatory_sublinear(N, table)
 
 
 def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int:

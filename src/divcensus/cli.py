@@ -140,7 +140,7 @@ def cmd_sample(args, cfg: Config) -> int:
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
         log.info("no --seed given; drew %d from system entropy", seed)
-    estimate = sampler.sample_triples(args.n, args.trials, seed, threads=cfg.threads)
+    estimate = sampler.sample_triples(args.n, args.trials, seed)
     emit_records(SAMPLE_FIELDS, [fields_record(estimate, SAMPLE_FIELDS)], args.format)
     return EXIT_OK
 
@@ -225,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     knobs = parser.add_argument_group("knobs (override DIVCENSUS_* environment)")
     knobs.add_argument("--oracle-ceiling", type=int, default=None, metavar="N")
-    knobs.add_argument("--threads", type=int, default=None, metavar="K")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -274,7 +273,6 @@ def resolve_config(args) -> Config:
     cfg = Config.from_env()
     return Config(
         oracle_ceiling=cfg.oracle_ceiling if args.oracle_ceiling is None else args.oracle_ceiling,
-        threads=cfg.threads if args.threads is None else args.threads,
     )
 
 

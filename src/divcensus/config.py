@@ -1,7 +1,7 @@
 """Runtime knobs shared by the library and the CLI.
 
-Two knobs exist, resolved with precedence: explicit argument > environment
-variable (DIVCENSUS_* prefix) > built-in default.
+One knob exists, the oracle ceiling, resolved with precedence: explicit
+argument > environment variable (DIVCENSUS_ORACLE_CEILING) > built-in default.
 """
 
 import os
@@ -10,7 +10,6 @@ from dataclasses import dataclass
 ENV_PREFIX = "DIVCENSUS_"
 
 DEFAULT_ORACLE_CEILING = 10_000
-DEFAULT_THREADS = 1
 
 
 class ResourceLimitError(Exception):
@@ -24,13 +23,11 @@ class ResourceLimitError(Exception):
 @dataclass(frozen=True)
 class Config:
     oracle_ceiling: int = DEFAULT_ORACLE_CEILING
-    threads: int = DEFAULT_THREADS
 
     def __post_init__(self):
-        for name in ("oracle_ceiling", "threads"):
-            value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
-                raise ValueError(f"{name} must be a positive integer, got {value!r}")
+        value = self.oracle_ceiling
+        if not isinstance(value, int) or value < 1:
+            raise ValueError(f"oracle_ceiling must be a positive integer, got {value!r}")
 
     @classmethod
     def from_env(cls, environ=None) -> "Config":
@@ -48,7 +45,4 @@ class Config:
                     f"{ENV_PREFIX + suffix} must be an integer, got {raw!r}"
                 ) from None
 
-        return cls(
-            oracle_ceiling=read("ORACLE_CEILING", DEFAULT_ORACLE_CEILING),
-            threads=read("THREADS", DEFAULT_THREADS),
-        )
+        return cls(oracle_ceiling=read("ORACLE_CEILING", DEFAULT_ORACLE_CEILING))

@@ -173,8 +173,7 @@ _PASS_ROWS = 1 << 14
 class DivisorTable:
     """Sieved divisor counts: counts[n] = d(n) for 1 <= n <= n_max.
 
-    counts[0] is a padding zero.  The array is marked read-only, so a table
-    can be shared freely across threads.
+    counts[0] is a padding zero.  The array is marked read-only.
     """
 
     n_max: int

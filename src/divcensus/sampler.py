@@ -23,19 +23,16 @@ of k, without a sort (_flat_divisor_lists), so the build peaks at about
 Reproducibility: the generator is numpy's PCG64.  Trials are processed in
 fixed chunks of CHUNK_TRIALS; chunk i draws its v, one array, from the
 stream seeded by SeedSequence(entropy=seed, spawn_key=(i,)).  The chunk
-streams depend only on (seed, i), so the merged estimate is a
-deterministic function of (N, trials, seed) no matter how many workers
-execute the chunks.  A chunk's v is then mapped and tested _DRAW_BLOCK
-values at a time, so that the temporaries of each step stay in cache;
-the blocks do not change which triples are drawn.
+streams depend only on (seed, i), so the estimate is a deterministic
+function of (N, trials, seed).  The chunks run one at a time, in order.
+A chunk's v is then mapped and tested _DRAW_BLOCK values at a time, so
+that the temporaries of each step stay in cache; the blocks do not change
+which triples are drawn.
 """
 
 import logging
-import os
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from functools import partial
 from math import isqrt, sqrt
 
 import numpy as np
@@ -130,14 +127,11 @@ class TripleSpace:
         r = self.flat_divisors[base + r_index]
         return a, n.astype(np.int32) // a, r
 
-    def draw(self, trials: int, seed: int, threads: int = 1):
+    def draw(self, trials: int, seed: int):
         """(a, b, r) arrays for `trials` seeded draws."""
         _check_trials_and_seed(trials, seed)
-        chunks = list(_run_chunks(_draw_chunk, self, trials, seed, threads))
-        a = np.concatenate([c[0] for c in chunks])
-        b = np.concatenate([c[1] for c in chunks])
-        r = np.concatenate([c[2] for c in chunks])
-        return a, b, r
+        chunks = [self.triples(v) for v in _chunk_uniforms(self, trials, seed)]
+        return tuple(np.concatenate(arrays) for arrays in zip(*chunks))
 
 
 def build_triple_space(N: int) -> TripleSpace:
@@ -196,27 +190,26 @@ def _flat_divisor_lists(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return flat
 
 
-def _chunk_sizes(trials: int):
-    """The size of each chunk in turn, generated as needed."""
-    full, rest = divmod(trials, CHUNK_TRIALS)
-    return chain(repeat(CHUNK_TRIALS, full), [rest] if rest else [])
+def _chunk_uniforms(space: TripleSpace, trials: int, seed: int):
+    """Yield each chunk's v in order, generated as needed: one array from its own stream.
+
+    Chunk i holds CHUNK_TRIALS values, the last one what is left, drawn
+    from SeedSequence(entropy=seed, spawn_key=(i,)).  A progress line is
+    logged after every PROGRESS_CHUNKS chunks.
+    """
+    chunks = -(-trials // CHUNK_TRIALS)
+    for i in range(chunks):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
+        yield rng.integers(0, space.total_triples, size=size, dtype=np.int64)
+        if (i + 1) % PROGRESS_CHUNKS == 0:
+            log.info("sampled %d of %d chunks", i + 1, chunks)
 
 
-def _chunk_uniforms(space: TripleSpace, count: int, seed: int, index: int) -> np.ndarray:
-    """Chunk `index`'s v: one array from its own stream."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
-    return rng.integers(0, space.total_triples, size=count, dtype=np.int64)
-
-
-def _draw_chunk(space: TripleSpace, count: int, seed: int, index: int):
-    return space.triples(_chunk_uniforms(space, count, seed, index))
-
-
-def _chunk_successes(space: TripleSpace, count: int, seed: int, index: int) -> int:
-    """Successes "r | a or r | b" among one chunk's draws, taken _DRAW_BLOCK at a time."""
-    v = _chunk_uniforms(space, count, seed, index)
+def _chunk_successes(space: TripleSpace, v: np.ndarray) -> int:
+    """Successes "r | a or r | b" among the draws of one chunk's v, taken _DRAW_BLOCK at a time."""
     successes = 0
-    for lo in range(0, count, _DRAW_BLOCK):
+    for lo in range(0, v.size, _DRAW_BLOCK):
         a, b, r = space.triples(v[lo : lo + _DRAW_BLOCK])
         successes += int(np.count_nonzero((a % r == 0) | (b % r == 0)))
     return successes
@@ -231,37 +224,16 @@ def _check_trials_and_seed(trials: int, seed: int) -> None:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
-def _run_chunks(work, space: TripleSpace, trials: int, seed: int, threads: int):
-    """Yield work(space, size, seed, i) for each chunk i in order, on up to `threads` workers.
-
-    No more workers start than there are chunks or CPUs, however large
-    `threads` is; the results do not depend on the count.  Chunks are handed
-    out `workers` at a time, so memory does not grow with `trials`.
-    """
-    chunks = -(-trials // CHUNK_TRIALS)
-    workers = min(threads, chunks, os.cpu_count() or 1)
-    sizes = enumerate(_chunk_sizes(trials))
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        map_chunks = map if pool is None else pool.map
-        while batch := list(islice(sizes, workers)):
-            results = map_chunks(lambda ic: work(space, ic[1], seed, ic[0]), batch)
-            for (i, _), result in zip(batch, results):
-                if (i + 1) % PROGRESS_CHUNKS == 0:
-                    log.info("sampled %d of %d chunks", i + 1, chunks)
-                yield result
-
-
 def sample_triples(
     N: int,
     trials: int,
     seed: int,
-    threads: int = 1,
     space: TripleSpace | None = None,
 ) -> SampleEstimate:
     """Estimate P(r|a or r|b) over `trials` uniform triple draws.
 
     Each chunk's successes are counted as soon as it is drawn, so memory
-    holds one chunk's draws per worker, not all of them.  Pass a prebuilt
+    holds one chunk's draws, not all of them.  Pass a prebuilt
     TripleSpace to amortize the sieve across many calls (it does not affect
     the result).
     """
@@ -270,7 +242,8 @@ def sample_triples(
         space = build_triple_space(N)
     elif space.N != N:
         raise ValueError(f"space was built for N={space.N}, not N={N}")
-    successes = sum(_run_chunks(_chunk_successes, space, trials, seed, threads))
+    # map, unlike a for loop, drops each chunk's v before drawing the next.
+    successes = sum(map(partial(_chunk_successes, space), _chunk_uniforms(space, trials, seed)))
     p_hat = successes / trials
     std_err = sqrt(p_hat * (1.0 - p_hat) / trials)
     return SampleEstimate(

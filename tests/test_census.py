@@ -106,6 +106,15 @@ def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
     assert calls == [c, c + 1]
 
 
+def test_count_all_triples_below_the_cutoff_from_a_table_short_of_n():
+    # S and C accept any table from sqrt(N) up; B takes the sublinear
+    # route from one that stops short of N.
+    want = brute_force_census(5000).b_count
+    assert count_all_triples(5000) == want == 620_598
+    for y in (isqrt(5000), 71, 4999):
+        assert count_all_triples(5000, summatory_table(y, 5000)) == want, y
+
+
 def test_count_gcd_divisor_sum_examples():
     assert count_gcd_divisor_sum(1) == 1
     # cross-check on the reparametrized form: D(4) + D(1) = 8 + 1

@@ -130,7 +130,7 @@ def test_ceiling_env_and_flag_precedence(capsys, monkeypatch):
 
 def test_segment_and_thread_env_knobs_change_nothing_numeric(capsys, monkeypatch):
     _, baseline, _ = run(capsys, "census", "--n", "5000")
-    monkeypatch.setenv("DIVCENSUS_THREADS", "3")
+    monkeypatch.setenv("DIVCENSUS_THREADS", "3")  # no longer a knob: ignored
     monkeypatch.setenv("DIVCENSUS_ORACLE_CEILING", "50")
     monkeypatch.setenv("DIVCENSUS_SEGMENT_SIZE", "137")  # no longer a knob: ignored
     code, out, _ = run(capsys, "census", "--n", "5000")
@@ -139,12 +139,21 @@ def test_segment_and_thread_env_knobs_change_nothing_numeric(capsys, monkeypatch
 
 
 def test_garbage_env_knob_is_a_usage_error(capsys, monkeypatch):
-    for name in ("DIVCENSUS_THREADS", "DIVCENSUS_ORACLE_CEILING"):
-        with monkeypatch.context() as env:
-            env.setenv(name, "lots")
-            code, _, err = run(capsys, "census", "--n", "10")
-        assert code == 2
-        assert name in err
+    sample = ("sample", "--n", "300", "--trials", "1000", "--seed", "4")
+    _, baseline, _ = run(capsys, *sample)
+    monkeypatch.setenv("DIVCENSUS_THREADS", "lots")  # no longer a knob: ignored
+    assert run(capsys, *sample) == (0, baseline, "")
+    monkeypatch.setenv("DIVCENSUS_ORACLE_CEILING", "lots")
+    code, _, err = run(capsys, "census", "--n", "10")
+    assert code == 2
+    assert "DIVCENSUS_ORACLE_CEILING" in err
+
+
+def test_threads_flag_is_gone(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", "2", "sample", "--n", "300", "--trials", "1000", "--seed", "4"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
 
 
 def test_census_csv_matches_jsonl(capsys):

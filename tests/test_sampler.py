@@ -96,7 +96,7 @@ def test_full_chunk_draws_in_bounded_memory():
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
-        sampler._chunk_successes(space, CHUNK_TRIALS, 1, 0)
+        sampler._chunk_successes(space, next(sampler._chunk_uniforms(space, CHUNK_TRIALS, 1)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -161,55 +161,18 @@ def test_estimate_concentrates_at_small_n():
     assert abs(est.p_hat - exact) <= 4 * est.std_err
 
 
-def test_thread_count_does_not_change_the_estimate():
-    space = build_triple_space(1000)
-    solo = sample_triples(1000, 600_000, seed=99, space=space, threads=1)
-    pooled = sample_triples(1000, 600_000, seed=99, space=space, threads=3)
-    assert solo == pooled
-
-
-class _InlinePool:
-    """Stands in for ThreadPoolExecutor: records max_workers, starts no thread."""
-
-    def __init__(self, started, max_workers):
-        started.append(max_workers)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        return False
-
-    def map(self, fn, items):
-        return map(fn, items)
-
-
-@pytest.mark.parametrize("cpus, pools", [(64, [3]), (2, [2]), (1, []), (None, [])])
-def test_pool_is_bounded_by_chunks_and_cpus(monkeypatch, cpus, pools):
-    started = []
-    monkeypatch.setattr(sampler, "ThreadPoolExecutor", lambda max_workers: _InlinePool(started, max_workers))
-    monkeypatch.setattr(sampler.os, "cpu_count", lambda: cpus)
-    space = build_triple_space(300)
-    trials = 2 * CHUNK_TRIALS + 5  # three chunks
-    est = sample_triples(300, trials, seed=5, space=space, threads=100_000)
-    assert started == pools
-    assert est == sample_triples(300, trials, seed=5, space=space, threads=1)
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_streamed_successes_equal_the_count_over_all_draws(threads):
+def test_streamed_successes_equal_the_count_over_all_draws():
     # Three chunks and a partial fourth, counted chunk by chunk as drawn.
     space = build_triple_space(300)
     trials = 3 * CHUNK_TRIALS + 1234
     a, b, r = space.draw(trials, seed=2024)
     want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
-    est = sample_triples(300, trials, seed=2024, space=space, threads=threads)
+    est = sample_triples(300, trials, seed=2024, space=space)
     assert est.successes == want
 
 
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block", [7, 1000])
-def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block, threads):
+def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block):
     # Neither block length divides a chunk, so every chunk ends on a
     # partial block, and the last chunk is partial too.
     assert CHUNK_TRIALS % block
@@ -218,7 +181,7 @@ def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block, threads):
     a, b, r = space.draw(trials, seed=2024)
     want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
-    est = sample_triples(300, trials, seed=2024, space=space, threads=threads)
+    est = sample_triples(300, trials, seed=2024, space=space)
     assert est.successes == want
 
 
@@ -266,7 +229,6 @@ def test_unbiased_across_seeds_at_desk_scale():
 # Successes of the one-uniform draw, where v's residual picks a and r: the
 # draw stream is a fixed function of (N, trials, seed).  The draw that spent
 # two more uniforms per triple on a and r gave 276_614, 391_856 and 554_820.
-@pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize(
     "N, trials, seed, successes",
     [
@@ -275,8 +237,8 @@ def test_unbiased_across_seeds_at_desk_scale():
         (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_316),
     ],
 )
-def test_draw_stream_is_pinned(N, trials, seed, successes, threads):
-    assert sample_triples(N, trials, seed, threads=threads).successes == successes
+def test_draw_stream_is_pinned(N, trials, seed, successes):
+    assert sample_triples(N, trials, seed).successes == successes
 
 
 @pytest.mark.parametrize("trials, seed", [(0, 1), (10, -1), (10, 2**64)])
@@ -356,36 +318,43 @@ class _StopSampling(Exception):
     pass
 
 
-@pytest.mark.parametrize("threads", [1, 2])
-def test_huge_trials_hand_out_chunks_lazily(monkeypatch, threads):
+def test_huge_trials_hand_out_chunks_lazily(monkeypatch):
+    # Chunks are drawn as they are counted, and one chunk's v (2 MiB) is
+    # freed before the next one is drawn.
     seen = []
+    chunk_uniforms = sampler._chunk_uniforms
 
-    def spy(space, count, seed, index):
-        seen.append(index)
+    def spy(space, trials, seed):
+        for v in chunk_uniforms(space, trials, seed):
+            seen.append(len(seen))
+            yield v
+            del v
+
+    def stop_after_three(space, v):
         if len(seen) > 3:
             raise _StopSampling
-        return count
+        return v.size
 
-    monkeypatch.setattr(sampler, "_chunk_successes", spy)
-    monkeypatch.setattr(sampler.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(sampler, "_chunk_uniforms", spy)
+    monkeypatch.setattr(sampler, "_chunk_successes", stop_after_three)
     space = build_triple_space(10)
     tracemalloc.start()
     try:
         with pytest.raises(_StopSampling):
-            sample_triples(10, 10**15, seed=1, space=space, threads=threads)
+            sample_triples(10, 10**15, seed=1, space=space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20
-    assert sorted(seen) == list(range(len(seen))) and len(seen) <= 3 + threads
+    assert peak < 2 * CHUNK_TRIALS * 8
+    assert seen == [0, 1, 2, 3]
 
 
 def test_progress_is_logged_every_64_chunks(caplog):
     space = build_triple_space(10)
     trials = 130 * CHUNK_TRIALS
     with caplog.at_level("INFO", logger="divcensus.sampler"):
-        done = list(sampler._run_chunks(lambda *args: 0, space, trials, seed=1, threads=1))
-    assert len(done) == 130
+        done = sum(1 for _ in sampler._chunk_uniforms(space, trials, seed=1))
+    assert done == 130
     assert [rec.getMessage() for rec in caplog.records] == [
         "sampled 64 of 130 chunks",
         "sampled 128 of 130 chunks",
