@@ -7,6 +7,7 @@ stderr.  Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 
 import argparse
 import csv
+import gc
 import json
 import logging
 import math
@@ -277,6 +278,18 @@ def resolve_config(args) -> Config:
 
 
 def main(argv=None) -> int:
+    # What is alive before the command, mostly the objects of the imports,
+    # lives as long as it does.  Frozen, it is left out of the command's
+    # garbage collections: one generation-1 pass over it costs about 1.5 ms,
+    # a sixth of a census at N = 1.6e7.
+    gc.freeze()
+    try:
+        return _run(argv)
+    finally:
+        gc.unfreeze()
+
+
+def _run(argv) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     logging.basicConfig(

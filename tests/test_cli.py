@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import gc
 import io
 import json
 import os
@@ -154,6 +155,17 @@ def test_threads_flag_is_gone(capsys):
         main(["--threads", "2", "sample", "--n", "300", "--trials", "1000", "--seed", "4"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+def test_objects_from_before_the_command_are_frozen_while_it_runs(capsys, monkeypatch):
+    frozen = []
+    fast_census = census.fast_census
+    monkeypatch.setattr(census, "fast_census", lambda n: frozen.append(gc.get_freeze_count()) or fast_census(n))
+    assert run(capsys, "census", "--n", "10")[0] == 0
+    assert frozen[0] > 0 and gc.get_freeze_count() == 0
+    with pytest.raises(SystemExit):
+        main(["frobnicate"])
+    assert gc.get_freeze_count() == 0
 
 
 def test_census_csv_matches_jsonl(capsys):

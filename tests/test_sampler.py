@@ -322,21 +322,14 @@ def test_huge_trials_hand_out_chunks_lazily(monkeypatch):
     # Chunks are drawn as they are counted, and one chunk's v (2 MiB) is
     # freed before the next one is drawn.
     seen = []
-    chunk_uniforms = sampler._chunk_uniforms
 
-    def spy(space, trials, seed):
-        for v in chunk_uniforms(space, trials, seed):
-            seen.append(len(seen))
-            yield v
-            del v
-
-    def stop_after_three(space, v):
-        if len(seen) > 3:
+    def stop_at_the_fourth(space, v):
+        seen.append(v.size)
+        if len(seen) == 4:
             raise _StopSampling
         return v.size
 
-    monkeypatch.setattr(sampler, "_chunk_uniforms", spy)
-    monkeypatch.setattr(sampler, "_chunk_successes", stop_after_three)
+    monkeypatch.setattr(sampler, "_chunk_successes", stop_at_the_fourth)
     space = build_triple_space(10)
     tracemalloc.start()
     try:
@@ -346,7 +339,7 @@ def test_huge_trials_hand_out_chunks_lazily(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 2 * CHUNK_TRIALS * 8
-    assert seen == [0, 1, 2, 3]
+    assert seen == [CHUNK_TRIALS] * 4
 
 
 def test_progress_is_logged_every_64_chunks(caplog):
