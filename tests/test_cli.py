@@ -160,7 +160,12 @@ def test_threads_flag_is_gone(capsys):
 def test_objects_from_before_the_command_are_frozen_while_it_runs(capsys, monkeypatch):
     frozen = []
     fast_census = census.fast_census
-    monkeypatch.setattr(census, "fast_census", lambda n: frozen.append(gc.get_freeze_count()) or fast_census(n))
+
+    def spy(n):
+        frozen.append(gc.get_freeze_count())
+        return fast_census(n)
+
+    monkeypatch.setattr(census, "fast_census", spy)
     assert run(capsys, "census", "--n", "10")[0] == 0
     assert frozen[0] > 0 and gc.get_freeze_count() == 0
     with pytest.raises(SystemExit):
