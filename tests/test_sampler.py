@@ -161,18 +161,23 @@ def test_estimate_concentrates_at_small_n():
     assert abs(est.p_hat - exact) <= 4 * est.std_err
 
 
-def test_streamed_successes_equal_the_count_over_all_draws():
+# `runs` repeats the same call on the same space: the chunk loop keeps no
+# state from one run to the next, so every run must give the same count.
+@pytest.mark.parametrize("runs", [1, 2])
+def test_streamed_successes_equal_the_count_over_all_draws(runs):
     # Three chunks and a partial fourth, counted chunk by chunk as drawn.
     space = build_triple_space(300)
     trials = 3 * CHUNK_TRIALS + 1234
     a, b, r = space.draw(trials, seed=2024)
     want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
-    est = sample_triples(300, trials, seed=2024, space=space)
-    assert est.successes == want
+    for _ in range(runs):
+        est = sample_triples(300, trials, seed=2024, space=space)
+        assert est.successes == want
 
 
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("block", [7, 1000])
-def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block):
+def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block, runs):
     # Neither block length divides a chunk, so every chunk ends on a
     # partial block, and the last chunk is partial too.
     assert CHUNK_TRIALS % block
@@ -181,8 +186,9 @@ def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block):
     a, b, r = space.draw(trials, seed=2024)
     want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
-    est = sample_triples(300, trials, seed=2024, space=space)
-    assert est.successes == want
+    for _ in range(runs):
+        est = sample_triples(300, trials, seed=2024, space=space)
+        assert est.successes == want
 
 
 def test_chunk_boundaries_do_not_skew_totals():
@@ -229,6 +235,7 @@ def test_unbiased_across_seeds_at_desk_scale():
 # Successes of the one-uniform draw, where v's residual picks a and r: the
 # draw stream is a fixed function of (N, trials, seed).  The draw that spent
 # two more uniforms per triple on a and r gave 276_614, 391_856 and 554_820.
+@pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize(
     "N, trials, seed, successes",
     [
@@ -237,8 +244,9 @@ def test_unbiased_across_seeds_at_desk_scale():
         (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_316),
     ],
 )
-def test_draw_stream_is_pinned(N, trials, seed, successes):
-    assert sample_triples(N, trials, seed).successes == successes
+def test_draw_stream_is_pinned(N, trials, seed, successes, runs):
+    for _ in range(runs):
+        assert sample_triples(N, trials, seed).successes == successes
 
 
 @pytest.mark.parametrize("trials, seed", [(0, 1), (10, -1), (10, 2**64)])
@@ -318,28 +326,32 @@ class _StopSampling(Exception):
     pass
 
 
-def test_huge_trials_hand_out_chunks_lazily(monkeypatch):
+@pytest.mark.parametrize("runs", [1, 2])
+def test_huge_trials_hand_out_chunks_lazily(monkeypatch, runs):
     # Chunks are drawn as they are counted, and one chunk's v (2 MiB) is
-    # freed before the next one is drawn.
+    # freed before the next one is drawn.  A run stopped part way leaves
+    # nothing behind: the next run starts again from chunk 0.
     seen = []
 
     def stop_at_the_fourth(space, v):
-        seen.append(v.size)
-        if len(seen) == 4:
+        seen.append((v.size, int(v[0])))
+        if len(seen) % 4 == 0:
             raise _StopSampling
         return v.size
 
     monkeypatch.setattr(sampler, "_chunk_successes", stop_at_the_fourth)
     space = build_triple_space(10)
-    tracemalloc.start()
-    try:
-        with pytest.raises(_StopSampling):
-            sample_triples(10, 10**15, seed=1, space=space)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * CHUNK_TRIALS * 8
-    assert seen == [CHUNK_TRIALS] * 4
+    for _ in range(runs):
+        tracemalloc.start()
+        try:
+            with pytest.raises(_StopSampling):
+                sample_triples(10, 10**15, seed=1, space=space)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * CHUNK_TRIALS * 8
+    assert [size for size, _ in seen] == [CHUNK_TRIALS] * 4 * runs
+    assert seen == seen[:4] * runs
 
 
 def test_progress_is_logged_every_64_chunks(caplog):
