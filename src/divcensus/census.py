@@ -37,22 +37,27 @@ each taken by N // q - N // (q + 1) values of b, so
 
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-All three read D from one summatory table of size y for this N
-(divisor_core).  Below SUBLINEAR_B_CUTOFF, y = N and the table is a view
-of one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1), sieved once per
-process on the first small census, so a run of small censuses (verify)
-sieves once.  From the cutoff on, y is that same shared table while
-N^(2/3) is below the cutoff (N up to about 4.6e5), and beyond that each
-census sieves its own table of about N^(2/3).  Every D(q) with q <= y is
-a lookup.  Every D(q) above y is D(N // m) for some m <= M = N // (y + 1)
-(B asks for m = k^2 u, S for m = b, C for m = r^2).  The table's pass
-evaluates each of them once, in float64 blocks, and keeps only two sums:
-sum_{m<=M} D(N // m), which is the part of S with b <= M, and
+In a census all three read D from one summatory table of size y for
+this N (divisor_core).  Below SUBLINEAR_B_CUTOFF, y = N and the table is
+a view of one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1), sieved
+once per process on the first small census, so a run of small censuses
+(verify) sieves once.  From the cutoff on, y is that same shared table
+while the size rule's N^(2/3) / 4 is below the cutoff (N up to about
+3.7e6), and beyond that each census sieves its own table of about
+N^(2/3) / 4 entries.  Every D(q) with q <= y is a lookup.  Every D(q)
+above y is D(N // m) for some m <= M = N // (y + 1) (B asks for
+m = k^2 u, S for m = b, C for m = r^2).  The table's pass evaluates each
+of them once, in float64 blocks, and keeps only three sums:
+sum_{m<=M} D(N // m), which is the part of S with b <= M,
 sum_{m<=M} 2^omega(m) D(N // m), which holds every term of B with
-k^2 u <= M (divisor_core has the weights).  B and S at one N share the
-pass, which costs about 2 N / sqrt(y) terms, about N^(2/3) below the table
-cap.  C evaluates only its about sqrt(M) values N // r^2 above y itself.
+k^2 u <= M (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
+the part of C with r^2 <= M.  B, S and C at one N share the pass, which
+costs about 2 N / sqrt(y) cells, about 4 N^(2/3) below the table cap.
 Below SUBLINEAR_B_CUTOFF, M = 0 and there is no pass.
+
+C alone needs no table: it evaluates every D(N // r^2) in float64
+blocks, each distinct quotient once, which takes about sqrt(N) ln(N) / 3
+cells and sieves nothing.
 
 The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
 the N whose sqrt(N) the table reaches, and refuse a larger N before any
@@ -156,7 +161,7 @@ def census_table(N: int) -> SummatoryTable:
     D(0..SUBLINEAR_B_CUTOFF - 1) that every such N shares (24 KB, sieved
     on the first small census).  From the cutoff on, while
     summatory_table_size(N) is still below the cutoff (N up to about
-    4.6e5), it is that whole shared table, larger than a private one would
+    3.7e6), it is that whole shared table, larger than a private one would
     be, with N's own pass above it.  Beyond that it is sieved for this N
     alone, with summatory_table_size(N) entries.
     """
@@ -200,17 +205,24 @@ def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
 def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int:
     """C(N) = sum_{ab<=N} d(gcd(a,b)) = sum_{r<=sqrt(N)} D(floor(N/r^2)).
 
-    The about sqrt(M) values N // r^2 above the table, r^2 <= M, are
-    evaluated by divisor_summatory_batch; the rest are lookups.
+    Without a table nothing is sieved: every D(N // r^2) comes from
+    divisor_summatory_batch, _TERM_CHUNK values of r at a time.  Past
+    r ~ N^(1/3) runs of r share one quotient, which is evaluated once: about
+    2 N^(1/3) rows of sqrt(N) (ln(N) + 4) / 3 cells in all.  With a table, the r^2 <= M are the squares sum of its pass
+    and the rest are lookups.
     """
     check_census_size(N)
+    if table is None:
+        total = 0
+        for r in _ranges(1, isqrt(N)):
+            x = N // (r * r)
+            starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+            runs = np.diff(starts, append=x.size)
+            total += int(np.dot(divisor_summatory_batch(x[starts]), runs))
+        return total
     table = _table_for(N, table)
-    above = isqrt(table.M)
-    total = 0
-    if above:
-        r = np.arange(1, above + 1, dtype=np.int64)
-        total += int(divisor_summatory_batch(N // (r * r)).sum())
-    for r in _ranges(above + 1, isqrt(N)):
+    total = table.pass_sums.squares
+    for r in _ranges(isqrt(table.M) + 1, isqrt(N)):
         total += int(table.summatory(N // (r * r)).sum())
     return total
 
@@ -229,7 +241,7 @@ def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> i
     check_census_size(N)
     table = _table_for(N, table)
     root = isqrt(N)
-    total = table.pass_sums[0]
+    total = table.pass_sums.plain
     for b in _ranges(table.M + 1, root):
         total += int(table.summatory(N // b).sum())
     for q in _ranges(1, N // (root + 1)):

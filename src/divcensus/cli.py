@@ -189,7 +189,7 @@ def cmd_verify(args, cfg: Config) -> int:
     # table runs to N, so neither the sublinear B nor any D above the table
     # was exercised.  Both are checked once here, at the largest N: S, C and
     # B from a table of size sqrt(N), whose pass has the largest M, then B
-    # from the table of the default size.
+    # from the table of the default size and C from no table at all.
     y = math.isqrt(max_n)
     small = divisor_core.summatory_table(y, max_n)
     for label, got, want in (
@@ -200,10 +200,13 @@ def cmd_verify(args, cfg: Config) -> int:
         if got != want:
             print(f"mismatch at N={max_n}: {label} from a table of size {y}={got} brute={want}")
             return EXIT_MISMATCH
-    sublinear_b = divisor_core.divisor_square_summatory_sublinear(max_n)
-    if sublinear_b != oracle.b_count:
-        print(f"mismatch at N={max_n}: B sublinear={sublinear_b} brute={oracle.b_count}")
-        return EXIT_MISMATCH
+    for label, got, want in (
+        ("B sublinear", divisor_core.divisor_square_summatory_sublinear(max_n), oracle.b_count),
+        ("C without a table", census.count_gcd_divisor_sum(max_n), oracle.c_count),
+    ):
+        if got != want:
+            print(f"mismatch at N={max_n}: {label}={got} brute={want}")
+            return EXIT_MISMATCH
     print(f"verify: fast path matches brute force (A, B, C, S and A=2S-C) for all N <= {checked}")
     return EXIT_OK
 

@@ -14,8 +14,8 @@ Looping k up to sqrt(n_max) and adding 2 at k^2, k^2+k, k^2+2k, ... (with a
 -1 correction at k^2 itself) fills a whole table in O(n_max log n_max)
 element increments but only O(sqrt(n_max)) vectorized passes, which is what
 makes 10^7-scale tables cheap in Python.  The same pass works on a block
-[lo, hi] in isolation, giving the segmented mode used for sums far beyond
-the in-memory table limit.
+[lo, hi] in isolation, giving the segmented mode, whose memory is set by
+the block length rather than by n_max.
 
 Summatory function
 ------------------
@@ -74,10 +74,11 @@ D(N // m) with m <= M = N // (y + 1) <= sqrt(N), because
 (N // a) // b = N // (ab).  So a D(q) with q <= y is a plain lookup, and
 the D above the table are taken in one streaming pass over m <= M
 (SummatoryTable.pass_sums).  The pass evaluates each D(N // m) once, block
-by block, and reduces it into two sums:
+by block, and reduces it into three sums:
 
-    sum_{m<=M} D(N // m)              the part of S with b <= M, and
+    sum_{m<=M} D(N // m)              the part of S with b <= M,
     sum_{m<=M} 2^omega(m) D(N // m)   the part of the sum of d(n)^2 above,
+    sum_{r^2<=M} D(N // r^2)          the part of C with r^2 <= M,
 
 with omega(m) the number of distinct primes of m, from a sieve to M.  The
 second sum holds every hyperbola term of B with k^2 u = m <= M: those
@@ -86,14 +87,20 @@ the coefficients of zeta(s)^2 / zeta(2s), which are 2^omega(m).  Each such
 pair has u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum, because
 M <= sqrt(N).  The terms sum_{m<=M} 2^omega(m) D(N // m) are at most
 N (1 + ln N) sum_{m<=sqrt(N)} d(m) / m <= N (1 + ln N) (1 + ln sqrt(N))^2
-< 2^62 on the census domain, so each block reduces in int64.  B then walks
-only its pairs with k^2 u > M, whose D(N // (k^2 u)) <= y are lookups, and
-C evaluates its about sqrt(M) values N // r^2 above y directly.
+< 2^62 on the census domain, so each block reduces in int64, as do the
+other two, partial sums of S and C (census.py has their bound).  B then
+walks only its pairs with k^2 u > M, whose D(N // (k^2 u)) <= y are
+lookups, and S and C look up their D(N // m) with m > M.
 
-With the one size rule, summatory_table_size(N) = N^(2/3) capped at
-SUBLINEAR_TABLE_CAP, the sieve costs about N^(2/3) and the pass
-sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y) terms, also about N^(2/3) below
-the cap.
+The sieve costs c_s y and the pass sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y)
+cells of c_p each, least in sum at y = (c_p N / c_s)^(2/3).  Measured on
+one core of a 2-vCPU VM, a sieve entry costs 16-20 ns while the table
+fits in cache (69 ns at 2^24 entries) and a pass cell 1.4-3 ns, so
+(c_p / c_s)^(2/3) is about 0.27, and the one size rule,
+summatory_table_size(N), is y = N^(2/3) / 4, at least sqrt(N) and at most
+SUBLINEAR_TABLE_CAP.  Below the cap both parts cost about N^(2/3): the
+sieve N^(2/3) / 4 entries and the pass 4 N^(2/3) cells.  The cap binds
+from N = 2^39, about 5.5e11.
 
 Batched summatory function
 --------------------------
@@ -125,15 +132,11 @@ The int64 divisor_summatory stays as the independent per-x route.
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .config import ResourceLimitError
-
-# In-memory d(n) tables are refused above this (int32 table ~ 4 bytes/entry,
-# so the ceiling is ~0.5 GB).  Segmented iteration has no such bound.
-TABLE_LIMIT = 1 << 27
 
 # Block length of the segmented sieve: ~12 MiB of working set.
 DEFAULT_SEGMENT_SIZE = 1 << 20
@@ -143,8 +146,9 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 SUMMATORY_MAX_X = 1 << 52
 
 # The d(n) table behind the sublinear sum of d(n)^2 holds at most this many
-# entries.  Its int32 counts plus their int32 prefix sums peak at 8 bytes an
-# entry, 128 MiB at the cap, which N reaches at N^(2/3) = 2^24 (N ~ 6.9e10).
+# entries.  Its int32 prefix sums, taken in place, peak at 4 bytes an
+# entry, 64 MiB at the cap, which the size rule reaches at
+# N^(2/3) / 4 = 2^24 (N = 2^39, about 5.5e11).
 # int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
 SUBLINEAR_TABLE_CAP = 1 << 24
 
@@ -194,11 +198,6 @@ def sieve_divisor_counts(n_max: int) -> DivisorTable:
     """Sieve d(1..n_max) via the paired-divisor pass described above."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    if n_max > TABLE_LIMIT:
-        raise ResourceLimitError(
-            f"in-memory divisor table refused at n_max={n_max} "
-            f"(limit {TABLE_LIMIT}); use the segmented operations instead"
-        )
     counts = _sieve(n_max)
     counts.setflags(write=False)
     return DivisorTable(n_max=n_max, counts=counts)
@@ -289,6 +288,14 @@ def divisor_list(n: int) -> list[int]:
     return small + large[::-1]
 
 
+class PassSums(NamedTuple):
+    """What a summatory table's pass keeps of the D(N // m), m <= M."""
+
+    plain: int  # sum_{m<=M} D(N // m), S's part with b <= M
+    weighted: int  # sum_{m<=M} 2^omega(m) D(N // m), B's part with k^2 u <= M
+    squares: int  # sum_{r^2<=M} D(N // r^2), C's part with r^2 <= M
+
+
 @dataclass(frozen=True)
 class SummatoryTable:
     """D(q) for the q a census at N asks for: q <= n_max, and the pass above.
@@ -331,14 +338,14 @@ class SummatoryTable:
         return self.prefix[q].astype(np.int64)
 
     @cached_property
-    def pass_sums(self) -> tuple[int, int]:
-        """(sum_{m<=M} D(N // m), sum_{m<=M} 2^omega(m) D(N // m)), from one pass.
+    def pass_sums(self) -> PassSums:
+        """The three sums over m <= M of D(N // m), from one pass.
 
         Each D(N // m) is evaluated once, _PASS_ROWS values of m at a time,
-        and dropped after the two sums take it (module docstring).  M = 0
+        and dropped after the three sums take it (module docstring).  M = 0
         costs nothing.
         """
-        plain = weighted = 0
+        plain = weighted = squares = 0
         M = self.M
         if M:
             weights = _two_pow_omega_table(M)
@@ -347,22 +354,25 @@ class SummatoryTable:
                 d = divisor_summatory_batch(self.N // m)
                 plain += int(d.sum())
                 weighted += int(np.dot(weights[m].astype(np.int64), d))
-        return plain, weighted
+                r = np.arange(isqrt(lo - 1) + 1, isqrt(int(m[-1])) + 1, dtype=np.int64)
+                squares += int(d[r * r - lo].sum())
+        return PassSums(plain, weighted, squares)
 
 
 def summatory_table_size(n_max: int) -> int:
     """The one size rule for a summatory table at bound n_max.
 
-    y = n_max^(2/3) balances the sieve against the D(q) evaluations above
-    the table; y is at least sqrt(n_max), so that B finds d(u) for every
-    u <= sqrt(n_max), while the cap allows, and at most SUBLINEAR_TABLE_CAP.
+    y = n_max^(2/3) / 4 balances the sieve against the D(q) evaluations
+    above the table (module docstring); y is at least sqrt(n_max), so that
+    B finds d(u) for every u <= sqrt(n_max), while the cap allows, and at
+    most SUBLINEAR_TABLE_CAP.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     root = isqrt(n_max)
     if root >= SUBLINEAR_TABLE_CAP:  # also keeps huge n_max out of the float power
         return SUBLINEAR_TABLE_CAP
-    return min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3))))
+    return min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3)) // 4))
 
 
 def summatory_table(y: int, N: int) -> SummatoryTable:
@@ -417,7 +427,7 @@ def iter_divisor_segments(n_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
     """Yield (lo, counts) blocks covering 1..n_max, each of <= segment_size values.
 
     counts[i] = d(lo + i).  Memory use is bounded by the segment size alone,
-    so n_max may exceed TABLE_LIMIT by orders of magnitude.
+    whatever n_max.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -525,7 +535,7 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
     elif table.N != n_max:
         raise ValueError(f"table built for N={table.N}, not for n_max={n_max}")
 
-    above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
+    above = table.pass_sums.weighted  # before the walk, so that their temporaries never meet
     mu = _mobius_table(root)
     ks = np.flatnonzero(mu)
     runs = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k

@@ -166,6 +166,28 @@ def test_s_and_c_from_any_table_size_match_loops(n, data):
     assert b == divisor_core.divisor_square_summatory_segmented(n)
 
 
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(min_value=1, max_value=30_000))
+def test_c_without_a_table_sieves_nothing_and_matches_the_table_routes(n):
+    tables = (summatory_table(isqrt(n), n), census.census_table(n), summatory_table(n, n))
+    want = {count_gcd_divisor_sum(n, table) for table in tables}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor_core, "_sieve", None)
+        got = count_gcd_divisor_sum(n)
+    assert want == {got} and got == loop_s_and_c(n)[1]
+
+
+@pytest.mark.parametrize(
+    "n, c",
+    [(4 * 10**8, 12384085429), (10**12, 43830142939380), (10**13, 476177421208658)],
+)
+def test_c_without_a_table_pins(n, c, monkeypatch):
+    # The 10^12 and 10^13 pins come from the census's table route (ROADMAP
+    # baseline); 4e8 is perfbench's hyperbola_big pin.
+    monkeypatch.setattr(divisor_core, "_sieve", None)
+    assert count_gcd_divisor_sum(n) == c
+
+
 def test_tables_below_sqrt_n_or_for_another_n_are_refused():
     with pytest.raises(ValueError, match="below sqrt"):
         summatory_table(99, 10**4)
@@ -184,15 +206,16 @@ def test_tables_below_sqrt_n_or_for_another_n_are_refused():
 )
 def test_s_and_c_pins(n, s, c):
     # Pinned from the earlier route over floor-quotient blocks.
-    assert count_da_over_hyperbola(n) == s
-    assert count_gcd_divisor_sum(n) == c
+    table = census.census_table(n)
+    assert count_da_over_hyperbola(n) == count_da_over_hyperbola(n, table) == s
+    assert count_gcd_divisor_sum(n) == count_gcd_divisor_sum(n, table) == c
 
 
-@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF - 1, 10**6])
+@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF - 1, 10**6, 10**7])
 def test_fast_census_sieves_once(n, monkeypatch):
-    # Below the cutoff every census reads one shared table of
-    # D(0..SUBLINEAR_B_CUTOFF - 1), sieved by the first of them; from the
-    # cutoff on each census sieves its own.
+    # While its own table would be smaller than the shared table of
+    # D(0..SUBLINEAR_B_CUTOFF - 1), a census reads the shared one, sieved
+    # by the first of them; beyond, each census sieves its own.
     census._small_prefix.cache_clear()
     sieved = []
     real = divisor_core._sieve
@@ -202,7 +225,7 @@ def test_fast_census_sieves_once(n, monkeypatch):
         return real(n_max, *args, **kwargs)
 
     monkeypatch.setattr(divisor_core, "_sieve", spy)
-    if n < SUBLINEAR_B_CUTOFF:
+    if divisor_core.summatory_table_size(n) < SUBLINEAR_B_CUTOFF:
         for m in (1, n, 17):
             fast_census(m)
         assert sieved == [SUBLINEAR_B_CUTOFF - 1]
@@ -229,7 +252,7 @@ def test_small_census_from_the_shared_table_matches_a_private_table(n):
 
 
 # The largest N whose own table would be smaller than the shared one.
-LAST_SHARED_N = 464_758
+LAST_SHARED_N = 3_718_064
 
 
 def test_shared_table_reaches_exactly_as_far_as_it_is_larger():
@@ -243,7 +266,7 @@ def test_shared_table_reaches_exactly_as_far_as_it_is_larger():
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(min_value=SUBLINEAR_B_CUTOFF, max_value=5 * 10**5))
+@given(n=st.integers(min_value=SUBLINEAR_B_CUTOFF, max_value=4 * 10**6))
 def test_census_from_the_shared_table_above_the_cutoff_matches_a_private_table(n):
     got = fast_census(n)
     want = private_b_s_c(n, divisor_core.summatory_table_size(n))
@@ -275,11 +298,11 @@ def test_shared_small_table_is_read_only():
 
 def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     # Every D above the table is D(n // m), m <= M = n // (y + 1).  The
-    # table's pass evaluates each once, for B and S together; C evaluates
-    # only its squares m = r^2 <= M.
-    n = 10**6
+    # table's pass evaluates each once, for B, S and C together.  C without
+    # a table evaluates each of its distinct D(n // r^2) once itself.
+    n = 10**7
     m_max = n // (divisor_core.summatory_table_size(n) + 1)
-    assert m_max == 100
+    assert m_max == 861
     in_pass, in_c = [], []
     real = divisor_core.divisor_summatory_batch
 
@@ -290,16 +313,18 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     monkeypatch.setattr(census, "divisor_summatory_batch", spy(in_c))
     fast_census(n)
     assert sorted(in_pass) == sorted(n // m for m in range(1, m_max + 1))
-    assert sorted(in_c) == sorted(n // (r * r) for r in range(1, isqrt(m_max) + 1))
+    assert in_c == []
     in_pass.clear()
     table = census.census_table(n)
     count_all_triples(n, table)
     assert len(in_pass) == m_max
     count_da_over_hyperbola(n, table)
-    assert len(in_pass) == m_max  # S reads the same pass
+    count_gcd_divisor_sum(n, table)
+    assert len(in_pass) == m_max and in_c == []  # S and C read the same pass
     in_pass.clear()
     count_gcd_divisor_sum(n)  # alone, C makes no pass
     assert in_pass == []
+    assert in_c == sorted({n // (r * r) for r in range(1, isqrt(n) + 1)}, reverse=True)
 
 
 def test_small_census_makes_no_pass(monkeypatch):
@@ -308,7 +333,7 @@ def test_small_census_makes_no_pass(monkeypatch):
     monkeypatch.setattr(census, "divisor_summatory_batch", None)
     for n in (1, 100, SUBLINEAR_B_CUTOFF - 1):
         table = census.census_table(n)
-        assert table.M == 0 and table.pass_sums == (0, 0)
+        assert table.M == 0 and table.pass_sums == (0, 0, 0)
         fast_census(n)  # neither the pass nor C calls the batched D
     got, want = fast_census(100), ORACLE[99]
     assert (got.b_count, got.s_count, got.c_count) == (want.b_count, want.s_count, want.c_count)

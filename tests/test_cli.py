@@ -347,6 +347,16 @@ def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
     assert "mismatch at N=100: B from a table of size 10=" in out
 
 
+def test_verify_checks_c_without_a_table(capsys, monkeypatch):
+    # Only C without a table takes its D from census's batched D; every
+    # table route reads the pass in divisor_core.
+    real = divisor_core.divisor_summatory_batch
+    monkeypatch.setattr(census, "divisor_summatory_batch", lambda x: real(x) + 1)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert "mismatch at N=100: C without a table=" in out
+
+
 def test_verify_checks_the_table_fallback(capsys, monkeypatch):
     # An off-by-one D(q) above the table reaches no census below the B
     # cutoff; only the checks from a table of size sqrt(max_n) see it, in

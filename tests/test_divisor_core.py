@@ -15,7 +15,6 @@ from divcensus.divisor_core import (
     SUBLINEAR_TABLE_CAP,
     SUMMATORY_BATCH_MAX_X,
     SUMMATORY_MAX_X,
-    TABLE_LIMIT,
     DivisorTable,
     SummatoryTable,
     _mobius_table,
@@ -91,13 +90,6 @@ def test_sieve_multiplicative_on_coprime_pairs(m, n):
 def test_sieve_rejects_zero():
     with pytest.raises(ValueError):
         sieve_divisor_counts(0)
-
-
-def test_sieve_refuses_above_table_limit(monkeypatch):
-    monkeypatch.setattr(divisor_core, "np", None)  # the refusal comes before any allocation
-    with pytest.raises(ResourceLimitError, match="segmented"):
-        sieve_divisor_counts(TABLE_LIMIT + 1)
-    assert TABLE_LIMIT >= 10**8  # the documented reachability floor
 
 
 def test_table_is_read_only():
@@ -518,14 +510,16 @@ def test_hyperbola_sums_exact_between_2_63_and_2_64():
 
 def test_summatory_table_size_rule():
     assert summatory_table_size(1) == 1
-    assert summatory_table_size(10**6) == 10**4 - 1  # int(1e6 ** (2/3)) rounds down
-    assert summatory_table_size(10**9) == 999_999
+    assert summatory_table_size(10**6) == 2499  # int(1e6 ** (2/3)) = 9999, then // 4
+    assert summatory_table_size(10**9) == 249_999
+    assert summatory_table_size(2000) == isqrt(2000)  # sqrt(N) is the floor up to N = 4096
     for n in (2, 99, 6000, 10**7, 10**12):
         y = summatory_table_size(n)
         assert isqrt(n) <= y <= SUBLINEAR_TABLE_CAP
-    # Capped from N^(2/3) = 2^24 on, then at sqrt(N) = 2^24 and beyond,
-    # where y < sqrt(N); a huge N never reaches the float power.
-    assert summatory_table_size(2**36 + 2**30) == SUBLINEAR_TABLE_CAP
+    # Capped from N^(2/3) / 4 = 2^24, N = 2^39, on, then at sqrt(N) = 2^24
+    # and beyond, where y < sqrt(N); a huge N never reaches the float power.
+    assert summatory_table_size(2**39 - 2**10) < SUBLINEAR_TABLE_CAP
+    assert summatory_table_size(2**39 + 2**10) == SUBLINEAR_TABLE_CAP
     assert summatory_table_size(2**50) == SUBLINEAR_TABLE_CAP
     assert summatory_table_size(10**400) == SUBLINEAR_TABLE_CAP
     with pytest.raises(ValueError):
@@ -568,7 +562,8 @@ def test_summatory_table_refuses_q_above_the_table(q):
 @given(n=st.integers(min_value=1, max_value=30_000), data=st.data())
 def test_summatory_table_answers_every_quotient(n, data):
     # Each D(n // m) is a lookup when n // m <= y, and otherwise, m <= M,
-    # a term of the pass: plain, and weighted by 2^omega(m).
+    # a term of the pass: plain, weighted by 2^omega(m), and, at a square
+    # m, in the squares sum.
     y = data.draw(st.integers(min_value=isqrt(n), max_value=n), label="y")
     table = summatory_table(y, n)
     m = np.arange(1, n + 1, dtype=np.int64)
@@ -578,11 +573,17 @@ def test_summatory_table_answers_every_quotient(n, data):
     assert table.summatory(q[below]).tolist() == [divisor_summatory(v) for v in q[below].tolist()]
     above = [(int(v), divisor_summatory(int(n // v))) for v in m[~below]]
     weights = {v: 2 ** omega_by_factoring(v) for v, _ in above}
-    assert table.pass_sums == (sum(d for _, d in above), sum(weights[v] * d for v, d in above))
+    assert table.pass_sums == (
+        sum(d for _, d in above),
+        sum(weights[v] * d for v, d in above),
+        sum(d for v, d in above if isqrt(v) ** 2 == v),
+    )
 
 
 def test_pass_is_taken_once_per_table(monkeypatch):
-    table = summatory_table(1000, 10**6)
+    n = 10**6
+    want = summatory_table(1000, n).pass_sums  # M = 999 in one step
+    table = summatory_table(1000, n)
     calls = []
     real = divisor_core.divisor_summatory_batch
     monkeypatch.setattr(
@@ -592,6 +593,10 @@ def test_pass_is_taken_once_per_table(monkeypatch):
     sums = table.pass_sums
     assert calls == [300, 300, 300, 99]
     assert table.pass_sums is sums and len(calls) == 4
+    # The squares 17^2 | 18^2, 24^2 | 25^2 and 30^2 | 31^2 sit either side
+    # of a step's end.
+    assert sums == want
+    assert sums.squares == sum(divisor_summatory(n // (r * r)) for r in range(1, 32))
 
 
 def test_summatory_table_peaks_at_four_bytes_an_entry():
