@@ -207,9 +207,10 @@ def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int
 
     Without a table nothing is sieved: every D(N // r^2) comes from
     divisor_summatory_batch, _TERM_CHUNK values of r at a time.  Past
-    r ~ N^(1/3) runs of r share one quotient, which is evaluated once: about
-    2 N^(1/3) rows of sqrt(N) (ln(N) + 4) / 3 cells in all.  With a table, the r^2 <= M are the squares sum of its pass
-    and the rest are lookups.
+    r ~ N^(1/3) runs of r share one quotient, which is evaluated once:
+    about 2 N^(1/3) rows, sqrt(N) (ln(N) + 4) / 3 cells in all.  With a
+    table, the r^2 <= M are the squares sum of its pass and the rest are
+    lookups.
     """
     check_census_size(N)
     if table is None:
@@ -221,7 +222,7 @@ def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int
             total += int(np.dot(divisor_summatory_batch(x[starts]), runs))
         return total
     table = _table_for(N, table)
-    total = table.pass_sums.squares
+    total = table.pass_sums[2]  # the r^2 <= M
     for r in _ranges(isqrt(table.M) + 1, isqrt(N)):
         total += int(table.summatory(N // (r * r)).sum())
     return total
@@ -241,7 +242,7 @@ def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> i
     check_census_size(N)
     table = _table_for(N, table)
     root = isqrt(N)
-    total = table.pass_sums.plain
+    total = table.pass_sums[0]  # the b <= M
     for b in _ranges(table.M + 1, root):
         total += int(table.summatory(N // b).sum())
     for q in _ranges(1, N // (root + 1)):

@@ -132,7 +132,7 @@ The int64 divisor_summatory stays as the independent per-x route.
 from dataclasses import dataclass
 from functools import cached_property
 from math import isqrt
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
@@ -288,14 +288,6 @@ def divisor_list(n: int) -> list[int]:
     return small + large[::-1]
 
 
-class PassSums(NamedTuple):
-    """What a summatory table's pass keeps of the D(N // m), m <= M."""
-
-    plain: int  # sum_{m<=M} D(N // m), S's part with b <= M
-    weighted: int  # sum_{m<=M} 2^omega(m) D(N // m), B's part with k^2 u <= M
-    squares: int  # sum_{r^2<=M} D(N // r^2), C's part with r^2 <= M
-
-
 @dataclass(frozen=True)
 class SummatoryTable:
     """D(q) for the q a census at N asks for: q <= n_max, and the pass above.
@@ -338,10 +330,14 @@ class SummatoryTable:
         return self.prefix[q].astype(np.int64)
 
     @cached_property
-    def pass_sums(self) -> PassSums:
-        """The three sums over m <= M of D(N // m), from one pass.
+    def pass_sums(self) -> tuple[int, int, int]:
+        """(plain, weighted, squares) over the D(N // m), m <= M, from one pass.
 
-        Each D(N // m) is evaluated once, _PASS_ROWS values of m at a time,
+        plain = sum_{m<=M} D(N // m) is S's part with b <= M, weighted =
+        sum_{m<=M} 2^omega(m) D(N // m) is B's part with k^2 u <= M, and
+        squares = sum_{r^2<=M} D(N // r^2) is C's part with r^2 <= M.  It is
+        a plain tuple because every census below the cutoff builds one, and
+        a named tuple takes ten times as long to make.  Each D(N // m) is evaluated once, _PASS_ROWS values of m at a time,
         and dropped after the three sums take it (module docstring).  M = 0
         costs nothing.
         """
@@ -356,7 +352,7 @@ class SummatoryTable:
                 weighted += int(np.dot(weights[m].astype(np.int64), d))
                 r = np.arange(isqrt(lo - 1) + 1, isqrt(int(m[-1])) + 1, dtype=np.int64)
                 squares += int(d[r * r - lo].sum())
-        return PassSums(plain, weighted, squares)
+        return plain, weighted, squares
 
 
 def summatory_table_size(n_max: int) -> int:
@@ -535,7 +531,7 @@ def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None 
     elif table.N != n_max:
         raise ValueError(f"table built for N={table.N}, not for n_max={n_max}")
 
-    above = table.pass_sums.weighted  # before the walk, so that their temporaries never meet
+    above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
     mu = _mobius_table(root)
     ks = np.flatnonzero(mu)
     runs = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k

@@ -596,7 +596,7 @@ def test_pass_is_taken_once_per_table(monkeypatch):
     # The squares 17^2 | 18^2, 24^2 | 25^2 and 30^2 | 31^2 sit either side
     # of a step's end.
     assert sums == want
-    assert sums.squares == sum(divisor_summatory(n // (r * r)) for r in range(1, 32))
+    assert sums[2] == sum(divisor_summatory(n // (r * r)) for r in range(1, 32))
 
 
 def test_summatory_table_peaks_at_four_bytes_an_entry():
