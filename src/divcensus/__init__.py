@@ -25,7 +25,6 @@ from .divisor_core import (
     divisor_summatory,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
-    divisor_square_summatory_sublinear,
     sieve_divisor_counts,
 )
 from .asymptotics import (

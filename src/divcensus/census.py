@@ -21,14 +21,27 @@ Dirichlet convolution, and summing it up to N gives
 
     B(N) = sum_{k<=sqrt(N)} mu(k) * D_4(floor(N / k^2)),
 
-with D_4(x) = sum_{m<=x} d_4(m), each found by a hyperbola split over a
-table of D (divisor_core has the details).  This costs about N^(2/3).
-Below SUBLINEAR_B_CUTOFF the table set-up outweighs the saving, and B is
-summed term by term from the d(n) of the table instead.  The A
-identity is inclusion-exclusion on "r | a or r | b" plus the a <-> b
-symmetry.  The C identity comes from writing a = r*c, b = r*e: the triples
-with r dividing both coordinates biject with (r, c, e) such that
-r^2 * c * e <= N, so
+with D_4(x) = sum_{m<=x} d_4(m), the count of 4-tuples with product at
+most x.  The hyperbola split gives
+
+    D_4(x) = 2 * sum_{u<=sqrt(x)} d(u) * D(floor(x/u))  -  D(floor(sqrt(x)))^2,
+
+and grouping the k by the sign of mu(k), with x_k = N // k^2,
+
+    B(N) = 2 (P+ - P-)  -  sum_k mu(k) * D(isqrt(N) // k)^2,
+
+where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
+u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1.  This costs about
+N^(2/3) sieve work plus sqrt(N) ln(N) lookups in a table of D, against
+the N ln N of summing d(n)^2 term by term.  Below SUBLINEAR_B_CUTOFF the
+table runs to N, and B is summed term by term from its d(n) instead;
+divisor_core keeps the term-by-term sums, in memory and segmented, as
+independent cross-checks.
+
+The A identity is inclusion-exclusion on "r | a or r | b" plus the
+a <-> b symmetry.  The C identity comes from writing a = r*c, b = r*e:
+the triples with r dividing both coordinates biject with (r, c, e) such
+that r^2 * c * e <= N, so
 
     C(N) = sum_{r<=sqrt(N)} D(floor(N / r^2)).
 
@@ -51,9 +64,11 @@ of them once, in float64 blocks, and keeps only three sums:
 sum_{m<=M} D(N // m), which is the part of S with b <= M,
 sum_{m<=M} 2^omega(m) D(N // m), which holds every term of B with
 k^2 u <= M (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
-the part of C with r^2 <= M.  B, S and C at one N share the pass, which
-costs about 2 N / sqrt(y) cells, about 4 N^(2/3) below the table cap.
-Below SUBLINEAR_B_CUTOFF, M = 0 and there is no pass.
+the part of C with r^2 <= M.  So B walks only its pairs with k^2 u > M,
+whose D(x_k // u) <= y are lookups; the pairs left to the pass only
+shrink P+ and P-.  B, S and C at one N share the pass, which costs about
+2 N / sqrt(y) cells, about 4 N^(2/3) below the table cap.  Below
+SUBLINEAR_B_CUTOFF, M = 0 and there is no pass.
 
 C alone needs no table: it evaluates every D(N // r^2) in float64
 blocks, each distinct quotient once, which takes about sqrt(N) ln(N) / 3
@@ -63,10 +78,17 @@ The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
 the N whose sqrt(N) the table reaches, and refuse a larger N before any
 sieve (check_census_size).  Inside that domain every reduction is exact:
 S and C in int64, since every term and partial sum is at most
-C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 4e17 < 2^63, B's hyperbola
-terms in uint64, grouped by the sign of mu(k) into two sums of
-nonnegative terms, each below 2^64, and the pass's sums of integers below
-2^53 in float64 (divisor_core).
+C(N) <= S(N) = D_3(N) <= N (1 + ln N)^2 < 4e17 < 2^63, and the pass's
+sums of integers below 2^53 in float64 (divisor_core).  The terms of P+
+and P- are nonnegative, so each is reduced in uint64, a step of pairs at
+a time, into a Python int.  The sum over u of one x is at most D_4(x), as
+it is at least D(floor(sqrt(x)))^2, and D_k(x) <= x (1 + ln x)^(k-1)
+(induct on D_k(x) = sum_{m<=x} D_{k-1}(x/m) with
+sum_{m<=x} 1/m <= 1 + ln x).  The smallest k > 1 with mu(k) = 1 is 6,
+and sum_{k>=6} 1/k^2 < 1/5, so P+ <= (6/5) N (1 + ln N)^3, and
+P- <= (zeta(2) - 1) N (1 + ln N)^3: both below 1.5e19 < 2^64 on the
+domain.  The corner term is one int64 dot whose terms add up to at most
+zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
 
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
@@ -85,18 +107,21 @@ from .config import DEFAULT_ORACLE_CEILING, ResourceLimitError
 from .divisor_core import (
     SUBLINEAR_TABLE_CAP,
     SummatoryTable,
+    _mobius_table,
     divisor_list,
-    divisor_square_summatory_sublinear,
     divisor_summatory_batch,
     summatory_table,
     summatory_table_size,
 )
 
-# B switches from the term-by-term sum to the sublinear identity at this N.
-# Medians of 300 interleaved calls of each route on a 2-vCPU VM cross
-# between 5000 and 7000: term by term 125 us against 165 us at N = 2000,
-# 188 against 197 at 5000, 211 against 206 at 6000, 249 against 219 at
-# 8000.  At N = 1.6e7 the sublinear route takes ~11 ms, the linear ~0.4 s.
+# The census table reaches N below this N, so B is summed term by term,
+# and from it on B walks its hyperbola identity: the cutoff is where the
+# shared small table ends.  Medians of 300 interleaved in-process calls on
+# a 2-vCPU VM, in three rounds: on the shared table term by term takes
+# 11-28 us at N = 2000-5999, and the walk 123-242 us on that table cut
+# one short of N.  Past 5999 term by term would need a sieve of its own:
+# 143-254 us at 6000, level with the walk's 141-300 us on the shared
+# table, and 228-370 us at 12000, against 151-319 us.
 SUBLINEAR_B_CUTOFF = 6000
 
 
@@ -128,6 +153,10 @@ def _check_n(N: int) -> None:
 
 # Terms per vectorized step of S and C: a few int64 temporaries, ~10 MiB.
 _TERM_CHUNK = 1 << 18
+
+# (k, u) pairs per vectorized step of B's walk, a long run of one k split
+# across steps: about ten 2 MiB temporaries, 22 MiB traced at N = 10^11.
+_PAIR_CHUNK = 1 << 18
 
 
 def check_census_size(N: int) -> None:
@@ -169,7 +198,7 @@ def census_table(N: int) -> SummatoryTable:
     if size >= SUBLINEAR_B_CUTOFF:
         return summatory_table(size, N)
     n_max = min(N, SUBLINEAR_B_CUTOFF - 1)
-    return SummatoryTable(N=N, n_max=n_max, prefix=_small_prefix()[: n_max + 1])
+    return SummatoryTable(N=N, prefix=_small_prefix()[: n_max + 1])
 
 
 def _table_for(N: int, table: Optional[SummatoryTable]) -> SummatoryTable:
@@ -190,16 +219,57 @@ def _ranges(start: int, stop: int) -> Iterator[np.ndarray]:
 def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
     """B(N) = sum_{n<=N} d(n)^2.
 
-    Term by term below SUBLINEAR_B_CUTOFF, when the table reaches N;
-    otherwise by the sublinear identity.
+    Term by term when the table reaches N, as census_table(N) does below
+    SUBLINEAR_B_CUTOFF; otherwise by the hyperbola identity of the module
+    docstring, B = 2 (P+ - P-) - corners, walking the pairs with
+    k^2 u > M.
     """
     check_census_size(N)
-    if N < SUBLINEAR_B_CUTOFF:
-        table = _table_for(N, table)
-        if table.n_max >= N:
-            d = table.counts(N)
-            return int(np.dot(d, d))
-    return divisor_square_summatory_sublinear(N, table)
+    table = _table_for(N, table)
+    if table.n_max >= N:
+        d = table.counts(N)
+        return int(np.dot(d, d))
+
+    above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
+    root = isqrt(N)
+    mu = _mobius_table(root)
+    ks = np.flatnonzero(mu)
+    runs = root // ks  # isqrt(N // k^2) = isqrt(N) // k
+    corner = table.prefix[runs].astype(np.int64)  # D(isqrt(N // k^2))
+    corners = int(np.dot(mu[ks] * corner, corner))
+    del corner
+    # The pairs with u <= M // k^2 are in the pass's weighted sum.  The walk
+    # takes the rest, u = M // k^2 + 1..isqrt(N) // k, whose quotients
+    # N // (k^2 u) <= table.n_max are lookups.  Only the k <= sqrt(M) lose
+    # pairs, and only k = 1 can lose its whole run (when M = isqrt(N)):
+    # for k >= 2, M <= isqrt(N) gives isqrt(N) // k >= k (M // k^2).
+    few = int(np.searchsorted(ks, isqrt(table.M), side="right"))
+    runs[:few] -= table.M // (ks[:few] * ks[:few])
+    first = int(runs[0] == 0)
+    ks, runs = ks[first:], runs[first:]
+    ends = np.cumsum(runs)
+    n_pairs = int(ends[-1]) if ends.size else 0
+    # The (k, u) pairs are laid out k by k, each k a run, and taken
+    # _PAIR_CHUNK at a time, so a long run (k = 1 has about sqrt(N)
+    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs
+    # [lo, hi), none of them empty.
+    positive = negative = 0
+    for lo in range(0, n_pairs, _PAIR_CHUNK):
+        hi = min(lo + _PAIR_CHUNK, n_pairs)
+        i = int(np.searchsorted(ends, lo, side="right"))
+        j = int(np.searchsorted(ends, hi, side="left")) + 1
+        k, begin = ks[i:j], ends[i:j] - runs[i:j]
+        run = np.minimum(ends[i:j], hi) - np.maximum(begin, lo)
+        skip = table.M // (k * k)
+        u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin - skip, run)
+        d_sum = table.summatory(np.repeat(N // (k * k), run) // u)
+        d_u = table.prefix[u] - table.prefix[u - 1]
+        terms = d_u.astype(np.uint64) * d_sum.astype(np.uint64)
+        by_k = np.add.reduceat(terms, np.cumsum(run) - run)
+        plus = mu[k] > 0
+        positive += int(by_k[plus].sum())
+        negative += int(by_k[~plus].sum())
+    return 2 * (above + positive - negative) - corners
 
 
 def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int:

@@ -186,27 +186,24 @@ def cmd_verify(args, cfg: Config) -> int:
         if n % 500 == 0:
             log.info("verified through N=%d", n)
     # Most of these N are below census.SUBLINEAR_B_CUTOFF, where the census
-    # table runs to N, so neither the sublinear B nor any D above the table
-    # was exercised.  Both are checked once here, at the largest N: S, C and
-    # B from a table of size sqrt(N), whose pass has the largest M, then B
-    # from the table of the default size and C from no table at all.
+    # table runs to N, so neither B's hyperbola walk nor any D above the
+    # table was exercised.  Both are checked once here, at the largest N:
+    # S, C and B from a table of size sqrt(N), whose pass has the largest
+    # M, then C from no table at all.
     y = math.isqrt(max_n)
     small = divisor_core.summatory_table(y, max_n)
     for label, got, want in (
         ("S", census.count_da_over_hyperbola(max_n, small), oracle.s_count),
         ("C", census.count_gcd_divisor_sum(max_n, small), oracle.c_count),
-        ("B", divisor_core.divisor_square_summatory_sublinear(max_n, small), oracle.b_count),
+        ("B", census.count_all_triples(max_n, small), oracle.b_count),
     ):
         if got != want:
             print(f"mismatch at N={max_n}: {label} from a table of size {y}={got} brute={want}")
             return EXIT_MISMATCH
-    for label, got, want in (
-        ("B sublinear", divisor_core.divisor_square_summatory_sublinear(max_n), oracle.b_count),
-        ("C without a table", census.count_gcd_divisor_sum(max_n), oracle.c_count),
-    ):
-        if got != want:
-            print(f"mismatch at N={max_n}: {label}={got} brute={want}")
-            return EXIT_MISMATCH
+    got = census.count_gcd_divisor_sum(max_n)
+    if got != oracle.c_count:
+        print(f"mismatch at N={max_n}: C without a table={got} brute={oracle.c_count}")
+        return EXIT_MISMATCH
     print(f"verify: fast path matches brute force (A, B, C, S and A=2S-C) for all N <= {checked}")
     return EXIT_OK
 

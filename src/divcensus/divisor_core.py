@@ -28,42 +28,6 @@ which is O(sqrt(x)) and needs no table, so it stays usable for arguments
 as large as the census bound N itself.  It is one int64 reduction, exact
 for x <= SUMMATORY_MAX_X = 2^52; a larger x is refused.
 
-Sum of d(n)^2
--------------
-With D_4(x) = sum_{uv<=x} d(u) d(v), the count of 4-tuples with product
-at most x, and mu the Moebius function,
-
-    sum_{n<=N} d(n)^2 = sum_{k<=sqrt(N)} mu(k) * D_4(floor(N / k^2))
-
-(census.py derives this from sum d(n)^2 n^-s = zeta(s)^4 / zeta(2s)), and
-the hyperbola split again gives
-
-    D_4(x) = 2 * sum_{u<=sqrt(x)} d(u) * D(floor(x/u))  -  D(floor(sqrt(x)))^2.
-
-Grouping the k by the sign of mu(k), with x_k = N // k^2,
-
-    sum_{n<=N} d(n)^2 = 2 (P+ - P-)  -  sum_k mu(k) * D(isqrt(N) // k)^2,
-
-where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
-u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1; the pairs whose
-D(x_k // u) lies above the summatory table come from its pass instead
-(below), which only shrinks P+ and P-.  Their terms are nonnegative, so
-each is reduced in uint64, a step of pairs at a time, into a Python int.
-The sum over u of one x is at most D_4(x), as it is at least
-D(floor(sqrt(x)))^2, and D_k(x) <= x (1 + ln x)^(k-1) (induct on
-D_k(x) = sum_{m<=x} D_{k-1}(x/m) with sum_{m<=x} 1/m <= 1 + ln x).  The
-smallest k > 1 with mu(k) = 1 is 6, and sum_{k>=6} 1/k^2 < 1/5, so
-P+ <= (6/5) N (1 + ln N)^3, and
-P- <= (zeta(2) - 1) N (1 + ln N)^3: both below 1.5e19 < 2^64 for every
-N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1, the census's domain.
-The corner term is one int64 dot whose terms add up to at most
-zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
-
-divisor_square_summatory_sublinear costs about N^(2/3) sieve work plus
-sqrt(N) ln(N) lookups in a summatory table, against the N ln N of summing
-d(n)^2 term by term.  The term-by-term routes stay: the in-memory one for
-small N, the segmented one as an independent cross-check.
-
 Summatory table and the pass above it
 -------------------------------------
 summatory_table(y, N) serves one bound N, with sqrt(N) <= y.  It sieves
@@ -77,14 +41,15 @@ the D above the table are taken in one streaming pass over m <= M
 by block, and reduces it into three sums:
 
     sum_{m<=M} D(N // m)              the part of S with b <= M,
-    sum_{m<=M} 2^omega(m) D(N // m)   the part of the sum of d(n)^2 above,
+    sum_{m<=M} 2^omega(m) D(N // m)   the part of B with k^2 u <= M,
     sum_{r^2<=M} D(N // r^2)          the part of C with r^2 <= M,
 
 with omega(m) the number of distinct primes of m, from a sieve to M.  The
-second sum holds every hyperbola term of B with k^2 u = m <= M: those
-terms all read D(N // m), and their weights sum_{k^2 u = m} mu(k) d(u) are
-the coefficients of zeta(s)^2 / zeta(2s), which are 2^omega(m).  Each such
-pair has u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum, because
+second sum holds every hyperbola term mu(k) d(u) D(N // (k^2 u)) of B
+(census.py) with k^2 u = m <= M: those terms all read D(N // m), and
+their weights sum_{k^2 u = m} mu(k) d(u) are the coefficients of
+zeta(s)^2 / zeta(2s), which are 2^omega(m).  Each such pair has
+u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum, because
 M <= sqrt(N).  The terms sum_{m<=M} 2^omega(m) D(N // m) are at most
 N (1 + ln N) sum_{m<=sqrt(N)} d(m) / m <= N (1 + ln N) (1 + ln sqrt(N))^2
 < 2^62 on the census domain, so each block reduces in int64, as do the
@@ -145,17 +110,11 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # larger x: that sum is at most D(x) <= x (1 + ln x) < 2^63 for x <= 2^52.
 SUMMATORY_MAX_X = 1 << 52
 
-# The d(n) table behind the sublinear sum of d(n)^2 holds at most this many
-# entries.  Its int32 prefix sums, taken in place, peak at 4 bytes an
+# The d(n) table behind a census holds at most this many entries.  Its int32 prefix sums, taken in place, peak at 4 bytes an
 # entry, 64 MiB at the cap, which the size rule reaches at
 # N^(2/3) / 4 = 2^24 (N = 2^39, about 5.5e11).
 # int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
 SUBLINEAR_TABLE_CAP = 1 << 24
-
-# (k, u) pairs handled per vectorized step of the sublinear sum, a long run
-# of one k split across steps: about ten 2 MiB temporaries, 22 MiB traced at
-# N = 10^11.
-_PAIR_CHUNK = 1 << 18
 
 # divisor_summatory_batch is exact up to the largest N of the census domain:
 # there sum_{k<=sqrt(x)} x / k <= x (1 + ln sqrt(x)) < 2^53 (module docstring).
@@ -303,7 +262,6 @@ class SummatoryTable:
     """
 
     N: int
-    n_max: int
     prefix: np.ndarray
 
     def __post_init__(self):
@@ -311,6 +269,11 @@ class SummatoryTable:
             raise ValueError(
                 f"summatory table size {self.n_max} is below sqrt(N) = {isqrt(self.N)}"
             )
+
+    @property
+    def n_max(self) -> int:
+        """The largest m whose D(m) the table holds."""
+        return self.prefix.size - 1
 
     @property
     def M(self) -> int:
@@ -337,9 +300,9 @@ class SummatoryTable:
         sum_{m<=M} 2^omega(m) D(N // m) is B's part with k^2 u <= M, and
         squares = sum_{r^2<=M} D(N // r^2) is C's part with r^2 <= M.  It is
         a plain tuple because every census below the cutoff builds one, and
-        a named tuple takes ten times as long to make.  Each D(N // m) is evaluated once, _PASS_ROWS values of m at a time,
-        and dropped after the three sums take it (module docstring).  M = 0
-        costs nothing.
+        a named tuple takes ten times as long to make.  Each D(N // m) is
+        evaluated once, _PASS_ROWS values of m at a time, and dropped after
+        the three sums take it (module docstring).  M = 0 costs nothing.
         """
         plain = weighted = squares = 0
         M = self.M
@@ -386,7 +349,7 @@ def summatory_table(y: int, N: int) -> SummatoryTable:
     prefix = _sieve(y)
     np.cumsum(prefix, out=prefix)
     prefix.setflags(write=False)
-    return SummatoryTable(N=N, n_max=y, prefix=prefix)
+    return SummatoryTable(N=N, prefix=prefix)
 
 
 def divisor_square_summatory(x: int, table: DivisorTable) -> int:
@@ -442,8 +405,8 @@ def divisor_square_summatory_segmented(
     """sum_{n<=n_max} d(n)^2 streamed over segments; exact for any n_max.
 
     It costs time linear in n_max and memory bounded by the segment size.
-    The census uses the sublinear route; this one is kept as an independent
-    cross-check of it.
+    The census takes B by its hyperbola identity (census.py); this route is
+    kept as an independent cross-check of it.
     """
     total = 0
     for _, counts in iter_divisor_segments(n_max, segment_size):
@@ -509,65 +472,3 @@ def _two_pow_omega_table(n_max: int) -> np.ndarray:
     weights[rest > 1] *= 2
     return weights
 
-
-def divisor_square_summatory_sublinear(n_max: int, table: SummatoryTable | None = None) -> int:
-    """sum_{n<=n_max} d(n)^2 = sum_{k<=sqrt(n_max)} mu(k) D_4(n_max // k^2), exactly.
-
-    See the module docstring for the identity and the cost.  d(u) is needed
-    up to sqrt(n_max), which a table built for N = n_max reaches, and
-    n_max >= (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 is refused.  Without a
-    table, one of summatory_table_size(n_max) entries is sieved.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    root = isqrt(n_max)
-    if root > SUBLINEAR_TABLE_CAP:
-        raise ResourceLimitError(
-            f"sublinear sum of d(n)^2 refused at N={n_max}: it needs d(n) up to "
-            f"sqrt(N) = {root}, above the table cap {SUBLINEAR_TABLE_CAP}"
-        )
-    if table is None:
-        table = summatory_table(summatory_table_size(n_max), n_max)
-    elif table.N != n_max:
-        raise ValueError(f"table built for N={table.N}, not for n_max={n_max}")
-
-    above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
-    mu = _mobius_table(root)
-    ks = np.flatnonzero(mu)
-    runs = root // ks  # isqrt(n_max // k^2) = isqrt(n_max) // k
-    corner = table.prefix[runs].astype(np.int64)  # D(isqrt(n_max // k^2))
-    corners = int(np.dot(mu[ks] * corner, corner))
-    del corner
-    # The pairs with u <= M // k^2 are in the pass's weighted sum.  The walk
-    # takes the rest, u = M // k^2 + 1..isqrt(n_max) // k, whose
-    # D(n_max // (k^2 u)) <= n_max are in the table.  Only the k <= sqrt(M)
-    # lose pairs, and only k = 1 can lose its whole run (when M = isqrt(n_max)):
-    # for k >= 2, M <= isqrt(n_max) gives isqrt(n_max) // k >= k (M // k^2).
-    few = int(np.searchsorted(ks, isqrt(table.M), side="right"))
-    runs[:few] -= table.M // (ks[:few] * ks[:few])
-    first = int(runs[0] == 0)
-    ks, runs = ks[first:], runs[first:]
-    ends = np.cumsum(runs)
-    n_pairs = int(ends[-1]) if ends.size else 0
-    # The (k, u) pairs are laid out k by k, each k a run, and taken
-    # _PAIR_CHUNK at a time, so a long run (k = 1 has about sqrt(n_max)
-    # pairs) spans several steps.  Runs i..j-1 meet the step's pairs
-    # [lo, hi), none of them empty.  positive and negative are P+ and P- of
-    # the module docstring.
-    positive = negative = 0
-    for lo in range(0, n_pairs, _PAIR_CHUNK):
-        hi = min(lo + _PAIR_CHUNK, n_pairs)
-        i = int(np.searchsorted(ends, lo, side="right"))
-        j = int(np.searchsorted(ends, hi, side="left")) + 1
-        k, begin = ks[i:j], ends[i:j] - runs[i:j]
-        run = np.minimum(ends[i:j], hi) - np.maximum(begin, lo)
-        skip = table.M // (k * k)
-        u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin - skip, run)
-        d_sum = table.summatory(np.repeat(n_max // (k * k), run) // u)
-        d_u = table.prefix[u] - table.prefix[u - 1]
-        terms = d_u.astype(np.uint64) * d_sum.astype(np.uint64)
-        by_k = np.add.reduceat(terms, np.cumsum(run) - run)
-        plus = mu[k] > 0
-        positive += int(by_k[plus].sum())
-        negative += int(by_k[~plus].sum())
-    return 2 * (above + positive - negative) - corners

@@ -91,24 +91,20 @@ def test_count_all_triples_examples():
 
 
 def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
+    # Only the hyperbola walk sieves mu, to isqrt(N).
     table = sieve_divisor_counts(SUBLINEAR_B_CUTOFF + 1)
-    calls = []
-    sublinear = census.divisor_square_summatory_sublinear
-
-    def spy(n, table=None):
-        calls.append(n)
-        return sublinear(n, table)
-
-    monkeypatch.setattr(census, "divisor_square_summatory_sublinear", spy)
+    walked = []
+    real = census._mobius_table
+    monkeypatch.setattr(census, "_mobius_table", lambda n: walked.append(n) or real(n))
     c = SUBLINEAR_B_CUTOFF
     for n in (c - 1, c, c + 1):
         assert count_all_triples(n) == divisor_square_summatory(n, table), n
-    assert calls == [c, c + 1]
+    assert walked == [isqrt(c), isqrt(c + 1)]
 
 
 def test_count_all_triples_below_the_cutoff_from_a_table_short_of_n():
-    # S and C accept any table from sqrt(N) up; B takes the sublinear
-    # route from one that stops short of N.
+    # S and C accept any table from sqrt(N) up; B takes the hyperbola
+    # walk from one that stops short of N.
     want = brute_force_census(5000).b_count
     assert count_all_triples(5000) == want == 620_598
     for y in (isqrt(5000), 71, 4999):
@@ -162,7 +158,7 @@ def test_s_and_c_from_any_table_size_match_loops(n, data):
     table = summatory_table(min(y, n), n)
     got = (count_da_over_hyperbola(n, table), count_gcd_divisor_sum(n, table))
     assert got == loop_s_and_c(n)
-    b = divisor_core.divisor_square_summatory_sublinear(n, table)
+    b = count_all_triples(n, table)
     assert b == divisor_core.divisor_square_summatory_segmented(n)
 
 
@@ -281,6 +277,16 @@ def test_census_above_the_cutoff_reads_the_shared_table_without_sieving(n, monke
     got = fast_census(n)
     assert (got.b_count, got.s_count, got.c_count) == want
     assert census.census_table(n).n_max == SUBLINEAR_B_CUTOFF - 1
+
+
+@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF, 10**5, LAST_SHARED_N])
+def test_b_without_a_table_reads_the_shared_table_without_sieving(n, monkeypatch):
+    # B alone takes the census's table, as fast_census does, not a table of
+    # its own.
+    want = divisor_core.divisor_square_summatory_segmented(n)
+    census._small_prefix()
+    monkeypatch.setattr(divisor_core, "_sieve", None)
+    assert count_all_triples(n) == want
 
 
 def test_shared_small_table_is_read_only():

@@ -321,26 +321,14 @@ def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
     assert "fast=" in out and "brute=" in out
 
 
-def test_verify_checks_the_sublinear_identity(capsys, monkeypatch):
-    # Off by one from the table of the default size only.
-    real = divisor_core.divisor_square_summatory_sublinear
-    monkeypatch.setattr(
-        divisor_core,
-        "divisor_square_summatory_sublinear",
-        lambda n, table=None: real(n, table) + (table is None),
-    )
-    code, out, _ = run(capsys, "verify", "--max-n", "100")
-    assert code == 1
-    assert "mismatch at N=100: B sublinear=" in out
-
-
 def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
-    # Off by one from the table of size sqrt(max_n) only.
-    real = divisor_core.divisor_square_summatory_sublinear
+    # Off by one only from a table short of N: the census tables of
+    # verify --max-n 100 all reach N, and the one of size 10 does not.
+    real = census.count_all_triples
     monkeypatch.setattr(
-        divisor_core,
-        "divisor_square_summatory_sublinear",
-        lambda n, table=None: real(n, table) + (table is not None),
+        census,
+        "count_all_triples",
+        lambda n, table=None: real(n, table) + (table is not None and table.n_max < n),
     )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from divcensus import divisor_core
+from divcensus import census, divisor_core
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import (
     SUBLINEAR_TABLE_CAP,
@@ -21,7 +21,6 @@ from divcensus.divisor_core import (
     _two_pow_omega_table,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
-    divisor_square_summatory_sublinear,
     divisor_summatory,
     divisor_summatory_batch,
     iter_divisor_segments,
@@ -242,9 +241,17 @@ def test_segment_size_bounds():
         divisor_square_summatory_segmented(10, segment_size=(1 << 30) + 1)
 
 
-# -- sublinear sum of d(n)^2 -------------------------------------------------
+# -- sum of d(n)^2 by the hyperbola identity -----------------------------------
 
 TABLE_30K = sieve_divisor_counts(30_000)
+
+
+def b_by_walk(n: int) -> int:
+    """B(n) by census.count_all_triples from a table of summatory_table_size(n).
+
+    That table stops short of n from n = 2 on, so B takes the hyperbola walk.
+    """
+    return census.count_all_triples(n, summatory_table(summatory_table_size(n), n))
 
 
 def moebius_by_factoring(n: int) -> int:
@@ -307,7 +314,7 @@ def test_mobius_table_traces_under_eight_bytes_an_entry():
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000))
 def test_sublinear_square_summatory_matches_table(n):
-    assert divisor_square_summatory_sublinear(n) == divisor_square_summatory(n, TABLE_30K)
+    assert b_by_walk(n) == divisor_square_summatory(n, TABLE_30K)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -326,16 +333,18 @@ def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
         return real(table, q)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(divisor_core, "_PAIR_CHUNK", chunk)
+        mp.setattr(census, "_PAIR_CHUNK", chunk)
         mp.setattr(SummatoryTable, "summatory", spy)
-        got = divisor_square_summatory_sublinear(n)
+        got = b_by_walk(n)
     assert got == divisor_square_summatory(n, TABLE_30K)
     assert max(sizes, default=0) <= chunk
-    # Only the pairs with k^2 u > M are walked; the pass has the rest.
+    # Only the pairs with k^2 u > M are walked; the pass has the rest.  At
+    # n = 1 the table reaches n, and B is summed term by term.
     root = isqrt(n)
-    m_max = n // (summatory_table_size(n) + 1)
+    y = summatory_table_size(n)
+    m_max = n // (y + 1)
     squarefree = [k for k in range(1, root + 1) if moebius_by_factoring(k)]
-    pairs = sum(root // k - m_max // (k * k) for k in squarefree)
+    pairs = sum(root // k - m_max // (k * k) for k in squarefree) if y < n else 0
     assert sum(sizes) == pairs
 
 
@@ -345,21 +354,21 @@ def test_sublinear_square_summatory_at_squares_and_neighbours():
         for n in (m * m - 1, m * m, m * m + 1):
             if n >= 1:
                 want = divisor_square_summatory(n, TABLE_30K)
-                assert divisor_square_summatory_sublinear(n) == want, n
+                assert b_by_walk(n) == want, n
 
 
 @pytest.mark.parametrize("n", [10**6, 10**7])
 def test_sublinear_square_summatory_matches_segmented(n):
-    assert divisor_square_summatory_sublinear(n) == divisor_square_summatory_segmented(n)
+    assert b_by_walk(n) == divisor_square_summatory_segmented(n)
 
 
 def test_sublinear_square_summatory_rejects_and_refuses():
     with pytest.raises(ValueError):
-        divisor_square_summatory_sublinear(0)
+        census.count_all_triples(0)
     # d(u) is needed up to sqrt(N), which must fit under the table cap;
     # the refusal comes before any work.
     with pytest.raises(ResourceLimitError, match="table cap"):
-        divisor_square_summatory_sublinear((SUBLINEAR_TABLE_CAP + 1) ** 2)
+        census.count_all_triples((SUBLINEAR_TABLE_CAP + 1) ** 2)
 
 
 def ln2_upper_bound() -> Fraction:
@@ -498,10 +507,10 @@ def test_hyperbola_sums_exact_between_2_63_and_2_64():
     real = summatory_table(y, n)
     prefix = real.prefix.astype(np.int64)
     prefix[909], prefix[769] = 2**61 + 7, 2**61 + 3
-    table = SummatoryTable(N=n, n_max=y, prefix=prefix)
+    table = SummatoryTable(N=n, prefix=prefix)
     want, positive = sublinear_in_python_ints(n, table)
     assert 2**63 < positive < 2**64
-    got = divisor_square_summatory_sublinear(n, table)
+    got = census.count_all_triples(n, table)
     assert type(got) is int and got == want
     assert sublinear_in_python_ints(n, real)[0] == divisor_square_summatory(n, TABLE)
 
@@ -611,7 +620,8 @@ def test_summatory_table_peaks_at_four_bytes_an_entry():
 def test_sublinear_square_summatory_takes_a_table():
     n = 30_000
     want = divisor_square_summatory(n, TABLE_30K)
-    for y in (isqrt(n), 1000, n):
-        assert divisor_square_summatory_sublinear(n, summatory_table(y, n)) == want
+    # y = n - 1 leaves M = 1 to the pass; y = n sums term by term.
+    for y in (isqrt(n), 1000, n - 1, n):
+        assert census.count_all_triples(n, summatory_table(y, n)) == want
     with pytest.raises(ValueError, match="below sqrt"):
-        divisor_square_summatory_sublinear(n, summatory_table(isqrt(n) - 1, n))
+        census.count_all_triples(n, summatory_table(isqrt(n) - 1, n))
