@@ -110,9 +110,10 @@ DEFAULT_SEGMENT_SIZE = 1 << 20
 # larger x: that sum is at most D(x) <= x (1 + ln x) < 2^63 for x <= 2^52.
 SUMMATORY_MAX_X = 1 << 52
 
-# The d(n) table behind a census holds at most this many entries.  Its int32 prefix sums, taken in place, peak at 4 bytes an
-# entry, 64 MiB at the cap, which the size rule reaches at
-# N^(2/3) / 4 = 2^24 (N = 2^39, about 5.5e11).
+# The d(n) table behind a census holds at most this many entries.  Its
+# int32 prefix sums, taken in place, peak at 4 bytes an entry, 64 MiB at
+# the cap, which the size rule reaches at N^(2/3) / 4 = 2^24 (N = 2^39,
+# about 5.5e11).
 # int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
 SUBLINEAR_TABLE_CAP = 1 << 24
 

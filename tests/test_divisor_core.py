@@ -241,7 +241,7 @@ def test_segment_size_bounds():
         divisor_square_summatory_segmented(10, segment_size=(1 << 30) + 1)
 
 
-# -- sum of d(n)^2 by the hyperbola identity -----------------------------------
+# -- sum of d(n)^2 by the hyperbola identity ----------------------------------
 
 TABLE_30K = sieve_divisor_counts(30_000)
 
