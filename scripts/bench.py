@@ -16,8 +16,15 @@ machine, can be compared.
 Usage:
     python scripts/bench.py --label after [--checkout .] [--n 1e8 1e10 1e12 1e13]
                             [--verify-max-n 2000 10000] [--sample-n 5e4 1e6] [--repeat 1]
+    python scripts/bench.py --label parent change --checkout ../parent . [...]
 
 An empty --n, --verify-max-n or --sample-n list skips that command.
+
+Several checkouts, each paired in order with a label, are run in
+alternating rounds: each repeat of a bound runs it once per checkout, and
+the checkout that goes first moves on by one from one repeat to the next.
+So a drift in the host's speed lands on every checkout alike.  Each
+checkout writes its own BENCH_<label>.json.
 
 The file goes to bench/ in this repository, whichever checkout is run.
 """
@@ -149,8 +156,12 @@ def run_sample(n: str, env: dict) -> dict:
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True, help="names the output BENCH_<label>.json")
-    parser.add_argument("--checkout", type=Path, default=REPO, help="tree whose src/ is run")
+    parser.add_argument(
+        "--label", nargs="+", required=True, help="names BENCH_<label>.json, one label a checkout"
+    )
+    parser.add_argument(
+        "--checkout", nargs="+", type=Path, default=[REPO], help="trees whose src/ is run"
+    )
     parser.add_argument("--n", nargs="*", default=DEFAULT_NS, help="census bounds, in order")
     parser.add_argument(
         "--verify-max-n",
@@ -168,36 +179,44 @@ def main() -> int:
     args = parser.parse_args()
     if args.repeat < 1:
         parser.error("--repeat must be >= 1")
+    if len(args.label) != len(args.checkout):
+        parser.error(f"{len(args.label)} labels for {len(args.checkout)} checkouts")
 
-    checkout = args.checkout.resolve()
-    env = child_env(checkout)
+    checkouts = [checkout.resolve() for checkout in args.checkout]
+    envs = [child_env(checkout) for checkout in checkouts]
     jobs = (
         [(run_census, n) for n in args.n]
         + [(run_verify, m) for m in args.verify_max_n]
         + [(run_sample, n) for n in args.sample_n]
     )
-    runs = []
+    runs = [[] for _ in checkouts]
     for run, bound in jobs:
-        for _ in range(args.repeat):
-            record = run(bound, env)
-            print(json.dumps(record), file=sys.stderr)
-            runs.append(record)
-    result = {
-        "label": args.label,
-        "commands": [
-            "python -m divcensus census --n N",
-            "python -m divcensus verify --max-n M",
-            "python -m divcensus sample --n N " + " ".join(SAMPLE_ARGS),
-        ],
-        "machine": machine_facts(),
-        "checkout": checkout_facts(checkout),
-        "runs": runs,
-    }
+        for repeat in range(args.repeat):
+            for k in range(len(checkouts)):
+                side = (repeat + k) % len(checkouts)
+                record = run(bound, envs[side])
+                shown = json.dumps(record)
+                if len(checkouts) > 1:
+                    shown = f"{args.label[side]} {shown}"
+                print(shown, file=sys.stderr)
+                runs[side].append(record)
     OUT_DIR.mkdir(exist_ok=True)
-    path = OUT_DIR / f"BENCH_{args.label}.json"
-    path.write_text(json.dumps(result, indent=2) + "\n")
-    print(path)
-    return 0 if all(r["exit"] == 0 for r in runs) else 1
+    for label, checkout, side_runs in zip(args.label, checkouts, runs):
+        result = {
+            "label": label,
+            "commands": [
+                "python -m divcensus census --n N",
+                "python -m divcensus verify --max-n M",
+                "python -m divcensus sample --n N " + " ".join(SAMPLE_ARGS),
+            ],
+            "machine": machine_facts(),
+            "checkout": checkout_facts(checkout),
+            "runs": side_runs,
+        }
+        path = OUT_DIR / f"BENCH_{label}.json"
+        path.write_text(json.dumps(result, indent=2) + "\n")
+        print(path)
+    return 0 if all(r["exit"] == 0 for side_runs in runs for r in side_runs) else 1
 
 
 if __name__ == "__main__":

@@ -16,6 +16,7 @@ from .census import (
     count_gcd_divisor_sum,
     count_good_triples,
     fast_census,
+    fast_census_range,
     list_counterexamples,
 )
 from .config import Config, ResourceLimitError

@@ -22,6 +22,7 @@ from divcensus.census import (
     count_gcd_divisor_sum,
     count_good_triples,
     fast_census,
+    fast_census_range,
     iter_counterexamples,
     list_counterexamples,
 )
@@ -385,6 +386,7 @@ def test_zero_arguments_rejected():
         count_da_over_hyperbola,
         count_good_triples,
         fast_census,
+        fast_census_range,  # at the call, before anything is asked for
         brute_force_census,
     ):
         with pytest.raises(ValueError):
@@ -416,6 +418,37 @@ def test_fast_census_matches_oracle_sampled(n):
         want.c_count,
         want.s_count,
     )
+
+
+# The sweep runs to 50 N past the cutoff, where it hands over to fast_census.
+SWEEP_TOP = SUBLINEAR_B_CUTOFF + 50
+
+
+@pytest.fixture(scope="module")
+def censuses_to_sweep_top():
+    return [fast_census(n) for n in range(1, SWEEP_TOP + 1)]
+
+
+def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
+    swept = list(fast_census_range(SWEEP_TOP))
+    assert swept == censuses_to_sweep_top
+    for r in swept:
+        assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}
+
+
+@pytest.mark.parametrize("block", [1, 7])
+def test_sweep_in_partial_blocks_matches_fast_census(block, censuses_to_sweep_top, monkeypatch):
+    monkeypatch.setattr(census, "_SWEEP_BLOCK", block)
+    assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
+
+
+def test_sweep_below_the_cutoff_reads_the_shared_table_without_sieving(
+    censuses_to_sweep_top, monkeypatch
+):
+    census._small_prefix()
+    monkeypatch.setattr(divisor_core, "_sieve", None)
+    swept = list(fast_census_range(SUBLINEAR_B_CUTOFF - 1))
+    assert swept == censuses_to_sweep_top[: SUBLINEAR_B_CUTOFF - 1]
 
 
 def test_inclusion_exclusion_identity_on_oracle():

@@ -302,15 +302,17 @@ def test_verify_rejects_zero(capsys):
     assert "invalid argument" in err
 
 
+def with_b_off_by_one(result, at):
+    """result with B one too high if its N is at, else result itself."""
+    return dataclasses.replace(result, b_count=result.b_count + 1) if result.N == at else result
+
+
 def b_off_by_one_at(monkeypatch, at):
-    """Make census.fast_census report B one too large at N = at."""
-    real = census.fast_census
-
-    def fast_census(n):
-        result = real(n)
-        return dataclasses.replace(result, b_count=result.b_count + 1) if n == at else result
-
-    monkeypatch.setattr(census, "fast_census", fast_census)
+    """Make census.fast_census_range, which verify compares, report B one too high at N = at."""
+    real = census.fast_census_range
+    monkeypatch.setattr(
+        census, "fast_census_range", lambda max_n: (with_b_off_by_one(r, at) for r in real(max_n))
+    )
 
 
 def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
@@ -319,6 +321,16 @@ def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
     assert code == 1
     assert "N=37" in out
     assert "fast=" in out and "brute=" in out
+
+
+def test_verify_checks_the_per_n_census_route(capsys, monkeypatch):
+    # Below the B cutoff verify sweeps the range, and fast_census, which
+    # `census --n` runs, is compared once, at max_n.
+    real = census.fast_census
+    monkeypatch.setattr(census, "fast_census", lambda n: with_b_off_by_one(real(n), 100))
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert "mismatch at N=100: B from fast_census=" in out
 
 
 def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
