@@ -33,10 +33,10 @@ and grouping the k by the sign of mu(k), with x_k = N // k^2,
 where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
 u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1.  This costs about
 N^(2/3) sieve work plus sqrt(N) ln(N) lookups in a table of D, against
-the N ln N of summing d(n)^2 term by term.  Below SUBLINEAR_B_CUTOFF the
-table runs to N, and B is summed term by term from its d(n) instead;
-divisor_core keeps the term-by-term sums, in memory and segmented, as
-independent cross-checks.
+the N ln N of summing d(n)^2 term by term.  Below SUBLINEAR_B_CUTOFF a
+census is a step of fast_census_range, which reads B(N) from one running
+sum of d(n)^2 instead; divisor_core keeps the term-by-term sums, in
+memory and segmented, as independent cross-checks.
 
 The A identity is inclusion-exclusion on "r | a or r | b" plus the
 a <-> b symmetry.  The C identity comes from writing a = r*c, b = r*e:
@@ -51,13 +51,12 @@ each taken by N // q - N // (q + 1) values of b, so
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
 In a census all three read D from one summatory table of size y for
-this N (divisor_core).  Below SUBLINEAR_B_CUTOFF, y = N and the table is
-a view of one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1), sieved
-once per process on the first small census, so a run of small censuses
-(verify) sieves once.  From the cutoff on, y is that same shared table
-while the size rule's N^(2/3) / 4 is below the cutoff (N up to about
-3.7e6), and beyond that each census sieves its own table of about
-N^(2/3) / 4 entries.  Every D(q) with q <= y is a lookup.  Every D(q)
+this N (divisor_core).  While the size rule's N^(2/3) / 4 is below
+SUBLINEAR_B_CUTOFF (N up to about 3.7e6), that is one read-only table of
+D(0..SUBLINEAR_B_CUTOFF - 1), sieved once per process on first use, so a
+run of such censuses (verify) sieves once; below the cutoff it reaches N.
+Beyond that each census sieves its own table of about N^(2/3) / 4
+entries.  Every D(q) with q <= y is a lookup.  Every D(q)
 above y is D(N // m) for some m <= M = N // (y + 1) (B asks for
 m = k^2 u, S for m = b, C for m = r^2).  The table's pass evaluates each
 of them once, in float64 blocks, and keeps only three sums:
@@ -114,14 +113,15 @@ from .divisor_core import (
     summatory_table_size,
 )
 
-# The census table reaches N below this N, so B is summed term by term,
-# and from it on B walks its hyperbola identity: the cutoff is where the
-# shared small table ends.  Medians of 300 interleaved in-process calls on
-# a 2-vCPU VM, in three rounds: on the shared table term by term takes
-# 11-28 us at N = 2000-5999, and the walk 123-242 us on that table cut
-# one short of N.  Past 5999 term by term would need a sieve of its own:
-# 143-254 us at 6000, level with the walk's 141-300 us on the shared
-# table, and 228-370 us at 12000, against 151-319 us.
+# Below this N fast_census takes B from the sweep's running sum of d(n)^2
+# over the shared small table, and from it on B walks its hyperbola
+# identity: the cutoff is where the shared table ends.  Medians of 300
+# interleaved in-process calls on a 2-vCPU VM, in three rounds: the running
+# sum to N takes 27-30 us at N = 2000 and 41-44 us at 5999, and the walk on
+# the shared table 155-193 and 150-171 us.  Past 5999 the running sum would
+# need a sieve of its own: 266-292 us at 6000, level with the walk's
+# 264-307 us on the shared table, and 376-417 us at 12000, against
+# 279-314 us.
 SUBLINEAR_B_CUTOFF = 6000
 
 
@@ -178,27 +178,28 @@ def check_census_size(N: int) -> None:
 
 @lru_cache(maxsize=1)
 def _small_prefix() -> np.ndarray:
-    """D(0..SUBLINEAR_B_CUTOFF - 1), read-only: sieved on first use, once per process."""
-    return summatory_table(SUBLINEAR_B_CUTOFF - 1, SUBLINEAR_B_CUTOFF - 1).prefix
+    """D(0..SUBLINEAR_B_CUTOFF - 1), read-only: sieved on first use, once per process.
+
+    It is a view of the sieved array: numpy lets a holder set an array
+    that owns its memory writeable again, but not a view of a read-only one.
+    """
+    return summatory_table(SUBLINEAR_B_CUTOFF - 1, SUBLINEAR_B_CUTOFF - 1).prefix[:]
 
 
 def census_table(N: int) -> SummatoryTable:
     """The one d(n) and D(m) table behind B, S and C at N.
 
-    Below SUBLINEAR_B_CUTOFF it runs to N itself, where B is its sum of
-    d(n)^2, and its prefix is a read-only view of one table of
-    D(0..SUBLINEAR_B_CUTOFF - 1) that every such N shares (24 KB, sieved
-    on the first small census).  From the cutoff on, while
-    summatory_table_size(N) is still below the cutoff (N up to about
-    3.7e6), it is that whole shared table, larger than a private one would
-    be, with N's own pass above it.  Beyond that it is sieved for this N
-    alone, with summatory_table_size(N) entries.
+    While summatory_table_size(N) is below SUBLINEAR_B_CUTOFF (N up to
+    about 3.7e6) it is one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1)
+    that every such N shares (24 KB, sieved on first use), larger than a
+    private table would be.  Below the cutoff that table reaches N, so
+    M = 0 and there is no pass.  Beyond that the table is sieved for this
+    N alone, with summatory_table_size(N) entries.
     """
     size = summatory_table_size(N)  # <= N, so every N below the cutoff shares the table
     if size >= SUBLINEAR_B_CUTOFF:
         return summatory_table(size, N)
-    n_max = min(N, SUBLINEAR_B_CUTOFF - 1)
-    return SummatoryTable(N=N, prefix=_small_prefix()[: n_max + 1])
+    return SummatoryTable(N=N, prefix=_small_prefix())
 
 
 def _table_for(N: int, table: Optional[SummatoryTable]) -> SummatoryTable:
@@ -219,17 +220,13 @@ def _ranges(start: int, stop: int) -> Iterator[np.ndarray]:
 def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
     """B(N) = sum_{n<=N} d(n)^2.
 
-    Term by term when the table reaches N, as census_table(N) does below
-    SUBLINEAR_B_CUTOFF; otherwise by the hyperbola identity of the module
-    docstring, B = 2 (P+ - P-) - corners, walking the pairs with
-    k^2 u > M.
+    By the hyperbola identity of the module docstring,
+    B = 2 (P+ - P-) - corners, walking the pairs with k^2 u > M.  Below
+    SUBLINEAR_B_CUTOFF census_table(N) reaches N, so M = 0 and the walk
+    takes every pair.
     """
     check_census_size(N)
     table = _table_for(N, table)
-    if table.n_max >= N:
-        d = table.counts(N)
-        return int(np.dot(d, d))
-
     above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
     root = isqrt(N)
     mu = _mobius_table(root)
@@ -328,8 +325,15 @@ def count_good_triples(N: int) -> int:
 
 
 def fast_census(N: int) -> CensusResult:
-    """All four counts by the identity-based routes, from one sieved table."""
+    """All four counts by the identity-based routes.
+
+    Below SUBLINEAR_B_CUTOFF this is the step of fast_census_range at N,
+    over the shared table; from the cutoff on, B, S and C read
+    census_table(N) and its pass.
+    """
     check_census_size(N)
+    if N < SUBLINEAR_B_CUTOFF:
+        return next(_fast_census_range(N, N))
     table = census_table(N)
     b = count_all_triples(N, table)
     s = count_da_over_hyperbola(N, table)
@@ -361,19 +365,21 @@ def fast_census_range(max_n: int) -> Iterator[CensusResult]:
     is at most _SWEEP_BLOCK S(SUBLINEAR_B_CUTOFF - 1) < 2^63.  R comes from
     np.sqrt, which is exact for N < 2^52: the float of N is exact, and
     sqrt(k^2 - 1) sits more than half an ulp below k while k^2 < 2^52.
-    From the cutoff on it yields fast_census(N).  max_n < 1 raises
-    ValueError at the call, before anything is asked for.
+    From the cutoff on it yields fast_census(N); below the cutoff
+    fast_census is this sweep at one N.  max_n < 1 raises ValueError at
+    the call, before anything is asked for.
     """
     _check_n(max_n)
-    return _fast_census_range(max_n)
+    return _fast_census_range(1, max_n)
 
 
-def _fast_census_range(max_n: int) -> Iterator[CensusResult]:
+def _fast_census_range(first: int, max_n: int) -> Iterator[CensusResult]:
+    """The fast CensusResult for every N in first..max_n, first >= 1."""
     top = min(max_n, SUBLINEAR_B_CUTOFF - 1)
     prefix = _small_prefix()
     d = np.diff(prefix[: top + 1]).astype(np.int64)
     b_counts = np.cumsum(d * d)  # B(1..top)
-    for lo in range(1, top + 1, _SWEEP_BLOCK):
+    for lo in range(first, top + 1, _SWEEP_BLOCK):
         n = np.arange(lo, min(lo + _SWEEP_BLOCK, top + 1), dtype=np.int64)
         root = np.sqrt(n).astype(np.int64)
         n_b, b = _runs(n, root)  # the (N, b) and (N, r) terms, b = r = 1..R
@@ -386,7 +392,7 @@ def _fast_census_range(max_n: int) -> Iterator[CensusResult]:
             yield CensusResult(
                 N=N, b_count=b_n, a_count=2 * s_n - c_n, c_count=c_n, s_count=s_n, method="fast"
             )
-    for N in range(SUBLINEAR_B_CUTOFF, max_n + 1):
+    for N in range(max(first, SUBLINEAR_B_CUTOFF), max_n + 1):
         yield fast_census(N)
 
 

@@ -158,21 +158,6 @@ def cmd_counterexamples(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def _count_mismatch(
-    fast: census.CensusResult, oracle: census.CensusResult, route: str
-) -> str | None:
-    """The mismatch line of the first count in which `fast` differs from `oracle`, or None."""
-    for label, got, want in (
-        ("B", fast.b_count, oracle.b_count),
-        ("A", fast.a_count, oracle.a_count),
-        ("C", fast.c_count, oracle.c_count),
-        ("S", fast.s_count, oracle.s_count),
-    ):
-        if got != want:
-            return f"mismatch at N={oracle.N}: {label} {route}={got} brute={want}"
-    return None
-
-
 def cmd_verify(args, cfg: Config) -> int:
     """Fast path vs definitional brute force on every N <= max_n."""
     max_n = args.max_n
@@ -186,10 +171,15 @@ def cmd_verify(args, cfg: Config) -> int:
         census.fast_census_range(max_n),
     ):
         n = oracle.N
-        mismatch = _count_mismatch(fast, oracle, "fast")
-        if mismatch:
-            print(mismatch)
-            return EXIT_MISMATCH
+        for label, got, want in (
+            ("B", fast.b_count, oracle.b_count),
+            ("A", fast.a_count, oracle.a_count),
+            ("C", fast.c_count, oracle.c_count),
+            ("S", fast.s_count, oracle.s_count),
+        ):
+            if got != want:
+                print(f"mismatch at N={n}: {label} fast={got} brute={want}")
+                return EXIT_MISMATCH
         if oracle.a_count != 2 * oracle.s_count - oracle.c_count:
             print(
                 f"mismatch at N={n}: identity A=2S-C fails on brute counts "
@@ -199,16 +189,9 @@ def cmd_verify(args, cfg: Config) -> int:
         checked += 1
         if n % 500 == 0:
             log.info("verified through N=%d", n)
-    # Below census.SUBLINEAR_B_CUTOFF the range sweeps many N at once, so
-    # fast_census, the route of `census --n`, is checked once, at max_n.
-    if max_n < census.SUBLINEAR_B_CUTOFF:
-        mismatch = _count_mismatch(census.fast_census(max_n), oracle, "from fast_census")
-        if mismatch:
-            print(mismatch)
-            return EXIT_MISMATCH
-    # Most of these N are below census.SUBLINEAR_B_CUTOFF, where the census
-    # table runs to N, so neither B's hyperbola walk nor any D above the
-    # table was exercised.  Both are checked once here, at the largest N:
+    # Most of these N are below census.SUBLINEAR_B_CUTOFF, where the sweep
+    # counts them, so neither B's hyperbola walk nor any D above a table
+    # was exercised.  Both are checked once here, at the largest N:
     # S, C and B from a table of size sqrt(N), whose pass has the largest
     # M, then C from no table at all.
     y = math.isqrt(max_n)

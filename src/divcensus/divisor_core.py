@@ -281,14 +281,6 @@ class SummatoryTable:
         """The m <= M whose D(N // m) lie above the table."""
         return self.N // (self.n_max + 1)
 
-    def counts(self, upto: int) -> np.ndarray:
-        """d(0..upto) as int64, with d(0) = 0 as in DivisorTable.counts."""
-        if upto > self.n_max:
-            raise ValueError(f"upto={upto} exceeds table.n_max={self.n_max}")
-        d = np.zeros(upto + 1, dtype=np.int64)
-        np.subtract(self.prefix[1 : upto + 1], self.prefix[:upto], out=d[1:])
-        return d
-
     def summatory(self, q: np.ndarray) -> np.ndarray:
         """D(q) as int64 for each entry 1 <= q <= n_max of an int64 array."""
         return self.prefix[q].astype(np.int64)
@@ -300,7 +292,7 @@ class SummatoryTable:
         plain = sum_{m<=M} D(N // m) is S's part with b <= M, weighted =
         sum_{m<=M} 2^omega(m) D(N // m) is B's part with k^2 u <= M, and
         squares = sum_{r^2<=M} D(N // r^2) is C's part with r^2 <= M.  It is
-        a plain tuple because every census below the cutoff builds one, and
+        a plain tuple because every census from the cutoff on builds one, and
         a named tuple takes ten times as long to make.  Each D(N // m) is
         evaluated once, _PASS_ROWS values of m at a time, and dropped after
         the three sums take it (module docstring).  M = 0 costs nothing.

@@ -92,7 +92,8 @@ def test_count_all_triples_examples():
 
 
 def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
-    # Only the hyperbola walk sieves mu, to isqrt(N).
+    # B walks its hyperbola identity on both sides of the cutoff, and the
+    # walk sieves mu, to isqrt(N), once per call.
     table = sieve_divisor_counts(SUBLINEAR_B_CUTOFF + 1)
     walked = []
     real = census._mobius_table
@@ -100,12 +101,11 @@ def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
     c = SUBLINEAR_B_CUTOFF
     for n in (c - 1, c, c + 1):
         assert count_all_triples(n) == divisor_square_summatory(n, table), n
-    assert walked == [isqrt(c), isqrt(c + 1)]
+    assert walked == [isqrt(c - 1), isqrt(c), isqrt(c + 1)]
 
 
 def test_count_all_triples_below_the_cutoff_from_a_table_short_of_n():
-    # S and C accept any table from sqrt(N) up; B takes the hyperbola
-    # walk from one that stops short of N.
+    # B, like S and C, accepts any table from sqrt(N) up.
     want = brute_force_census(5000).b_count
     assert count_all_triples(5000) == want == 620_598
     for y in (isqrt(5000), 71, 4999):
@@ -292,7 +292,7 @@ def test_b_without_a_table_reads_the_shared_table_without_sieving(n, monkeypatch
 
 def test_shared_small_table_is_read_only():
     table = census.census_table(100)
-    assert (table.N, table.n_max, len(table.prefix)) == (100, 100, 101)
+    assert (table.N, table.n_max, table.M) == (100, SUBLINEAR_B_CUTOFF - 1, 0)
     assert np.shares_memory(table.prefix, census.census_table(17).prefix)
     assert not table.prefix.flags.writeable
     with pytest.raises(ValueError):
@@ -426,13 +426,27 @@ SWEEP_TOP = SUBLINEAR_B_CUTOFF + 50
 
 @pytest.fixture(scope="module")
 def censuses_to_sweep_top():
-    return [fast_census(n) for n in range(1, SWEEP_TOP + 1)]
+    """The census of every N <= SWEEP_TOP by the per-count routes, not the sweep.
+
+    B walks its hyperbola identity over census_table(N), S looks its D up
+    there, and C sieves nothing.
+    """
+    censuses = []
+    for n in range(1, SWEEP_TOP + 1):
+        b, s, c = count_all_triples(n), count_da_over_hyperbola(n), count_gcd_divisor_sum(n)
+        censuses.append(
+            census.CensusResult(N=n, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
+        )
+    return censuses
 
 
 def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
     swept = list(fast_census_range(SWEEP_TOP))
     assert swept == censuses_to_sweep_top
-    for r in swept:
+    # Below the cutoff fast_census is the sweep's step at one N.
+    lone = [fast_census(n) for n in (1, 2000, SUBLINEAR_B_CUTOFF - 1)]
+    assert lone == [swept[r.N - 1] for r in lone]
+    for r in swept + lone:
         assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}
 
 

@@ -247,10 +247,7 @@ TABLE_30K = sieve_divisor_counts(30_000)
 
 
 def b_by_walk(n: int) -> int:
-    """B(n) by census.count_all_triples from a table of summatory_table_size(n).
-
-    That table stops short of n from n = 2 on, so B takes the hyperbola walk.
-    """
+    """B(n) by census.count_all_triples's hyperbola walk, from a table of summatory_table_size(n)."""
     return census.count_all_triples(n, summatory_table(summatory_table_size(n), n))
 
 
@@ -338,13 +335,12 @@ def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
         got = b_by_walk(n)
     assert got == divisor_square_summatory(n, TABLE_30K)
     assert max(sizes, default=0) <= chunk
-    # Only the pairs with k^2 u > M are walked; the pass has the rest.  At
-    # n = 1 the table reaches n, and B is summed term by term.
+    # Only the pairs with k^2 u > M are walked; the pass has the rest.
     root = isqrt(n)
     y = summatory_table_size(n)
     m_max = n // (y + 1)
     squarefree = [k for k in range(1, root + 1) if moebius_by_factoring(k)]
-    pairs = sum(root // k - m_max // (k * k) for k in squarefree) if y < n else 0
+    pairs = sum(root // k - m_max // (k * k) for k in squarefree)
     assert sum(sizes) == pairs
 
 
@@ -538,14 +534,11 @@ def test_summatory_table_size_rule():
 def test_summatory_table_holds_d_and_prefix_sums():
     table = summatory_table(10_000, 10**6)
     assert table.n_max == 10_000
-    assert table.counts(10_000).tolist() == ORACLE_D
-    assert table.counts(1).tolist() == [0, 1]
     assert table.prefix.tolist() == np.cumsum(ORACLE_D).tolist()
+    assert np.diff(table.prefix).tolist() == ORACLE_D[1:]
     assert table.prefix.dtype == np.int32 and not table.prefix.flags.writeable
     assert table.N == 10**6
     assert table.M == 99  # 10^6 // 10001
-    with pytest.raises(ValueError):
-        table.counts(10_001)
     with pytest.raises(ValueError, match="SUBLINEAR_TABLE_CAP"):
         summatory_table(SUBLINEAR_TABLE_CAP + 1, 2**48)
     with pytest.raises(ValueError):
