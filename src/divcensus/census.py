@@ -91,7 +91,8 @@ zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
 
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
-against; the two routes share no code.
+against: it tests r | a and r | b on every triple, numpy blocks of
+consecutive n at a time, and shares nothing with the fast routes but numpy.
 """
 
 from dataclasses import dataclass
@@ -125,7 +126,7 @@ from .divisor_core import (
 SUBLINEAR_B_CUTOFF = 6000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CensusResult:
     """All four counts for one N, tagged with how they were computed."""
 
@@ -137,7 +138,7 @@ class CensusResult:
     method: str  # "brute" or "fast"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Counterexample:
     """A triple with r | ab but r dividing neither a nor b."""
 
@@ -345,9 +346,12 @@ def fast_census(N: int) -> CensusResult:
 # there has at most 77 terms in each of its runs, so a step's temporaries
 # are int64 arrays of at most 64 * 77 entries.  The sweep of 1..2000 at 64,
 # 128 and 256 N a step: traced peaks of 154, 269 and 464 KiB, on top of
-# the oracle's 318 KiB in verify, and medians of 25 interleaved runs of
-# 12.6, 11.1 and 10.8 ms, over half of it the CensusResult of each N.  In
-# one step the traced peak was 2.3 MiB, and verify's peak RSS rose by 2.1 MiB.
+# the oracle's 304 KiB in verify, and medians of 25 interleaved runs of
+# 12.6, 11.1 and 10.8 ms.  About half of that is building the frozen
+# CensusResult of each N: 2.7 us apiece, and slots=True barely moves it
+# (2.67 against 2.74 us, medians of 31 timeit rounds), since each field is
+# still set by a call to object.__setattr__.  In one step the traced peak
+# was 2.3 MiB, and verify's peak RSS rose by 2.1 MiB.
 _SWEEP_BLOCK = 64
 
 
@@ -377,8 +381,9 @@ def _fast_census_range(first: int, max_n: int) -> Iterator[CensusResult]:
     """The fast CensusResult for every N in first..max_n, first >= 1."""
     top = min(max_n, SUBLINEAR_B_CUTOFF - 1)
     prefix = _small_prefix()
-    d = np.diff(prefix[: top + 1]).astype(np.int64)
-    b_counts = np.cumsum(d * d)  # B(1..top)
+    d = np.diff(prefix[: top + 1]).astype(np.int64)  # d(1..top)
+    below = np.dot(d[: first - 1], d[: first - 1])  # B(first - 1)
+    b_counts = np.cumsum(d[first - 1 :] ** 2) + below  # B(first..top)
     for lo in range(first, top + 1, _SWEEP_BLOCK):
         n = np.arange(lo, min(lo + _SWEEP_BLOCK, top + 1), dtype=np.int64)
         root = np.sqrt(n).astype(np.int64)
@@ -388,7 +393,8 @@ def _fast_census_range(first: int, max_n: int) -> Iterator[CensusResult]:
         del n_b, b  # so that the two layouts never meet
         n_q, q = _runs(n, n // (root + 1))
         s += _run_sums((n_q // q - n_q // (q + 1)) * prefix[q], n // (root + 1))
-        for N, b_n, s_n, c_n in zip(n.tolist(), b_counts[n - 1].tolist(), s.tolist(), c.tolist()):
+        rows = zip(n.tolist(), b_counts[n - first].tolist(), s.tolist(), c.tolist())
+        for N, b_n, s_n, c_n in rows:
             yield CensusResult(
                 N=N, b_count=b_n, a_count=2 * s_n - c_n, c_count=c_n, s_count=s_n, method="fast"
             )
@@ -419,13 +425,26 @@ def _run_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # Definitional oracle
 # ---------------------------------------------------------------------------
 
-def _divisor_lists(n_max: int) -> list[list[int]]:
-    """divisor list (ascending) for every n <= n_max, by marking multiples."""
-    lists: list[list[int]] = [[] for _ in range(n_max + 1)]
-    for k in range(1, n_max + 1):
-        for m in range(k, n_max + 1, k):
-            lists[m].append(k)
-    return lists
+# The oracle lays out every divisor of every n <= max_n by marking multiples,
+# then every triple (n, a, r) with a | n and r | n, _ORACLE_BLOCK consecutive
+# n at a time, and tests a % r == 0 and (n // a) % r == 0 on each triple
+# literally.  S adds d(a), the length of a's own divisor list, per pair
+# (n, a).  No census identity and nothing of divisor_core or the sampler is
+# used; numpy is all it shares with the fast routes.  It keeps 4 bytes per
+# divisor entry, against about 19 for the lists of Python ints it replaces
+# (1.8 MB at 10^4); sorting the layout by n takes about 20 bytes an entry
+# for a moment.  Its arrays are int32 while the layout has fewer than 2^31
+# entries (max_n up to about 10^8, where d(n) <= 800, so a step holds
+# fewer than 2^26 triples) and int64 beyond.  The running totals are int64:
+# each is at most B(N) <= D_4(N) <= N (1 + ln N)^3, as d(n)^2 <= d_4(n)
+# (module docstring), below 2^63 for N <= 10^14, far past any
+# DIVCENSUS_ORACLE_CEILING whose layout fits in memory.
+
+# n per vectorized step of the oracle.  In verify --max-n 2000 a step holds
+# about 6000 triples; 64, 128 and 256 n a step took 6.5, 5.6 and 5.2 ms of
+# numpy work in all, medians of 41 interleaved runs on a 2-vCPU VM, with
+# traced peaks of 304, 344 and 549 KiB, most of it the sort of the layout.
+_ORACLE_BLOCK = 64
 
 
 def brute_force_census_range(
@@ -434,10 +453,12 @@ def brute_force_census_range(
 ) -> Iterator[CensusResult]:
     """Yield the definitional CensusResult for every N in 1..max_n.
 
-    Counts are accumulated pair by pair: raising N by one admits exactly the
-    ordered pairs with a*b = N, so each product n is enumerated once.  Every
-    divisibility condition is tested literally with remainders; no census
-    identity is consulted anywhere.
+    Raising N by one admits exactly the triples (a, b, r) with ab = N, so
+    each step counts, for each of its n, the triples with a | n, b = n // a
+    and r | n: B all of them, A those with r | a or r | b, C those with
+    both, each test a remainder taken on the triple, and S the sum of d(a)
+    over the divisors a of n.  The N's counts are running totals of these.
+    A max_n above oracle_ceiling is refused before anything is allocated.
     """
     _check_n(max_n)
     if max_n > oracle_ceiling:
@@ -445,29 +466,53 @@ def brute_force_census_range(
             f"brute-force census refused at N={max_n} (ceiling {oracle_ceiling}); "
             f"use the fast path or raise DIVCENSUS_ORACLE_CEILING"
         )
-    lists = _divisor_lists(max_n)
-    a_total = b_total = c_total = s_total = 0
-    for n in range(1, max_n + 1):
-        divs = lists[n]
-        for a in divs:
-            b = n // a
-            s_total += len(lists[a])
-            for r in divs:
-                b_total += 1
-                in_a = a % r == 0
-                in_b = b % r == 0
-                if in_a or in_b:
-                    a_total += 1
-                if in_a and in_b:
-                    c_total += 1
-        yield CensusResult(
-            N=n,
-            b_count=b_total,
-            a_count=a_total,
-            c_count=c_total,
-            s_count=s_total,
-            method="brute",
-        )
+    # The pairs (k, m = jk), k = 1..max_n and j = 1..max_n // k, laid out k
+    # by k; a stable sort by m lists each m's divisors k ascending.
+    k = np.arange(1, max_n + 1, dtype=np.int64)
+    n_pairs = int((max_n // k).sum())
+    dtype = np.int32 if n_pairs < 2**31 else np.int64
+    k = k.astype(dtype)
+    counts = max_n // k
+    ends = np.cumsum(counts, dtype=dtype)
+    k = np.repeat(k, counts)
+    j = np.arange(1, n_pairs + 1, dtype=dtype) - np.repeat(ends - counts, counts)
+    m = k * j
+    del counts, ends, j
+    divisors = k[np.argsort(m, kind="stable")]
+    del k
+    d = np.bincount(m, minlength=max_n + 1).astype(dtype)  # d(0..max_n), d(0) = 0
+    del m
+    first = np.zeros(max_n + 2, dtype=dtype)  # n's divisors are divisors[first[n]:first[n + 1]]
+    np.cumsum(d, out=first[1:])
+    totals = np.zeros(4, dtype=np.int64)
+    for lo in range(1, max_n + 1, _ORACLE_BLOCK):
+        hi = min(lo + _ORACLE_BLOCK, max_n + 1)
+        width = hi - lo
+        # The pairs (n, a), a | n, of this step, and for each its d(n) r | n.
+        n = np.repeat(np.arange(lo, hi, dtype=dtype), d[lo:hi])
+        a = divisors[first[lo] : first[hi]]
+        size = d[n]
+        ends = np.cumsum(size, dtype=dtype)
+        r = divisors[np.arange(ends[-1], dtype=dtype) + np.repeat(first[n] - ends + size, size)]
+        in_a = np.repeat(a, size) % r == 0
+        in_b = np.repeat(n // a, size) % r == 0
+        del r
+        # Column 0, 1 or 2 of n's row: r divides neither, one or both of a and b.
+        tally = np.bincount(np.repeat(3 * (n - lo), size) + in_a + in_b, minlength=3 * width)
+        tally = tally.reshape(width, 3)
+        del in_a, in_b
+        step = np.empty((width, 4), dtype=np.int64)
+        step[:, 0] = tally.sum(axis=1)  # B
+        step[:, 1] = tally[:, 1] + tally[:, 2]  # A
+        step[:, 2] = tally[:, 2]  # C
+        step[:, 3] = np.add.reduceat(d[a], first[lo:hi] - first[lo])  # S: every n has a divisor
+        np.cumsum(step, axis=0, out=step)
+        step += totals
+        totals = step[-1]
+        for N, (b_n, a_n, c_n, s_n) in zip(range(lo, hi), step.tolist()):
+            yield CensusResult(
+                N=N, b_count=b_n, a_count=a_n, c_count=c_n, s_count=s_n, method="brute"
+            )
 
 
 def brute_force_census(N: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> CensusResult:

@@ -1,10 +1,13 @@
 """Census identities vs definitional enumeration.
 
 The package's own brute_force_census is the oracle for the fast path, so
-this file first pins the oracle itself against an independently written
-enumeration (plain nested loops, no divisor lists) and hand counts.
+this file first pins the oracle itself against two independently written
+enumerations (per-triple loops over divisor lists, and plain nested loops
+with no divisor lists) and hand counts.
 """
 
+import tracemalloc
+import types
 from math import isqrt
 
 import numpy as np
@@ -54,7 +57,83 @@ def loop_census(N):
     return a_cnt, b_cnt, c_cnt, s_cnt
 
 
+def product_first_census_range(max_n):
+    """Reference oracle: per-triple Python loops over divisor lists, product by product.
+
+    Raising N by one admits exactly the ordered pairs with a*b = N, so each
+    product n is enumerated once, and every condition is tested literally.
+    """
+    lists = [[] for _ in range(max_n + 1)]
+    for k in range(1, max_n + 1):
+        for m in range(k, max_n + 1, k):
+            lists[m].append(k)
+    a_total = b_total = c_total = s_total = 0
+    for n in range(1, max_n + 1):
+        divs = lists[n]
+        for a in divs:
+            b = n // a
+            s_total += len(lists[a])
+            for r in divs:
+                b_total += 1
+                in_a = a % r == 0
+                in_b = b % r == 0
+                if in_a or in_b:
+                    a_total += 1
+                if in_a and in_b:
+                    c_total += 1
+        yield census.CensusResult(
+            N=n,
+            b_count=b_total,
+            a_count=a_total,
+            c_count=c_total,
+            s_count=s_total,
+            method="brute",
+        )
+
+
 ORACLE = list(brute_force_census_range(2000))
+PRODUCT_FIRST = list(product_first_census_range(2000))
+
+
+def test_oracle_matches_the_product_first_loops_up_to_2000():
+    assert ORACLE == PRODUCT_FIRST
+
+
+STEP = census._ORACLE_BLOCK
+
+
+@pytest.mark.parametrize("max_n", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1])
+def test_oracle_at_step_edges(max_n):
+    assert list(brute_force_census_range(max_n)) == PRODUCT_FIRST[:max_n]
+
+
+def test_oracle_counts_are_python_ints():
+    # so that census --method brute stays JSON-serialisable
+    for r in ORACLE:
+        assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}
+
+
+def test_oracle_refuses_a_huge_n_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="DIVCENSUS_ORACLE_CEILING"):
+            brute_force_census(10**18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024
+
+
+def test_oracle_reads_nothing_of_divisor_core(monkeypatch):
+    # census imports nothing of the sampler; of divisor_core, blank every name.
+    blanked = []
+    for name, value in vars(divisor_core).items():
+        own = getattr(value, "__module__", divisor_core.__name__) == divisor_core.__name__
+        if own and not isinstance(value, types.ModuleType) and getattr(census, name, None) is value:
+            monkeypatch.setattr(census, name, None)
+            blanked.append(name)
+    assert {"divisor_list", "summatory_table", "SUBLINEAR_TABLE_CAP"} <= set(blanked)
+    assert list(brute_force_census_range(200)) == PRODUCT_FIRST[:200]
 
 
 def test_oracle_agrees_with_independent_loop_enumeration():
