@@ -50,24 +50,20 @@ each taken by N // q - N // (q + 1) values of b, so
 
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-In a census all three read D from one summatory table of size y for
-this N (divisor_core).  While the size rule's N^(2/3) / 4 is below
-SUBLINEAR_B_CUTOFF (N up to about 3.7e6), that is one read-only table of
-D(0..SUBLINEAR_B_CUTOFF - 1), sieved once per process on first use, so a
-run of such censuses (verify) sieves once; below the cutoff it reaches N.
-Beyond that each census sieves its own table of about N^(2/3) / 4
-entries.  Every D(q) with q <= y is a lookup.  Every D(q)
-above y is D(N // m) for some m <= M = N // (y + 1) (B asks for
-m = k^2 u, S for m = b, C for m = r^2).  The table's pass evaluates each
-of them once, in float64 blocks, and keeps only three sums:
+From SUBLINEAR_B_CUTOFF on, a census's B, S and C read D from one
+summatory table sieved for this N alone (divisor_core), of
+y = summatory_table_size(N) entries, about N^(2/3) / 4 and at least
+sqrt(N); nothing is kept between censuses.  Every D(q) with q <= y is a
+lookup.  Every D(q) above y is D(N // m) for some m <= M = N // (y + 1)
+(B asks for m = k^2 u, S for m = b, C for m = r^2).  The table's pass
+evaluates each of them once, in float64 blocks, and keeps only three sums:
 sum_{m<=M} D(N // m), which is the part of S with b <= M,
 sum_{m<=M} 2^omega(m) D(N // m), which holds every term of B with
 k^2 u <= M (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
 the part of C with r^2 <= M.  So B walks only its pairs with k^2 u > M,
 whose D(x_k // u) <= y are lookups; the pairs left to the pass only
 shrink P+ and P-.  B, S and C at one N share the pass, which costs about
-2 N / sqrt(y) cells, about 4 N^(2/3) below the table cap.  Below
-SUBLINEAR_B_CUTOFF, M = 0 and there is no pass.
+2 N / sqrt(y) cells, about 4 N^(2/3) below the table cap.
 
 C alone needs no table: it evaluates every D(N // r^2) in float64
 blocks, each distinct quotient once, which takes about sqrt(N) ln(N) / 3
@@ -96,7 +92,6 @@ consecutive n at a time, and shares nothing with the fast routes but numpy.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import islice
 from math import isqrt
 from typing import Iterator, Optional
@@ -114,16 +109,14 @@ from .divisor_core import (
     summatory_table_size,
 )
 
-# Below this N fast_census takes B from the sweep's running sum of d(n)^2
-# over the shared small table, and from it on B walks its hyperbola
-# identity: the cutoff is where the shared table ends.  Medians of 300
-# interleaved in-process calls on a 2-vCPU VM, in three rounds: the running
-# sum to N takes 27-30 us at N = 2000 and 41-44 us at 5999, and the walk on
-# the shared table 155-193 and 150-171 us.  Past 5999 the running sum would
-# need a sieve of its own: 266-292 us at 6000, level with the walk's
-# 264-307 us on the shared table, and 376-417 us at 12000, against
-# 279-314 us.
-SUBLINEAR_B_CUTOFF = 6000
+# Below this N a lone fast_census is the sweep's step at N, over a sieve of
+# D(0..N), and from it on the walk over census_table(N), about N^(2/3) / 4
+# entries: the two are level here.  Medians of 300 interleaved in-process
+# calls, each with its own sieve, on a 2-vCPU VM, in three rounds: the
+# sweep takes 443-450 us at N = 6000, 497-505 at 8000, 554-561 at 10^4,
+# 566-606 at 1.2e4 and 602-801 at 2e4, and the walk 536-546, 550-562,
+# 575-592, 553-594 and 468-676 us.
+SUBLINEAR_B_CUTOFF = 10_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,30 +170,13 @@ def check_census_size(N: int) -> None:
         )
 
 
-@lru_cache(maxsize=1)
-def _small_prefix() -> np.ndarray:
-    """D(0..SUBLINEAR_B_CUTOFF - 1), read-only: sieved on first use, once per process.
-
-    It is a view of the sieved array: numpy lets a holder set an array
-    that owns its memory writeable again, but not a view of a read-only one.
-    """
-    return summatory_table(SUBLINEAR_B_CUTOFF - 1, SUBLINEAR_B_CUTOFF - 1).prefix[:]
-
-
 def census_table(N: int) -> SummatoryTable:
-    """The one d(n) and D(m) table behind B, S and C at N.
+    """The one d(n) and D(m) table behind B, S and C at N, sieved for this N alone.
 
-    While summatory_table_size(N) is below SUBLINEAR_B_CUTOFF (N up to
-    about 3.7e6) it is one read-only table of D(0..SUBLINEAR_B_CUTOFF - 1)
-    that every such N shares (24 KB, sieved on first use), larger than a
-    private table would be.  Below the cutoff that table reaches N, so
-    M = 0 and there is no pass.  Beyond that the table is sieved for this
-    N alone, with summatory_table_size(N) entries.
+    It has summatory_table_size(N) entries, about N^(2/3) / 4 and at least
+    sqrt(N), and the D(N // m), m <= M, above it are its pass.
     """
-    size = summatory_table_size(N)  # <= N, so every N below the cutoff shares the table
-    if size >= SUBLINEAR_B_CUTOFF:
-        return summatory_table(size, N)
-    return SummatoryTable(N=N, prefix=_small_prefix())
+    return summatory_table(summatory_table_size(N), N)
 
 
 def _table_for(N: int, table: Optional[SummatoryTable]) -> SummatoryTable:
@@ -222,9 +198,8 @@ def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
     """B(N) = sum_{n<=N} d(n)^2.
 
     By the hyperbola identity of the module docstring,
-    B = 2 (P+ - P-) - corners, walking the pairs with k^2 u > M.  Below
-    SUBLINEAR_B_CUTOFF census_table(N) reaches N, so M = 0 and the walk
-    takes every pair.
+    B = 2 (P+ - P-) - corners, walking the pairs with k^2 u > M.  With a
+    table that reaches N, M = 0 and the walk takes every pair.
     """
     check_census_size(N)
     table = _table_for(N, table)
@@ -329,8 +304,9 @@ def fast_census(N: int) -> CensusResult:
     """All four counts by the identity-based routes.
 
     Below SUBLINEAR_B_CUTOFF this is the step of fast_census_range at N,
-    over the shared table; from the cutoff on, B, S and C read
-    census_table(N) and its pass.
+    over a sieve of D(0..N); from the cutoff on, B walks its hyperbola
+    identity and S and C look up their D, over census_table(N) and its
+    pass.
     """
     check_census_size(N)
     if N < SUBLINEAR_B_CUTOFF:
@@ -342,12 +318,12 @@ def fast_census(N: int) -> CensusResult:
     return CensusResult(N=N, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
 
 
-# N per vectorized step of fast_census_range below SUBLINEAR_B_CUTOFF.  An N
-# there has at most 77 terms in each of its runs, so a step's temporaries
-# are int64 arrays of at most 64 * 77 entries.  The sweep of 1..2000 at 64,
-# 128 and 256 N a step: traced peaks of 154, 269 and 464 KiB, on top of
-# the oracle's 304 KiB in verify, and medians of 25 interleaved runs of
-# 12.6, 11.1 and 10.8 ms.  About half of that is building the frozen
+# N per vectorized step of fast_census_range.  An N up to max_n has at most
+# sqrt(max_n) terms in each of its runs, so a step's temporaries are int64
+# arrays of at most 64 sqrt(max_n) entries, 2 MiB each at the table cap.
+# The sweep of 1..2000 at 64, 128 and 256 N a step: traced peaks of 154,
+# 269 and 464 KiB, on top of the oracle's 304 KiB in verify, and medians
+# of 25 interleaved runs of 12.6, 11.1 and 10.8 ms.  About half of that is building the frozen
 # CensusResult of each N: 2.7 us apiece, and slots=True barely moves it
 # (2.67 against 2.74 us, medians of 31 timeit rounds), since each field is
 # still set by a call to object.__setattr__.  In one step the traced peak
@@ -358,34 +334,44 @@ _SWEEP_BLOCK = 64
 def fast_census_range(max_n: int) -> Iterator[CensusResult]:
     """Yield the fast CensusResult for every N in 1..max_n, in order, lazily.
 
-    The fast twin of brute_force_census_range.  Below SUBLINEAR_B_CUTOFF
-    each step of _SWEEP_BLOCK consecutive N takes one set of numpy
-    operations over the shared table of D(0..SUBLINEAR_B_CUTOFF - 1), with
-    the module docstring's identities: B(N) is the running sum of d(n)^2,
-    S(N) the hyperbola split at R = isqrt(N) and C(N) the sum over r <= R
-    of D(N // r^2).  Their (N, b), (N, q) and (N, r) terms are laid out
-    one run per N, and each N's sum is the difference of one int64 cumsum
-    at its run's ends; every term is nonnegative, so a step's running sum
-    is at most _SWEEP_BLOCK S(SUBLINEAR_B_CUTOFF - 1) < 2^63.  R comes from
-    np.sqrt, which is exact for N < 2^52: the float of N is exact, and
+    The fast twin of brute_force_census_range.  It sieves D(0..max_n)
+    once, and each step of _SWEEP_BLOCK consecutive N takes one set of
+    numpy operations over that table, with the module docstring's
+    identities: B(N) is the running sum of d(n)^2, S(N) the hyperbola
+    split at R = isqrt(N) and C(N) the sum over r <= R of D(N // r^2).
+    Their (N, b), (N, q) and (N, r) terms are laid out one run per N, and
+    each N's sum is the difference of one int64 cumsum at its run's ends.
+    Below SUBLINEAR_B_CUTOFF fast_census is this sweep at one N.
+
+    Every max_n up to SUBLINEAR_TABLE_CAP = 2^24 is exact: the table's
+    int32 prefix sums hold D(max_n) <= max_n (1 + ln max_n) < 3e8 < 2^31;
+    every term is nonnegative, so a step's int64 running sum is at most
+    _SWEEP_BLOCK S(max_n) <= 64 max_n (1 + ln max_n)^2 < 2^39 < 2^63, and
+    B(max_n) <= max_n (1 + ln max_n)^3 < 2^37; and R comes from np.sqrt,
+    which is exact for N < 2^52: the float of N is exact, and
     sqrt(k^2 - 1) sits more than half an ulp below k while k^2 < 2^52.
-    From the cutoff on it yields fast_census(N); below the cutoff
-    fast_census is this sweep at one N.  max_n < 1 raises ValueError at
-    the call, before anything is asked for.
+    max_n < 1 raises ValueError and max_n above the cap
+    ResourceLimitError at the call, before anything is allocated.
     """
     _check_n(max_n)
+    if max_n > SUBLINEAR_TABLE_CAP:
+        raise ResourceLimitError(
+            f"fast census sweep refused at max_n={max_n}: it sieves d(n) to max_n, "
+            f"above the table cap SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
+        )
     return _fast_census_range(1, max_n)
 
 
 def _fast_census_range(first: int, max_n: int) -> Iterator[CensusResult]:
-    """The fast CensusResult for every N in first..max_n, first >= 1."""
-    top = min(max_n, SUBLINEAR_B_CUTOFF - 1)
-    prefix = _small_prefix()
-    d = np.diff(prefix[: top + 1]).astype(np.int64)  # d(1..top)
-    below = np.dot(d[: first - 1], d[: first - 1])  # B(first - 1)
-    b_counts = np.cumsum(d[first - 1 :] ** 2) + below  # B(first..top)
-    for lo in range(first, top + 1, _SWEEP_BLOCK):
-        n = np.arange(lo, min(lo + _SWEEP_BLOCK, top + 1), dtype=np.int64)
+    """The fast CensusResult for every N in first..max_n, first >= 1, over one sieve to max_n."""
+    prefix = summatory_table(max_n, max_n).prefix
+    d = np.diff(prefix[:first]).astype(np.int64)  # d(1..first - 1)
+    b_total = int(np.dot(d, d))  # B(first - 1)
+    for lo in range(first, max_n + 1, _SWEEP_BLOCK):
+        n = np.arange(lo, min(lo + _SWEEP_BLOCK, max_n + 1), dtype=np.int64)
+        d = np.diff(prefix[lo - 1 : lo + n.size]).astype(np.int64)  # d(n)
+        b_counts = np.cumsum(d * d) + b_total  # B(n)
+        b_total = int(b_counts[-1])
         root = np.sqrt(n).astype(np.int64)
         n_b, b = _runs(n, root)  # the (N, b) and (N, r) terms, b = r = 1..R
         s = _run_sums(prefix[n_b // b], root)
@@ -393,13 +379,11 @@ def _fast_census_range(first: int, max_n: int) -> Iterator[CensusResult]:
         del n_b, b  # so that the two layouts never meet
         n_q, q = _runs(n, n // (root + 1))
         s += _run_sums((n_q // q - n_q // (q + 1)) * prefix[q], n // (root + 1))
-        rows = zip(n.tolist(), b_counts[n - first].tolist(), s.tolist(), c.tolist())
+        rows = zip(n.tolist(), b_counts.tolist(), s.tolist(), c.tolist())
         for N, b_n, s_n, c_n in rows:
             yield CensusResult(
                 N=N, b_count=b_n, a_count=2 * s_n - c_n, c_count=c_n, s_count=s_n, method="fast"
             )
-    for N in range(max(first, SUBLINEAR_B_CUTOFF), max_n + 1):
-        yield fast_census(N)
 
 
 def _runs(n: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

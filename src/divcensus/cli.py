@@ -158,6 +158,10 @@ def cmd_counterexamples(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+def _counts(res: census.CensusResult) -> tuple[int, int, int, int]:
+    return res.a_count, res.b_count, res.c_count, res.s_count
+
+
 def cmd_verify(args, cfg: Config) -> int:
     """Fast path vs definitional brute force on every N <= max_n."""
     max_n = args.max_n
@@ -189,25 +193,24 @@ def cmd_verify(args, cfg: Config) -> int:
         checked += 1
         if n % 500 == 0:
             log.info("verified through N=%d", n)
-    # Most of these N are below census.SUBLINEAR_B_CUTOFF, where the sweep
-    # counts them, so neither B's hyperbola walk nor any D above a table
-    # was exercised.  Both are checked once here, at the largest N:
-    # S, C and B from a table of size sqrt(N), whose pass has the largest
-    # M, then C from no table at all.
+    # The sweep counts every N with neither B's hyperbola walk nor any D
+    # above a table.  Both are checked here, at the largest N: S, C and B
+    # from a table of size sqrt(N), whose pass has the largest M, C from
+    # no table at all, and fast_census(max_n), the route of census --n,
+    # which walks from census.SUBLINEAR_B_CUTOFF on.
     y = math.isqrt(max_n)
     small = divisor_core.summatory_table(y, max_n)
+    in_small = f"from a table of size {y}"
     for label, got, want in (
-        ("S", census.count_da_over_hyperbola(max_n, small), oracle.s_count),
-        ("C", census.count_gcd_divisor_sum(max_n, small), oracle.c_count),
-        ("B", census.count_all_triples(max_n, small), oracle.b_count),
+        (f"S {in_small}", census.count_da_over_hyperbola(max_n, small), oracle.s_count),
+        (f"C {in_small}", census.count_gcd_divisor_sum(max_n, small), oracle.c_count),
+        (f"B {in_small}", census.count_all_triples(max_n, small), oracle.b_count),
+        ("C without a table", census.count_gcd_divisor_sum(max_n), oracle.c_count),
+        ("fast_census (A, B, C, S)", _counts(census.fast_census(max_n)), _counts(oracle)),
     ):
         if got != want:
-            print(f"mismatch at N={max_n}: {label} from a table of size {y}={got} brute={want}")
+            print(f"mismatch at N={max_n}: {label}={got} brute={want}")
             return EXIT_MISMATCH
-    got = census.count_gcd_divisor_sum(max_n)
-    if got != oracle.c_count:
-        print(f"mismatch at N={max_n}: C without a table={got} brute={oracle.c_count}")
-        return EXIT_MISMATCH
     print(f"verify: fast path matches brute force (A, B, C, S and A=2S-C) for all N <= {checked}")
     return EXIT_OK
 

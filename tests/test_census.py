@@ -10,7 +10,6 @@ import tracemalloc
 import types
 from math import isqrt
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -287,12 +286,8 @@ def test_s_and_c_pins(n, s, c):
     assert count_gcd_divisor_sum(n) == count_gcd_divisor_sum(n, table) == c
 
 
-@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF - 1, 10**6, 10**7])
-def test_fast_census_sieves_once(n, monkeypatch):
-    # While its own table would be smaller than the shared table of
-    # D(0..SUBLINEAR_B_CUTOFF - 1), a census reads the shared one, sieved
-    # by the first of them; beyond, each census sieves its own.
-    census._small_prefix.cache_clear()
+def spy_on_sieve(monkeypatch) -> list[int]:
+    """The n_max of every divisor_core._sieve call from now on, in order."""
     sieved = []
     real = divisor_core._sieve
 
@@ -301,13 +296,18 @@ def test_fast_census_sieves_once(n, monkeypatch):
         return real(n_max, *args, **kwargs)
 
     monkeypatch.setattr(divisor_core, "_sieve", spy)
-    if divisor_core.summatory_table_size(n) < SUBLINEAR_B_CUTOFF:
-        for m in (1, n, 17):
-            fast_census(m)
-        assert sieved == [SUBLINEAR_B_CUTOFF - 1]
-    else:
-        fast_census(n)
-        assert sieved == [divisor_core.summatory_table_size(n)]
+    return sieved
+
+
+@pytest.mark.parametrize("n", [5999, 10**6, 10**7])
+def test_fast_census_sieves_once(n, monkeypatch):
+    # Below SUBLINEAR_B_CUTOFF a census sieves D(0..N) for the sweep's step
+    # at N, and from it on census_table(N); nothing is kept for the next.
+    sieved = spy_on_sieve(monkeypatch)
+    fast_census(n)
+    fast_census(n)
+    size = n if n < SUBLINEAR_B_CUTOFF else divisor_core.summatory_table_size(n)
+    assert sieved == [size, size]
 
 
 def private_b_s_c(n, y):
@@ -322,64 +322,35 @@ def private_b_s_c(n, y):
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=SUBLINEAR_B_CUTOFF - 1))
-def test_small_census_from_the_shared_table_matches_a_private_table(n):
+def test_small_census_matches_a_private_table(n):
+    # The sweep's step at N against B's walk and S and C over a table that
+    # reaches N.
     got = fast_census(n)
     assert (got.b_count, got.s_count, got.c_count) == private_b_s_c(n, n)
 
 
-# The largest N whose own table would be smaller than the shared one.
-LAST_SHARED_N = 3_718_064
-
-
-def test_shared_table_reaches_exactly_as_far_as_it_is_larger():
-    size = divisor_core.summatory_table_size
-    assert size(LAST_SHARED_N) < SUBLINEAR_B_CUTOFF <= size(LAST_SHARED_N + 1)
-    shared, own = census.census_table(LAST_SHARED_N), census.census_table(LAST_SHARED_N + 1)
-    assert shared.n_max == SUBLINEAR_B_CUTOFF - 1
-    assert np.shares_memory(shared.prefix, census._small_prefix())
-    assert shared.M == LAST_SHARED_N // SUBLINEAR_B_CUTOFF
-    assert own.n_max == size(LAST_SHARED_N + 1)
-
-
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(min_value=SUBLINEAR_B_CUTOFF, max_value=4 * 10**6))
-def test_census_from_the_shared_table_above_the_cutoff_matches_a_private_table(n):
-    got = fast_census(n)
-    want = private_b_s_c(n, divisor_core.summatory_table_size(n))
-    assert (got.b_count, got.s_count, got.c_count) == want
+@given(n=st.integers(min_value=SUBLINEAR_B_CUTOFF, max_value=10**6))
+def test_census_above_the_cutoff_matches_the_sweep(n):
+    # B's walk and the pass against one running sum of d(n)^2 and S and C
+    # from a sieve that reaches N.
+    assert fast_census(n) == next(census._fast_census_range(n, n))
 
 
-@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF, 10**5])
-def test_census_above_the_cutoff_reads_the_shared_table_without_sieving(n, monkeypatch):
-    want = private_b_s_c(n, divisor_core.summatory_table_size(n))
-    census._small_prefix()  # sieved once per process, by whichever census comes first
-    monkeypatch.setattr(divisor_core, "_sieve", None)
-    got = fast_census(n)
-    assert (got.b_count, got.s_count, got.c_count) == want
-    assert census.census_table(n).n_max == SUBLINEAR_B_CUTOFF - 1
+def test_census_table_has_one_size_rule():
+    for n in (1, 100, SUBLINEAR_B_CUTOFF - 1, SUBLINEAR_B_CUTOFF, 10**6):
+        table = census.census_table(n)
+        assert (table.N, table.n_max) == (n, divisor_core.summatory_table_size(n))
 
 
-@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF, 10**5, LAST_SHARED_N])
-def test_b_without_a_table_reads_the_shared_table_without_sieving(n, monkeypatch):
+@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF, 10**5, 3_718_064])
+def test_b_without_a_table_sieves_the_census_table(n, monkeypatch):
     # B alone takes the census's table, as fast_census does, not a table of
     # its own.
     want = divisor_core.divisor_square_summatory_segmented(n)
-    census._small_prefix()
-    monkeypatch.setattr(divisor_core, "_sieve", None)
+    sieved = spy_on_sieve(monkeypatch)
     assert count_all_triples(n) == want
-
-
-def test_shared_small_table_is_read_only():
-    table = census.census_table(100)
-    assert (table.N, table.n_max, table.M) == (100, SUBLINEAR_B_CUTOFF - 1, 0)
-    assert np.shares_memory(table.prefix, census.census_table(17).prefix)
-    assert not table.prefix.flags.writeable
-    with pytest.raises(ValueError):
-        table.prefix[5] = 0
-    with pytest.raises(ValueError):
-        table.prefix.setflags(write=True)
-    fast, brute = fast_census(100), brute_force_census(100)
-    assert (fast.b_count, fast.s_count, fast.c_count) == (brute.b_count, brute.s_count, brute.c_count)
+    assert sieved == [divisor_core.summatory_table_size(n)]
 
 
 def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
@@ -414,13 +385,11 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
 
 
 def test_small_census_makes_no_pass(monkeypatch):
-    # Below SUBLINEAR_B_CUTOFF the table runs to N, so M = 0.
+    # Below SUBLINEAR_B_CUTOFF the sweep's sieve runs to N, so no D lies above it.
     monkeypatch.setattr(divisor_core, "divisor_summatory_batch", None)
     monkeypatch.setattr(census, "divisor_summatory_batch", None)
     for n in (1, 100, SUBLINEAR_B_CUTOFF - 1):
-        table = census.census_table(n)
-        assert table.M == 0 and table.pass_sums == (0, 0, 0)
-        fast_census(n)  # neither the pass nor C calls the batched D
+        fast_census(n)  # neither a pass nor C calls the batched D
     got, want = fast_census(100), ORACLE[99]
     assert (got.b_count, got.s_count, got.c_count) == (want.b_count, want.s_count, want.c_count)
 
@@ -499,7 +468,7 @@ def test_fast_census_matches_oracle_sampled(n):
     )
 
 
-# The sweep runs to 50 N past the cutoff, where it hands over to fast_census.
+# The sweep runs to 50 N past the cutoff, from which a lone fast_census walks.
 SWEEP_TOP = SUBLINEAR_B_CUTOFF + 50
 
 
@@ -512,7 +481,9 @@ def censuses_to_sweep_top():
     """
     censuses = []
     for n in range(1, SWEEP_TOP + 1):
-        b, s, c = count_all_triples(n), count_da_over_hyperbola(n), count_gcd_divisor_sum(n)
+        table = census.census_table(n)
+        b, s = count_all_triples(n, table), count_da_over_hyperbola(n, table)
+        c = count_gcd_divisor_sum(n)
         censuses.append(
             census.CensusResult(N=n, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
         )
@@ -522,8 +493,9 @@ def censuses_to_sweep_top():
 def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
     swept = list(fast_census_range(SWEEP_TOP))
     assert swept == censuses_to_sweep_top
-    # Below the cutoff fast_census is the sweep's step at one N.
+    # Below the cutoff fast_census is the sweep's step at one N; from it on, the walk.
     lone = [fast_census(n) for n in (1, 2000, SUBLINEAR_B_CUTOFF - 1)]
+    lone += [fast_census(n) for n in (SUBLINEAR_B_CUTOFF, SWEEP_TOP)]
     assert lone == [swept[r.N - 1] for r in lone]
     for r in swept + lone:
         assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}
@@ -535,13 +507,25 @@ def test_sweep_in_partial_blocks_matches_fast_census(block, censuses_to_sweep_to
     assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
 
 
-def test_sweep_below_the_cutoff_reads_the_shared_table_without_sieving(
-    censuses_to_sweep_top, monkeypatch
-):
-    census._small_prefix()
-    monkeypatch.setattr(divisor_core, "_sieve", None)
-    swept = list(fast_census_range(SUBLINEAR_B_CUTOFF - 1))
-    assert swept == censuses_to_sweep_top[: SUBLINEAR_B_CUTOFF - 1]
+def test_sweep_sieves_once_to_max_n_and_calls_no_fast_census(censuses_to_sweep_top, monkeypatch):
+    sieved = spy_on_sieve(monkeypatch)
+    monkeypatch.setattr(census, "fast_census", None)
+    assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
+    assert sieved == [SWEEP_TOP]
+
+
+def test_sweep_refuses_a_max_n_above_the_table_cap_before_allocating():
+    # At the call, not at the first step.  The cap itself is taken: the
+    # sweep is lazy, so nothing is sieved until a step is asked for.
+    fast_census_range(SUBLINEAR_TABLE_CAP)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
+            fast_census_range(SUBLINEAR_TABLE_CAP + 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024
 
 
 def test_inclusion_exclusion_identity_on_oracle():

@@ -323,6 +323,28 @@ def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
     assert "fast=" in out and "brute=" in out
 
 
+def test_verify_above_the_cutoff_calls_fast_census_once_at_max_n(capsys, monkeypatch):
+    # The sweep counts every N itself; fast_census, the route of census --n,
+    # is checked once, at max_n, where it walks B's identity.
+    top = census.SUBLINEAR_B_CUTOFF + 1
+    calls = []
+    real = census.fast_census
+    monkeypatch.setattr(census, "fast_census", lambda n: calls.append(n) or real(n))
+    code, out, _ = run(capsys, "--oracle-ceiling", str(top), "verify", "--max-n", str(top))
+    assert code == 0
+    assert f"all N <= {top}" in out
+    assert calls == [top]
+
+
+@pytest.mark.parametrize("max_n", [100, census.SUBLINEAR_B_CUTOFF + 1])
+def test_verify_checks_fast_census_at_max_n(max_n, capsys, monkeypatch):
+    real = census.fast_census
+    monkeypatch.setattr(census, "fast_census", lambda n: with_b_off_by_one(real(n), max_n))
+    code, out, _ = run(capsys, "--oracle-ceiling", str(max_n), "verify", "--max-n", str(max_n))
+    assert code == 1
+    assert f"mismatch at N={max_n}: fast_census (A, B, C, S)=" in out
+
+
 def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
     # Off by one only from a table short of N: verify --max-n 100 sweeps
     # its N without count_all_triples, then asks B of a table of size 10.

@@ -310,14 +310,14 @@ def test_mobius_table_traces_under_eight_bytes_an_entry():
 
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000))
-def test_sublinear_square_summatory_matches_table(n):
+def test_count_all_triples_matches_table(n):
     assert b_by_walk(n) == divisor_square_summatory(n, TABLE_30K)
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 @settings(max_examples=25, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000))
-def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
+def test_count_all_triples_splits_runs_across_steps(chunk, n):
     # With a chunk shorter than the runs of one k, each run spans several
     # steps.  Each step looks up the D(x_k // u) of its pairs with one
     # table.summatory call, so the calls' arrays are the steps' arrays: none
@@ -344,7 +344,7 @@ def test_sublinear_square_summatory_splits_runs_across_steps(chunk, n):
     assert sum(sizes) == pairs
 
 
-def test_sublinear_square_summatory_at_squares_and_neighbours():
+def test_count_all_triples_at_squares_and_neighbours():
     # isqrt(N) and every isqrt(N // k^2) step at a perfect square.
     for m in (1, 2, 3, 4, 12, 60, 99, 100, 173):
         for n in (m * m - 1, m * m, m * m + 1):
@@ -354,11 +354,11 @@ def test_sublinear_square_summatory_at_squares_and_neighbours():
 
 
 @pytest.mark.parametrize("n", [10**6, 10**7])
-def test_sublinear_square_summatory_matches_segmented(n):
+def test_count_all_triples_matches_segmented(n):
     assert b_by_walk(n) == divisor_square_summatory_segmented(n)
 
 
-def test_sublinear_square_summatory_rejects_and_refuses():
+def test_count_all_triples_rejects_and_refuses():
     with pytest.raises(ValueError):
         census.count_all_triples(0)
     # d(u) is needed up to sqrt(N), which must fit under the table cap;
@@ -610,10 +610,10 @@ def test_summatory_table_peaks_at_four_bytes_an_entry():
     assert peak < 4 * y + 2**16
 
 
-def test_sublinear_square_summatory_takes_a_table():
+def test_count_all_triples_takes_a_table():
     n = 30_000
     want = divisor_square_summatory(n, TABLE_30K)
-    # y = n - 1 leaves M = 1 to the pass; y = n sums term by term.
+    # y = n - 1 leaves M = 1 to the pass; y = n leaves M = 0, and B walks every pair.
     for y in (isqrt(n), 1000, n - 1, n):
         assert census.count_all_triples(n, summatory_table(y, n)) == want
     with pytest.raises(ValueError, match="below sqrt"):
