@@ -151,15 +151,16 @@ def _sieve(n_max: int, lo: int = 0) -> np.ndarray:
     multiple from max(k^2, lo) on.
     """
     counts = np.zeros(n_max - lo + 1, dtype=np.int32)
-    # k's first index: k^2 - lo, or -lo % k, that of its first multiple
-    # from lo on, where k^2 < lo.
     k = np.arange(1, isqrt(n_max) + 1)
-    starts = k * k
-    if lo:  # skipped from 0, where the two steps cost 3% of a sieve of 2^14
-        starts = np.maximum(starts - lo, -lo % k)
-    for step, start in enumerate(starts.tolist(), 1):
+    starts = k * k - lo
+    counts[starts[isqrt(max(lo - 1, 0)) :]] -= 1  # the k^2 >= lo
+    steps = range(1, k.size + 1)  # no list of k from 0, where every k has a multiple
+    if lo:  # -lo % k is the index of k's first multiple from lo; a short block may hold none
+        starts = np.maximum(starts, -lo % k)
+        hit = starts < counts.size
+        steps, starts = k[hit].tolist(), starts[hit]
+    for step, start in zip(steps, starts.tolist()):
         counts[start::step] += 2
-    counts[starts[isqrt(max(lo - 1, 0)) :]] -= 1  # the k^2 >= lo, where starts is k^2 - lo
     return counts
 
 
