@@ -14,7 +14,6 @@ from .census import (
     count_all_triples,
     count_da_over_hyperbola,
     count_gcd_divisor_sum,
-    count_good_triples,
     fast_census,
     fast_census_range,
     list_counterexamples,

@@ -33,10 +33,10 @@ and grouping the k by the sign of mu(k), with x_k = N // k^2,
 where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
 u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1.  This costs about
 N^(2/3) sieve work plus sqrt(N) ln(N) lookups in a table of D, against
-the N ln N of summing d(n)^2 term by term.  Below SUBLINEAR_B_CUTOFF a
-census is a step of fast_census_range, which reads B(N) from one running
-sum of d(n)^2 instead; divisor_core keeps the term-by-term sums, in
-memory and segmented, as independent cross-checks.
+the N ln N of summing d(n)^2 term by term.  fast_census_range, which
+counts every N up to max_n, reads B(N) from one running sum of d(n)^2
+instead; divisor_core keeps the term-by-term sums, in memory and
+segmented, as independent cross-checks.
 
 The A identity is inclusion-exclusion on "r | a or r | b" plus the
 a <-> b symmetry.  The C identity comes from writing a = r*c, b = r*e:
@@ -50,13 +50,13 @@ each taken by N // q - N // (q + 1) values of b, so
 
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-From SUBLINEAR_B_CUTOFF on, a census's B, S and C read D from one
-summatory table sieved for this N alone (divisor_core), of
-y = summatory_table_size(N) entries, about N^(2/3) / 4 and at least
-sqrt(N); nothing is kept between censuses.  Every D(q) with q <= y is a
-lookup.  Every D(q) above y is D(N // m) for some m <= M = N // (y + 1)
-(B asks for m = k^2 u, S for m = b, C for m = r^2).  The table's pass
-evaluates each of them once, in float64 blocks, and keeps only three sums:
+At every N, a census's B, S and C read D from one summatory table sieved
+for this N alone (divisor_core), of y = summatory_table_size(N) entries,
+about N^(2/3) / 4 and at least sqrt(N); nothing is kept between
+censuses.  Every D(q) with q <= y is a lookup.  Every D(q) above y is
+D(N // m) for some m <= M = N // (y + 1) (B asks for m = k^2 u, S for
+m = b, C for m = r^2).  The table's pass evaluates each of them once,
+in float64 blocks, and keeps only three sums:
 sum_{m<=M} D(N // m), which is the part of S with b <= M,
 sum_{m<=M} 2^omega(m) D(N // m), which holds every term of B with
 k^2 u <= M (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
@@ -108,16 +108,6 @@ from .divisor_core import (
     summatory_table,
     summatory_table_size,
 )
-
-# Below this N a lone fast_census is the sweep's step at N, over a sieve of
-# D(0..N), and from it on the walk over census_table(N), about N^(2/3) / 4
-# entries: the two are level here.  Medians of 300 interleaved in-process
-# calls, each with its own sieve, on a 2-vCPU VM, in three rounds: the
-# sweep takes 443-450 us at N = 6000, 497-505 at 8000, 554-561 at 10^4,
-# 566-606 at 1.2e4 and 602-801 at 2e4, and the walk 536-546, 550-562,
-# 575-592, 553-594 and 468-676 us.
-SUBLINEAR_B_CUTOFF = 10_000
-
 
 @dataclass(frozen=True, slots=True)
 class CensusResult:
@@ -293,24 +283,13 @@ def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> i
     return total
 
 
-def count_good_triples(N: int) -> int:
-    """A(N) = 2*S(N) - C(N), exactly."""
-    check_census_size(N)
-    table = census_table(N)
-    return 2 * count_da_over_hyperbola(N, table) - count_gcd_divisor_sum(N, table)
-
-
 def fast_census(N: int) -> CensusResult:
     """All four counts by the identity-based routes.
 
-    Below SUBLINEAR_B_CUTOFF this is the step of fast_census_range at N,
-    over a sieve of D(0..N); from the cutoff on, B walks its hyperbola
-    identity and S and C look up their D, over census_table(N) and its
-    pass.
+    B walks its hyperbola identity and S and C look up their D, over
+    census_table(N) and its pass, at every N.
     """
     check_census_size(N)
-    if N < SUBLINEAR_B_CUTOFF:
-        return next(_fast_census_range(N, N))
     table = census_table(N)
     b = count_all_triples(N, table)
     s = count_da_over_hyperbola(N, table)
@@ -341,7 +320,6 @@ def fast_census_range(max_n: int) -> Iterator[CensusResult]:
     split at R = isqrt(N) and C(N) the sum over r <= R of D(N // r^2).
     Their (N, b), (N, q) and (N, r) terms are laid out one run per N, and
     each N's sum is the difference of one int64 cumsum at its run's ends.
-    Below SUBLINEAR_B_CUTOFF fast_census is this sweep at one N.
 
     Every max_n up to SUBLINEAR_TABLE_CAP = 2^24 is exact: the table's
     int32 prefix sums hold D(max_n) <= max_n (1 + ln max_n) < 3e8 < 2^31;
@@ -359,15 +337,14 @@ def fast_census_range(max_n: int) -> Iterator[CensusResult]:
             f"fast census sweep refused at max_n={max_n}: it sieves d(n) to max_n, "
             f"above the table cap SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
         )
-    return _fast_census_range(1, max_n)
+    return _fast_census_range(max_n)
 
 
-def _fast_census_range(first: int, max_n: int) -> Iterator[CensusResult]:
-    """The fast CensusResult for every N in first..max_n, first >= 1, over one sieve to max_n."""
+def _fast_census_range(max_n: int) -> Iterator[CensusResult]:
+    """The fast CensusResult for every N in 1..max_n, over one sieve to max_n."""
     prefix = summatory_table(max_n, max_n).prefix
-    d = np.diff(prefix[:first]).astype(np.int64)  # d(1..first - 1)
-    b_total = int(np.dot(d, d))  # B(first - 1)
-    for lo in range(first, max_n + 1, _SWEEP_BLOCK):
+    b_total = 0  # B(lo - 1)
+    for lo in range(1, max_n + 1, _SWEEP_BLOCK):
         n = np.arange(lo, min(lo + _SWEEP_BLOCK, max_n + 1), dtype=np.int64)
         d = np.diff(prefix[lo - 1 : lo + n.size]).astype(np.int64)  # d(n)
         b_counts = np.cumsum(d * d) + b_total  # B(n)

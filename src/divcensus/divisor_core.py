@@ -302,10 +302,10 @@ class SummatoryTable:
         plain = sum_{m<=M} D(N // m) is S's part with b <= M, weighted =
         sum_{m<=M} 2^omega(m) D(N // m) is B's part with k^2 u <= M, and
         squares = sum_{r^2<=M} D(N // r^2) is C's part with r^2 <= M.  It is
-        a plain tuple because every census from the cutoff on builds one, and
-        a named tuple takes ten times as long to make.  Each D(N // m) is
-        evaluated once, _PASS_ROWS values of m at a time, and dropped after
-        the three sums take it (module docstring).  M = 0 costs nothing.
+        a plain tuple because every census builds one, and a named tuple
+        takes ten times as long to make.  Each D(N // m) is evaluated once,
+        _PASS_ROWS values of m at a time, and dropped after the three sums
+        take it (module docstring).  M = 0 costs nothing.
         """
         plain = weighted = squares = 0
         M = self.M

@@ -96,6 +96,20 @@ def test_lemma_norm_small_formula():
     assert value == pytest.approx(1.623, abs=5e-4)
 
 
+def test_lemma_norm_follows_its_two_term_asymptotic():
+    # C(N) = zeta(2) N ln N + (zeta(2) (2 gamma - 1) + 2 zeta'(2)) N + O(sqrt(N) ln N)
+    # (asymptotics module docstring), so the two terms leave about
+    # 1 / sqrt(N) = 3.2e-4 of lemma_norm at 10^7.
+    zeta2 = PI_SQUARED / 6
+    euler_gamma = 0.5772156649015329
+    zeta2_prime = -0.9375482543158438
+    n = 10**7
+    want = zeta2 + (zeta2 * (2 * euler_gamma - 1) + 2 * zeta2_prime) / math.log(n)
+    (pt,) = ratio_table([n])
+    assert want == pytest.approx(1.5444, abs=1e-4)
+    assert pt.lemma_norm == pytest.approx(want, abs=1e-3)
+
+
 def test_log_weighted_harmonic_small_values():
     assert log_weighted_harmonic(1) == 0.0
     assert log_weighted_harmonic(2) == pytest.approx(math.log(2) / 2, rel=1e-15)

@@ -15,14 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from divcensus import census, divisor_core
 from divcensus.census import (
-    SUBLINEAR_B_CUTOFF,
     Counterexample,
     brute_force_census,
     brute_force_census_range,
     count_all_triples,
     count_da_over_hyperbola,
     count_gcd_divisor_sum,
-    count_good_triples,
     fast_census,
     fast_census_range,
     iter_counterexamples,
@@ -169,20 +167,19 @@ def test_count_all_triples_examples():
     assert count_all_triples(6) == 38
 
 
-def test_count_all_triples_switches_route_at_cutoff(monkeypatch):
-    # B walks its hyperbola identity on both sides of the cutoff, and the
-    # walk sieves mu, to isqrt(N), once per call.
-    table = sieve_divisor_counts(SUBLINEAR_B_CUTOFF + 1)
+def test_count_all_triples_sieves_mu_once_per_call(monkeypatch):
+    # B walks its hyperbola identity, and the walk sieves mu, to isqrt(N),
+    # once per call.
+    table = sieve_divisor_counts(10**4 + 1)
     walked = []
     real = census._mobius_table
     monkeypatch.setattr(census, "_mobius_table", lambda n: walked.append(n) or real(n))
-    c = SUBLINEAR_B_CUTOFF
-    for n in (c - 1, c, c + 1):
+    for n in (9999, 10**4, 10**4 + 1):
         assert count_all_triples(n) == divisor_square_summatory(n, table), n
-    assert walked == [isqrt(c - 1), isqrt(c), isqrt(c + 1)]
+    assert walked == [isqrt(9999), isqrt(10**4), isqrt(10**4 + 1)]
 
 
-def test_count_all_triples_below_the_cutoff_from_a_table_short_of_n():
+def test_count_all_triples_from_a_table_short_of_n():
     # B, like S and C, accepts any table from sqrt(N) up.
     want = brute_force_census(5000).b_count
     assert count_all_triples(5000) == want == 620_598
@@ -301,12 +298,12 @@ def spy_on_sieve(monkeypatch) -> list[int]:
 
 @pytest.mark.parametrize("n", [5999, 10**6, 10**7])
 def test_fast_census_sieves_once(n, monkeypatch):
-    # Below SUBLINEAR_B_CUTOFF a census sieves D(0..N) for the sweep's step
-    # at N, and from it on census_table(N); nothing is kept for the next.
+    # Every census sieves census_table(N), and nothing is kept for the next.
     sieved = spy_on_sieve(monkeypatch)
     fast_census(n)
     fast_census(n)
-    size = n if n < SUBLINEAR_B_CUTOFF else divisor_core.summatory_table_size(n)
+    size = divisor_core.summatory_table_size(n)
+    assert size == {5999: 82, 10**6: 2499, 10**7: 11603}[n]
     assert sieved == [size, size]
 
 
@@ -321,29 +318,32 @@ def private_b_s_c(n, y):
 
 
 @settings(max_examples=100, deadline=None)
-@given(n=st.integers(min_value=1, max_value=SUBLINEAR_B_CUTOFF - 1))
+@given(n=st.integers(min_value=1, max_value=9999))
 def test_small_census_matches_a_private_table(n):
-    # The sweep's step at N against B's walk and S and C over a table that
-    # reaches N.
+    # census_table(N) and its pass against B's walk and S and C over a
+    # table that reaches N, which leaves nothing to a pass.
     got = fast_census(n)
     assert (got.b_count, got.s_count, got.c_count) == private_b_s_c(n, n)
 
 
 @settings(max_examples=40, deadline=None)
-@given(n=st.integers(min_value=SUBLINEAR_B_CUTOFF, max_value=10**6))
-def test_census_above_the_cutoff_matches_the_sweep(n):
-    # B's walk and the pass against one running sum of d(n)^2 and S and C
-    # from a sieve that reaches N.
-    assert fast_census(n) == next(census._fast_census_range(n, n))
+@given(n=st.integers(min_value=1, max_value=10**6))
+def test_census_matches_b_term_by_term_and_a_table_that_reaches_n(n):
+    # B's walk and the pass against the in-memory sum of d(n)^2, and S and
+    # C against a table that reaches N.
+    got = fast_census(n)
+    b, s, c = private_b_s_c(n, n)
+    assert got.b_count == divisor_square_summatory(n, sieve_divisor_counts(n)) == b
+    assert (got.s_count, got.c_count, got.a_count) == (s, c, 2 * s - c)
 
 
 def test_census_table_has_one_size_rule():
-    for n in (1, 100, SUBLINEAR_B_CUTOFF - 1, SUBLINEAR_B_CUTOFF, 10**6):
+    for n in (1, 100, 9999, 10**4, 10**6):
         table = census.census_table(n)
         assert (table.N, table.n_max) == (n, divisor_core.summatory_table_size(n))
 
 
-@pytest.mark.parametrize("n", [SUBLINEAR_B_CUTOFF, 10**5, 3_718_064])
+@pytest.mark.parametrize("n", [10**4, 10**5, 3_718_064])
 def test_b_without_a_table_sieves_the_census_table(n, monkeypatch):
     # B alone takes the census's table, as fast_census does, not a table of
     # its own.
@@ -385,12 +385,14 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
 
 
 def test_small_census_makes_no_pass(monkeypatch):
-    # Below SUBLINEAR_B_CUTOFF the sweep's sieve runs to N, so no D lies above it.
+    # The sweep's sieve runs to max_n, so no D lies above it.
     monkeypatch.setattr(divisor_core, "divisor_summatory_batch", None)
     monkeypatch.setattr(census, "divisor_summatory_batch", None)
-    for n in (1, 100, SUBLINEAR_B_CUTOFF - 1):
-        fast_census(n)  # neither a pass nor C calls the batched D
-    got, want = fast_census(100), ORACLE[99]
+    for n in (1, 100, 9999):
+        for _ in fast_census_range(n):  # neither a pass nor C calls the batched D
+            pass
+    *_, got = fast_census_range(100)
+    want = ORACLE[99]
     assert (got.b_count, got.s_count, got.c_count) == (want.b_count, want.s_count, want.c_count)
 
 
@@ -413,7 +415,6 @@ def test_fast_census_refuses_before_sieving(monkeypatch):
         count_all_triples,
         count_da_over_hyperbola,
         count_gcd_divisor_sum,
-        count_good_triples,
         fast_census,
     ):
         with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
@@ -421,10 +422,10 @@ def test_fast_census_refuses_before_sieving(monkeypatch):
     census.check_census_size(first - 1)  # the largest N they take
 
 
-def test_count_good_triples_examples():
-    assert count_good_triples(1) == 1
-    assert count_good_triples(4) == 2 * 13 - 9 == 17
-    assert count_good_triples(6) == 35
+def test_fast_census_a_examples():
+    assert fast_census(1).a_count == 1
+    assert fast_census(4).a_count == 2 * 13 - 9 == 17
+    assert fast_census(6).a_count == 35
 
 
 def test_zero_arguments_rejected():
@@ -432,7 +433,6 @@ def test_zero_arguments_rejected():
         count_all_triples,
         count_gcd_divisor_sum,
         count_da_over_hyperbola,
-        count_good_triples,
         fast_census,
         fast_census_range,  # at the call, before anything is asked for
         brute_force_census,
@@ -468,8 +468,8 @@ def test_fast_census_matches_oracle_sampled(n):
     )
 
 
-# The sweep runs to 50 N past the cutoff, from which a lone fast_census walks.
-SWEEP_TOP = SUBLINEAR_B_CUTOFF + 50
+# The sweep runs 50 N past the oracle's default ceiling.
+SWEEP_TOP = 10_050
 
 
 @pytest.fixture(scope="module")
@@ -493,9 +493,8 @@ def censuses_to_sweep_top():
 def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
     swept = list(fast_census_range(SWEEP_TOP))
     assert swept == censuses_to_sweep_top
-    # Below the cutoff fast_census is the sweep's step at one N; from it on, the walk.
-    lone = [fast_census(n) for n in (1, 2000, SUBLINEAR_B_CUTOFF - 1)]
-    lone += [fast_census(n) for n in (SUBLINEAR_B_CUTOFF, SWEEP_TOP)]
+    # A lone fast_census walks B's identity over census_table(N) at every N.
+    lone = [fast_census(n) for n in (1, 2000, 9999, 10**4, SWEEP_TOP)]
     assert lone == [swept[r.N - 1] for r in lone]
     for r in swept + lone:
         assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}

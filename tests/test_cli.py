@@ -323,10 +323,10 @@ def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
     assert "fast=" in out and "brute=" in out
 
 
-def test_verify_above_the_cutoff_calls_fast_census_once_at_max_n(capsys, monkeypatch):
+@pytest.mark.parametrize("top", [100, 10_001])
+def test_verify_calls_fast_census_once_at_max_n(top, capsys, monkeypatch):
     # The sweep counts every N itself; fast_census, the route of census --n,
     # is checked once, at max_n, where it walks B's identity.
-    top = census.SUBLINEAR_B_CUTOFF + 1
     calls = []
     real = census.fast_census
     monkeypatch.setattr(census, "fast_census", lambda n: calls.append(n) or real(n))
@@ -336,7 +336,7 @@ def test_verify_above_the_cutoff_calls_fast_census_once_at_max_n(capsys, monkeyp
     assert calls == [top]
 
 
-@pytest.mark.parametrize("max_n", [100, census.SUBLINEAR_B_CUTOFF + 1])
+@pytest.mark.parametrize("max_n", [100, 10_001])
 def test_verify_checks_fast_census_at_max_n(max_n, capsys, monkeypatch):
     real = census.fast_census
     monkeypatch.setattr(census, "fast_census", lambda n: with_b_off_by_one(real(n), max_n))
@@ -347,7 +347,8 @@ def test_verify_checks_fast_census_at_max_n(max_n, capsys, monkeypatch):
 
 def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
     # Off by one only from a table short of N: verify --max-n 100 sweeps
-    # its N without count_all_triples, then asks B of a table of size 10.
+    # its N without count_all_triples, then asks fast_census(100) for B
+    # over census_table(100), of size 10.
     real = census.count_all_triples
     monkeypatch.setattr(
         census,
@@ -356,7 +357,7 @@ def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
     )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
-    assert "mismatch at N=100: B from a table of size 10=" in out
+    assert "mismatch at N=100: fast_census (A, B, C, S)=" in out
 
 
 def test_verify_checks_c_without_a_table(capsys, monkeypatch):
@@ -370,14 +371,14 @@ def test_verify_checks_c_without_a_table(capsys, monkeypatch):
 
 
 def test_verify_checks_the_table_fallback(capsys, monkeypatch):
-    # An off-by-one D(q) above the table reaches no census below the B
-    # cutoff; only the checks from a table of size sqrt(max_n) see it, in
-    # the pass that S and B share.
+    # An off-by-one D(q) above the table reaches no N of the sweep, whose
+    # sieve runs to max_n; only fast_census(max_n) sees it, in the pass of
+    # census_table(100) that B, S and C share.
     real = divisor_core.divisor_summatory_batch
     monkeypatch.setattr(divisor_core, "divisor_summatory_batch", lambda x: real(x) + 1)
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
-    assert "mismatch at N=100: S from a table of size 10=" in out
+    assert "mismatch at N=100: fast_census (A, B, C, S)=" in out
 
 
 # -- python -m divcensus ----------------------------------------------------------------
