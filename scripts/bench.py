@@ -1,17 +1,22 @@
 #!/usr/bin/env python3
 """End-to-end benchmark: `divcensus census`, `verify` and `sample`, one fresh process a run.
 
-For each N the command `python -m divcensus census --n N`, for each M the
+For each N the command `python -m divcensus census --n N` and a run of
+the batched D kernel on that census's pass, for each M the
 command `python -m divcensus verify --max-n M`, and for each N of the
 sample list `python -m divcensus sample --n N --trials 2e6 --seed 1`, runs
 in a new interpreter on the source tree of a checkout (this one by
 default), with every DIVCENSUS_* variable cleared and BLAS pinned to one
 thread.  Each run records its wall time, its CPU time and peak RSS (from
 the child's own rusage) and its exit code; a census run adds the four
-counts it printed, a verify or sample run its last line.  The file BENCH_<label>.json holds the runs
-together with the machine facts and the commit and source digest of the
-checkout, so that files written before and after a change, on the same
-machine, can be compared.
+counts it printed, a verify or sample run its last line.  The kernel run
+times divisor_summatory_batch in-process on the pass's x = N // m,
+m <= M = N // (y + 1) with y = summatory_table_size(N), in the pass's
+steps of m, and adds M, the cells sum isqrt(x) and ns_per_cell, the
+median over as many repeats of the pass as fill half a second.  The file
+BENCH_<label>.json holds the runs together with the machine facts and the
+commit and source digest of the checkout, so that files written before
+and after a change, on the same machine, can be compared.
 
 Usage:
     python scripts/bench.py --label after [--checkout .] [--n 1e8 1e10 1e12 1e13]
@@ -46,6 +51,27 @@ DEFAULT_NS = ["1e8", "1e10", "1e12", "1e13"]
 DEFAULT_VERIFY_MAX_NS = ["2000", "10000"]
 DEFAULT_SAMPLE_NS = ["5e4", "1e6"]
 SAMPLE_ARGS = ["--trials", "2e6", "--seed", "1"]
+# Run by `python -c KERNEL_CODE N` on a checkout's src/; prints one JSON line.
+KERNEL_CODE = """
+import json, statistics, sys, time
+import numpy as np
+from divcensus import divisor_core as dc
+N = int(float(sys.argv[1]))
+M = N // (dc.summatory_table_size(N) + 1)
+m = np.arange(1, M + 1, dtype=np.int64)
+steps = [N // m[lo : lo + dc._PASS_ROWS] for lo in range(0, M, dc._PASS_ROWS)]
+cells = sum(int(np.sqrt(x.astype(np.float64)).astype(np.int64).sum()) for x in steps)
+times = []
+while not times or (cells and sum(times) < 0.5):
+    t0 = time.perf_counter()
+    for x in steps:
+        dc.divisor_summatory_batch(x)
+    times.append(time.perf_counter() - t0)
+kernel_s = statistics.median(times)
+ns_per_cell = round(kernel_s / cells * 1e9, 3) if cells else None
+print(json.dumps({"M": M, "cells": cells, "repeats": len(times),
+                  "kernel_s": round(kernel_s, 4), "ns_per_cell": ns_per_cell}))
+"""
 
 
 def machine_facts() -> dict:
@@ -101,12 +127,12 @@ def child_env(checkout: Path) -> dict:
     return env
 
 
-def run_divcensus(argv: list[str], env: dict) -> tuple[dict, str]:
-    """One `python -m divcensus *argv` in a fresh process, measured by wait4.
+def run_python(argv: list[str], env: dict) -> tuple[dict, str]:
+    """One `python *argv` in a fresh process, measured by wait4.
 
     Returns the measurements, with stderr's tail on failure, and stdout.
     """
-    cmd = [sys.executable, "-m", "divcensus", *argv]
+    cmd = [sys.executable, *argv]
     with tempfile.TemporaryFile() as out, tempfile.TemporaryFile() as err:
         t0 = time.perf_counter()
         proc = subprocess.Popen(cmd, stdout=out, stderr=err, env=env)
@@ -126,6 +152,11 @@ def run_divcensus(argv: list[str], env: dict) -> tuple[dict, str]:
     return record, stdout
 
 
+def run_divcensus(argv: list[str], env: dict) -> tuple[dict, str]:
+    """One `python -m divcensus *argv` in a fresh process (run_python)."""
+    return run_python(["-m", "divcensus", *argv], env)
+
+
 def run_census(n: str, env: dict) -> dict:
     """`divcensus census --n n`, with the four counts it printed."""
     measured, stdout = run_divcensus(["census", "--n", n], env)
@@ -134,6 +165,15 @@ def run_census(n: str, env: dict) -> dict:
         line = json.loads(stdout.strip().splitlines()[-1])
         record["N"] = line["N"]
         record["counts"] = {key: line[key] for key in ("A", "B", "C", "S")}
+    return record
+
+
+def run_kernel(n: str, env: dict) -> dict:
+    """KERNEL_CODE at bound n: the batched D kernel's time on the census pass."""
+    measured, stdout = run_python(["-c", KERNEL_CODE, n], env)
+    record = {"command": "kernel", "n": n, **measured}
+    if record["exit"] == 0:
+        record.update(json.loads(stdout.strip().splitlines()[-1]))
     return record
 
 
@@ -185,7 +225,7 @@ def main() -> int:
     checkouts = [checkout.resolve() for checkout in args.checkout]
     envs = [child_env(checkout) for checkout in checkouts]
     jobs = (
-        [(run_census, n) for n in args.n]
+        [(run, n) for n in args.n for run in (run_census, run_kernel)]
         + [(run_verify, m) for m in args.verify_max_n]
         + [(run_sample, n) for n in args.sample_n]
     )
@@ -206,6 +246,7 @@ def main() -> int:
             "label": label,
             "commands": [
                 "python -m divcensus census --n N",
+                "python -c KERNEL_CODE N",
                 "python -m divcensus verify --max-n M",
                 "python -m divcensus sample --n N " + " ".join(SAMPLE_ARGS),
             ],

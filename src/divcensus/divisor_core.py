@@ -60,12 +60,18 @@ lookups, and S and C look up their D(N // m) with m > M.
 The sieve costs c_s y and the pass sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y)
 cells of c_p each, least in sum at y = (c_p N / c_s)^(2/3).  Measured on
 one core of a 2-vCPU VM, a sieve entry costs 16-20 ns while the table
-fits in cache (69 ns at 2^24 entries) and a pass cell 1.4-3 ns, so
-(c_p / c_s)^(2/3) is about 0.27, and the one size rule,
-summatory_table_size(N), is y = N^(2/3) / 4, at least sqrt(N) and at most
-SUBLINEAR_TABLE_CAP.  Below the cap both parts cost about N^(2/3): the
-sieve N^(2/3) / 4 entries and the pass 4 N^(2/3) cells.  The cap binds
-from N = 2^39, about 5.5e11.
+fits in cache (69 ns at 2^24 entries) and a pass cell cost 1.4-3 ns when
+the rule was fitted, so (c_p / c_s)^(2/3) came to about 0.27, and the one
+size rule, summatory_table_size(N), is y = N^(2/3) / 4, at least sqrt(N)
+and at most SUBLINEAR_TABLE_CAP.  Below the cap both parts cost about
+N^(2/3): the sieve N^(2/3) / 4 entries and the pass 4 N^(2/3) cells.  The
+cap binds from N = 2^39, about 5.5e11.  The small ufunc buffer and the
+einsum row sums of the next section have since cut a pass cell to about
+0.6 of its former cost at N = 1e10 and to 0.7-0.9 at 1e12 and 1e13
+(medians of alternating in-process runs by scripts/bench.py, in several
+spells of the host, whose speed moved the absolute figures by up to half:
+0.8-1.5 ns a cell at 1e13).  The rule stays as fitted until the sieve's cost, which a
+blocked sieve would also move, is measured again.
 
 Batched summatory function
 --------------------------
@@ -89,7 +95,21 @@ refuses a larger x:
   while x < 2^52, and sqrt is correctly rounded and monotone.
 - Every cell and every partial row sum is an integer of at most
   sum_{k<=r} x / k + w^2 / 2 <= x (1 + ln sqrt(x)) + 2^47 < 2^53, so
-  float64 adds it exactly.
+  float64 adds it exactly, in any order.
+
+The blocks run at numpy's full speed under two choices.  First, the loop
+runs under a ufunc buffer of _UFUNC_BUFSIZE elements, set and restored by
+try/finally (np.errstate restores the buffer only from numpy 2.0 on).  At
+numpy's default of 8192, a ufunc with a broadcast operand goes through
+its buffer whenever a block's rows are under about 8192 / 3 = 2730
+columns: the multiply by the column shifted[i:j, None] and the maximum
+against the row k_minus_1 then cost 1.0-1.3 ns a cell, against 0.3 ns on
+wider rows or under the small buffer.  Second, the row sums are
+np.einsum("ij->i"), a running sum, not q.sum(axis=1), which takes a
+pairwise sum of each row: 0.2 ns a cell against 0.3-0.4.  The last fact
+above makes both orders exact.  The reciprocals of a lone row wider than
+the head come from a float64 arange, so no int-to-float cast runs through
+the small buffer.
 
 The int64 divisor_summatory stays as the independent per-x route.
 """
@@ -128,6 +148,16 @@ _BLOCK_CELLS = 1 << 17
 # carry rather than be split: about the cost of one more block's numpy
 # calls, and a 16th of a full block.
 _SPARE_CELLS = 1 << 13
+
+# numpy's ufunc buffer, in elements, while divisor_summatory_batch runs.
+# A broadcast operand goes through the buffer only on rows under about
+# bufsize / 3 columns (module docstring): 85 here, 2730 at numpy's default
+# of 8192.  The kernel on the pass's x, ns a cell at bufsize 128 / 256 /
+# 1024 / 8192 (interleaved in-process medians, one core of a 2-vCPU VM,
+# einsum row sums at every size): 6.1 / 5.8 / 8.4 / 10.1 at N = 1.6e7,
+# 4.6 / 4.5 / 4.6 / 6.9 at 4e8, 3.6 / 3.5 / 3.6 / 4.8 at 1e10; 1.39 /
+# 1.41 / 1.41 at 1e12, whose rows are all over 4000 wide.
+_UFUNC_BUFSIZE = 256
 
 # Values m per step of a summatory table's pass over m <= M.
 _PASS_ROWS = 1 << 14
@@ -214,31 +244,35 @@ def divisor_summatory_batch(x: np.ndarray) -> np.ndarray:
     sums = np.zeros(x.size)
     block_width = np.empty(x.size, dtype=np.int64)
     head = min(int(width[0]), _BLOCK_CELLS)
-    inv = 1.0 / np.arange(1, head + 1)
+    inv = 1.0 / np.arange(1.0, head + 1.0)
     k_minus_1 = np.arange(head, dtype=np.float64)
     cells = np.empty(min(_BLOCK_CELLS, x.size * int(width[0])))
-    i = 0
-    while i < x.size:
-        # Rows i..j-1: at most a block of cells, of which at most
-        # _SPARE_CELLS lie past the narrower rows' ends.
-        w = int(width[i])
-        rows = np.arange(1, min(x.size - i, max(1, _BLOCK_CELLS // w)) + 1)
-        spare = rows * w - (filled[i : i + rows.size] - filled[i] + w)  # nondecreasing
-        j = i + int(np.searchsorted(spare, _SPARE_CELLS, side="right"))
-        narrowest = int(width[j - 1])
-        step = _BLOCK_CELLS // (j - i)  # a lone row wider than a block spans several
-        for c0 in range(0, w, step):
-            c1 = min(c0 + step, w)
-            row = inv[c0:c1] if c1 <= inv.size else 1.0 / np.arange(c0 + 1, c1 + 1)
-            q = cells[: (j - i) * (c1 - c0)].reshape(j - i, c1 - c0)
-            np.multiply(shifted[i:j, None], row, out=q)
-            np.floor(q, out=q)
-            if c1 > narrowest:  # only in a block of several rows, so c1 <= head
-                tail = q[:, max(c0, narrowest) - c0 :]
-                np.maximum(tail, k_minus_1[max(c0, narrowest) : c1], out=tail)
-            sums[i:j] += q.sum(axis=1)
-        block_width[i:j] = w
-        i = j
+    old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        i = 0
+        while i < x.size:
+            # Rows i..j-1: at most a block of cells, of which at most
+            # _SPARE_CELLS lie past the narrower rows' ends.
+            w = int(width[i])
+            rows = np.arange(1, min(x.size - i, max(1, _BLOCK_CELLS // w)) + 1)
+            spare = rows * w - (filled[i : i + rows.size] - filled[i] + w)  # nondecreasing
+            j = i + int(np.searchsorted(spare, _SPARE_CELLS, side="right"))
+            narrowest = int(width[j - 1])
+            step = _BLOCK_CELLS // (j - i)  # a lone row wider than a block spans several
+            for c0 in range(0, w, step):
+                c1 = min(c0 + step, w)
+                row = inv[c0:c1] if c1 <= inv.size else 1.0 / np.arange(c0 + 1.0, c1 + 1.0)
+                q = cells[: (j - i) * (c1 - c0)].reshape(j - i, c1 - c0)
+                np.multiply(shifted[i:j, None], row, out=q)
+                np.floor(q, out=q)
+                if c1 > narrowest:  # only in a block of several rows, so c1 <= head
+                    tail = q[:, max(c0, narrowest) - c0 :]
+                    np.maximum(tail, k_minus_1[max(c0, narrowest) : c1], out=tail)
+                sums[i:j] += np.einsum("ij->i", q)
+            block_width[i:j] = w
+            i = j
+    finally:
+        np.setbufsize(old_bufsize)
     # Each row's cells k = r + 1..w held k - 1: take them back.
     spare = (block_width * (block_width - 1) - width * (width - 1)) // 2
     return 2 * (sums.astype(np.int64) - spare) - width * width

@@ -189,6 +189,41 @@ def test_batch_summatory_at_its_bound_and_refused_above(monkeypatch):
         divisor_summatory_batch(np.array([5, 6], dtype=np.int64))
 
 
+def test_batch_summatory_is_exact_across_the_buffer_threshold():
+    # The pass's x at N = 4e8: rows 20000 down to 368 wide, many to a
+    # block, on both sides of the default ufunc buffer's bufsize / 3 = 2730
+    # columns, where the broadcast operands of a block go through it.
+    n = 4 * 10**8
+    M = n // (summatory_table_size(n) + 1)
+    assert M == 2947
+    x = n // np.arange(1, M + 1, dtype=np.int64)
+    assert isqrt(int(x[0])) == 20000 and isqrt(int(x[-1])) == 368
+    assert divisor_summatory_batch(x).tolist() == [divisor_summatory(int(v)) for v in x]
+
+
+def test_batch_summatory_restores_the_ufunc_buffer(monkeypatch):
+    x = np.array([10**9, 10**6, 7], dtype=np.int64)
+    want = [divisor_summatory(int(v)) for v in x]
+    old = np.setbufsize(4096)  # the caller's own setting, not numpy's default
+    try:
+        assert divisor_summatory_batch(x).tolist() == want
+        assert np.getbufsize() == 4096
+        # A tile op that raises still leaves the caller's buffer behind it.
+        seen = []
+
+        def failing_row_sums(*args):
+            seen.append(np.getbufsize())
+            raise RuntimeError("tile op failed")
+
+        monkeypatch.setattr(np, "einsum", failing_row_sums)
+        with pytest.raises(RuntimeError, match="tile op failed"):
+            divisor_summatory_batch(x)
+        assert seen == [divisor_core._UFUNC_BUFSIZE]
+        assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+
+
 # -- sum of d(n)^2 -----------------------------------------------------------
 
 def test_square_summatory_known_values():
