@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """End-to-end benchmark: `divcensus census`, `verify` and `sample`, one fresh process a run.
 
-For each N the command `python -m divcensus census --n N` and a run of
-the batched D kernel on that census's pass, for each M the
+For each N the command `python -m divcensus census --n N` and an
+in-process run of that census's table and of the batched D kernel on its
+pass, for each M the
 command `python -m divcensus verify --max-n M`, and for each N of the
 sample list `python -m divcensus sample --n N --trials 2e6 --seed 1`, runs
 in a new interpreter on the source tree of a checkout (this one by
@@ -10,10 +11,12 @@ default), with every DIVCENSUS_* variable cleared and BLAS pinned to one
 thread.  Each run records its wall time, its CPU time and peak RSS (from
 the child's own rusage) and its exit code; a census run adds the four
 counts it printed, a verify or sample run its last line.  The kernel run
-times divisor_summatory_batch in-process on the pass's x = N // m,
-m <= M = N // (y + 1) with y = summatory_table_size(N), in the pass's
-steps of m, and adds M, the cells sum isqrt(x) and ns_per_cell, the
-median over as many repeats of the pass as fill half a second.  The file
+first times summatory_table(y, N), y = summatory_table_size(N), and adds
+y, table_s and ns_per_entry, the median over as many builds as fill half
+a second.  It then times divisor_summatory_batch on the pass's x = N // m,
+m <= M = N // (y + 1), in the pass's steps of m, and adds M, the cells
+sum isqrt(x) and ns_per_cell, the median over as many repeats of the pass
+as fill half a second.  The file
 BENCH_<label>.json holds the runs together with the machine facts and the
 commit and source digest of the checkout, so that files written before
 and after a change, on the same machine, can be compared.
@@ -57,7 +60,14 @@ import json, statistics, sys, time
 import numpy as np
 from divcensus import divisor_core as dc
 N = int(float(sys.argv[1]))
-M = N // (dc.summatory_table_size(N) + 1)
+y = dc.summatory_table_size(N)
+table_times = []
+while sum(table_times) < 0.5:
+    t0 = time.perf_counter()
+    dc.summatory_table(y, N)
+    table_times.append(time.perf_counter() - t0)
+table_s = statistics.median(table_times)
+M = N // (y + 1)
 m = np.arange(1, M + 1, dtype=np.int64)
 steps = [N // m[lo : lo + dc._PASS_ROWS] for lo in range(0, M, dc._PASS_ROWS)]
 cells = sum(int(np.sqrt(x.astype(np.float64)).astype(np.int64).sum()) for x in steps)
@@ -69,7 +79,9 @@ while not times or (cells and sum(times) < 0.5):
     times.append(time.perf_counter() - t0)
 kernel_s = statistics.median(times)
 ns_per_cell = round(kernel_s / cells * 1e9, 3) if cells else None
-print(json.dumps({"M": M, "cells": cells, "repeats": len(times),
+print(json.dumps({"y": y, "table_repeats": len(table_times), "table_s": round(table_s, 4),
+                  "ns_per_entry": round(table_s / y * 1e9, 2),
+                  "M": M, "cells": cells, "repeats": len(times),
                   "kernel_s": round(kernel_s, 4), "ns_per_cell": ns_per_cell}))
 """
 

@@ -10,12 +10,13 @@ with n/k >= sqrt(n), so
 
     d(n) = 2 * #{k : k | n, k^2 <= n}  -  [n is a perfect square].
 
-Looping k up to sqrt(n_max) and adding 2 at k^2, k^2+k, k^2+2k, ... (with a
--1 correction at k^2 itself) fills a whole table in O(n_max log n_max)
-element increments but only O(sqrt(n_max)) vectorized passes, which is what
-makes 10^7-scale tables cheap in Python.  The same pass works on a block
-[lo, hi] in isolation, giving the segmented mode, whose memory is set by
-the block length rather than by n_max.
+One routine, _sieve, fills a block d(lo..hi) in place: each k <= sqrt(hi)
+adds 2 at its multiples from max(k^2, lo) on, and each square k^2 in the
+block takes 1 back.  That is O(L log hi) element increments for a block
+of L entries, in O(sqrt(hi)) vectorized passes.  Every d(n) table, the
+summatory table, the sampler's counts and the segmented cross-check, is
+sieved in blocks of _SIEVE_BLOCK = 2^20 entries (4 MiB of int32), which
+stay in cache while every k strides over them (costs in the next section).
 
 Summatory function
 ------------------
@@ -58,10 +59,10 @@ walks only its pairs with k^2 u > M, whose D(N // (k^2 u)) <= y are
 lookups, and S and C look up their D(N // m) with m > M.
 
 The sieve costs c_s y and the pass sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y)
-cells of c_p each, least in sum at y = (c_p N / c_s)^(2/3).  Measured on
-one core of a 2-vCPU VM, a sieve entry costs 16-20 ns while the table
-fits in cache (69 ns at 2^24 entries) and a pass cell cost 1.4-3 ns when
-the rule was fitted, so (c_p / c_s)^(2/3) came to about 0.27, and the one
+cells of c_p each, least in sum at y = (c_p N / c_s)^(2/3).  When the
+rule was fitted, on one core of a 2-vCPU VM, a sieve entry cost 16-20 ns
+while the table fit in cache and a pass cell 1.4-3 ns, so
+(c_p / c_s)^(2/3) came to about 0.27, and the one
 size rule, summatory_table_size(N), is y = N^(2/3) / 4, at least sqrt(N)
 and at most SUBLINEAR_TABLE_CAP.  Below the cap both parts cost about
 N^(2/3): the sieve N^(2/3) / 4 entries and the pass 4 N^(2/3) cells.  The
@@ -70,8 +71,11 @@ einsum row sums of the next section have since cut a pass cell to about
 0.6 of its former cost at N = 1e10 and to 0.7-0.9 at 1e12 and 1e13
 (medians of alternating in-process runs by scripts/bench.py, in several
 spells of the host, whose speed moved the absolute figures by up to half:
-0.8-1.5 ns a cell at 1e13).  The rule stays as fitted until the sieve's cost, which a
-blocked sieve would also move, is measured again.
+0.8-1.5 ns a cell at 1e13).  The blocked sieve makes a table entry cost
+19 ns at 1.2e6 entries and 24-34 ns at 2^24, where striding each k over
+the whole table cost 19 and 59-63 ns (medians of 5 alternating runs by
+scripts/bench.py, bench/BENCH_blocked-sieve.json).  summatory_table_size
+is left unchanged until scripts/bench.py shows that a re-fit gains.
 
 Batched summatory function
 --------------------------
@@ -123,8 +127,8 @@ import numpy as np
 
 from .config import ResourceLimitError
 
-# Block length of the segmented sieve: ~12 MiB of working set.
-DEFAULT_SEGMENT_SIZE = 1 << 20
+# Entries of one block of the d(n) sieve, 4 MiB of int32 (module docstring).
+_SIEVE_BLOCK = 1 << 20
 
 # divisor_summatory reduces sum_{k<=sqrt(x)} x // k in int64 and refuses a
 # larger x: that sum is at most D(x) <= x (1 + ln x) < 2^63 for x <= 2^52.
@@ -174,31 +178,31 @@ class DivisorTable:
     counts: np.ndarray
 
 
-def _sieve(n_max: int, lo: int = 0) -> np.ndarray:
-    """d(lo..n_max) as a writable int32 array by the paired-divisor pass, d(0) = 0.
+def _sieve(counts: np.ndarray, lo: int) -> None:
+    """Sieve d(lo..lo + counts.size - 1) in place into counts, a zeroed int32 view; d(0) = 0.
 
-    Nothing below lo is sieved: each k <= sqrt(n_max) starts at its first
-    multiple from max(k^2, lo) on.
+    Each k <= sqrt(hi) adds 2 from its first multiple at or above
+    max(k^2, lo) on, and each square k^2 in the block takes 1 back.  A
+    block shorter than k may hold no such multiple; k is then skipped,
+    which saves a tail block of one entry at 2^24 its 4096 numpy calls.
     """
-    counts = np.zeros(n_max - lo + 1, dtype=np.int32)
-    k = np.arange(1, isqrt(n_max) + 1)
-    starts = k * k - lo
-    counts[starts[isqrt(max(lo - 1, 0)) :]] -= 1  # the k^2 >= lo
-    steps = range(1, k.size + 1)  # no list of k from 0, where every k has a multiple
-    if lo:  # -lo % k is the index of k's first multiple from lo; a short block may hold none
-        starts = np.maximum(starts, -lo % k)
-        hit = starts < counts.size
-        steps, starts = k[hit].tolist(), starts[hit]
-    for step, start in zip(steps, starts.tolist()):
-        counts[start::step] += 2
-    return counts
+    size = counts.size
+    k = np.arange(1, isqrt(lo + size - 1) + 1)
+    squares = k * k - lo
+    counts[squares[isqrt(max(lo - 1, 0)) :]] -= 1  # the k^2 >= lo
+    starts = np.maximum(squares, -lo % k)  # -lo % k: k's first multiple from lo
+    for step, start in zip(range(1, k.size + 1), starts.tolist()):  # no list of k: table peak
+        if start < size:
+            counts[start::step] += 2
 
 
 def sieve_divisor_counts(n_max: int) -> DivisorTable:
-    """Sieve d(1..n_max) via the paired-divisor pass described above."""
+    """Sieve d(1..n_max) in blocks of _SIEVE_BLOCK entries (module docstring)."""
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    counts = _sieve(n_max)
+    counts = np.zeros(n_max + 1, dtype=np.int32)
+    for lo in range(0, n_max + 1, _SIEVE_BLOCK):
+        _sieve(counts[lo : lo + _SIEVE_BLOCK], lo)
     counts.setflags(write=False)
     return DivisorTable(n_max=n_max, counts=counts)
 
@@ -383,8 +387,14 @@ def summatory_table(y: int, N: int) -> SummatoryTable:
         raise ValueError(
             f"summatory table size {y} exceeds SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
         )
-    prefix = _sieve(y)
-    np.cumsum(prefix, out=prefix)
+    prefix = np.zeros(y + 1, dtype=np.int32)
+    carry = 0  # D(lo - 1)
+    for lo in range(0, y + 1, _SIEVE_BLOCK):
+        block = prefix[lo : lo + _SIEVE_BLOCK]
+        _sieve(block, lo)
+        block[0] += carry
+        np.cumsum(block, out=block)
+        carry = block[-1]
     prefix.setflags(write=False)
     return SummatoryTable(N=N, prefix=prefix)
 
@@ -399,41 +409,29 @@ def divisor_square_summatory(x: int, table: DivisorTable) -> int:
     return int(np.dot(c, c))
 
 
-def _check_segment_size(segment_size: int) -> None:
-    # The upper cap keeps per-segment int64 partial sums provably below 2^63
-    # (and a segment that size would be 8 GB of RAM regardless).
-    if not 1 <= segment_size <= (1 << 30):
-        raise ValueError(f"segment_size must be in [1, 2^30], got {segment_size}")
+def iter_divisor_segments(n_max: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, counts) blocks covering 1..n_max, each of <= _SIEVE_BLOCK values.
 
-
-def iter_divisor_segments(n_max: int, segment_size: int = DEFAULT_SEGMENT_SIZE):
-    """Yield (lo, counts) blocks covering 1..n_max, each of <= segment_size values.
-
-    counts[i] = d(lo + i).  Memory use is bounded by the segment size alone,
+    counts[i] = d(lo + i).  Memory use is bounded by the block length alone,
     whatever n_max.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
-    _check_segment_size(segment_size)
-    lo = 1
-    while lo <= n_max:
-        hi = min(lo + segment_size - 1, n_max)
-        yield lo, _sieve(hi, lo)
-        lo = hi + 1
+    for lo in range(1, n_max + 1, _SIEVE_BLOCK):
+        counts = np.zeros(min(_SIEVE_BLOCK, n_max + 1 - lo), dtype=np.int32)
+        _sieve(counts, lo)
+        yield lo, counts
 
 
-def divisor_square_summatory_segmented(
-    n_max: int,
-    segment_size: int = DEFAULT_SEGMENT_SIZE,
-) -> int:
-    """sum_{n<=n_max} d(n)^2 streamed over segments; exact for any n_max.
+def divisor_square_summatory_segmented(n_max: int) -> int:
+    """sum_{n<=n_max} d(n)^2 streamed over sieve blocks; exact for any n_max.
 
-    It costs time linear in n_max and memory bounded by the segment size.
+    It costs time linear in n_max and memory bounded by the block length.
     The census takes B by its hyperbola identity (census.py); this route is
     kept as an independent cross-check of it.
     """
     total = 0
-    for _, counts in iter_divisor_segments(n_max, segment_size):
+    for _, counts in iter_divisor_segments(n_max):
         d = counts.astype(np.int64)
         # Each block's int64 dot stays far below 2^63: a block of length L
         # is at most L * max(d)^2, and d(n) < 2 * sqrt(n).

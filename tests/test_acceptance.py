@@ -13,7 +13,7 @@ from math import isqrt
 
 import pytest
 
-from divcensus import asymptotics, census, cli, sampler
+from divcensus import asymptotics, census, cli, divisor_core, sampler
 from divcensus.divisor_core import divisor_square_summatory_segmented, divisor_summatory
 
 DECADES = [10**3, 10**4, 10**5, 10**6, 10**7]
@@ -210,7 +210,7 @@ def test_criterion_10_counterexample_ground_truth(oracle):
     )
 
 
-def test_criterion_11_performance_envelope(decade_census):
+def test_criterion_11_performance_envelope(decade_census, monkeypatch):
     _, elapsed = decade_census
     fast_time = elapsed[10**7]
 
@@ -220,7 +220,8 @@ def test_criterion_11_performance_envelope(decade_census):
     seg_time = time.perf_counter() - t0
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    b_odd_segments = divisor_square_summatory_segmented(10**8, segment_size=3_000_017)
+    monkeypatch.setattr(divisor_core, "_SIEVE_BLOCK", 3_000_017)
+    b_odd_segments = divisor_square_summatory_segmented(10**8)
 
     ok = (
         fast_time < 60

@@ -284,13 +284,13 @@ def test_s_and_c_pins(n, s, c):
 
 
 def spy_on_sieve(monkeypatch) -> list[int]:
-    """The n_max of every divisor_core._sieve call from now on, in order."""
+    """The top, lo + len - 1, of every block divisor_core._sieve sieves from now on, in order."""
     sieved = []
     real = divisor_core._sieve
 
-    def spy(n_max, *args, **kwargs):
-        sieved.append(n_max)
-        return real(n_max, *args, **kwargs)
+    def spy(counts, lo):
+        sieved.append(lo + counts.size - 1)
+        return real(counts, lo)
 
     monkeypatch.setattr(divisor_core, "_sieve", spy)
     return sieved

@@ -45,11 +45,50 @@ def is_prime(n: int) -> bool:
     return n >= 2 and all(n % k for k in range(2, isqrt(n) + 1))
 
 
+def whole_table_sieve(n_max: int) -> np.ndarray:
+    """d(0..n_max) as int32, every k <= sqrt(n_max) strided over the whole table.
+
+    The unblocked route, kept as the reference of the blocked sieve.
+    """
+    counts = np.zeros(n_max + 1, dtype=np.int32)
+    k = np.arange(1, isqrt(n_max) + 1)
+    counts[k * k] -= 1
+    for step, start in zip(range(1, k.size + 1), (k * k).tolist()):
+        counts[start::step] += 2
+    return counts
+
+
 TABLE = sieve_divisor_counts(10_000)
 ORACLE_D = [0] + [trial_division_d(n) for n in range(1, 10_001)]
 
 
 # -- sieve -------------------------------------------------------------------
+
+def test_whole_table_reference_matches_trial_division():
+    assert whole_table_sieve(10_000).tolist() == ORACLE_D
+
+
+@pytest.mark.parametrize("y", [1, 2, 2**20 - 1, 2**20, 2**20 + 1, 3 * 2**20 + 5, 2**24])
+def test_blocked_tables_match_the_whole_table_sieve_bit_for_bit(y):
+    want = whole_table_sieve(y)
+    counts = sieve_divisor_counts(y).counts
+    assert counts.dtype == np.int32 and np.array_equal(counts, want)
+    del counts
+    np.cumsum(want, out=want)
+    prefix = summatory_table(y, y).prefix
+    assert prefix.dtype == np.int32 and np.array_equal(prefix, want)
+
+
+@pytest.mark.parametrize("block", [1, 7, 777])
+def test_every_producer_is_exact_across_block_edges(block, monkeypatch):
+    monkeypatch.setattr(divisor_core, "_SIEVE_BLOCK", block)
+    n = 10_000
+    assert sieve_divisor_counts(n).counts.tolist() == ORACLE_D
+    assert summatory_table(n, n).prefix.tolist() == np.cumsum(ORACLE_D).tolist()
+    segments = list(iter_divisor_segments(n))
+    assert [lo for lo, _ in segments] == list(range(1, n + 1, block))
+    assert np.concatenate([c for _, c in segments]).tolist() == ORACLE_D[1:]
+
 
 def test_sieve_matches_trial_division_everywhere():
     assert TABLE.counts[1:].tolist() == ORACLE_D[1:]
@@ -244,36 +283,33 @@ def test_square_summatory_strictly_increasing():
     assert all(b > a for a, b in zip(values, values[1:]))
 
 
-def test_segmented_square_summatory_matches_table():
+def test_segmented_square_summatory_matches_table(monkeypatch):
     want = divisor_square_summatory(10_000, TABLE)
     assert divisor_square_summatory_segmented(10_000) == want
-    assert divisor_square_summatory_segmented(10_000, segment_size=999) == want
-    assert divisor_square_summatory_segmented(10_000, segment_size=1) == want
+    for block in (999, 1):
+        monkeypatch.setattr(divisor_core, "_SIEVE_BLOCK", block)
+        assert divisor_square_summatory_segmented(10_000) == want
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     x=st.integers(min_value=1, max_value=10_000),
-    segment_size=st.integers(min_value=1, max_value=3000),
+    block=st.integers(min_value=1, max_value=3000),
 )
-def test_segmented_square_summatory_any_segmentation(x, segment_size):
+def test_segmented_square_summatory_any_segmentation(x, block):
     want = divisor_square_summatory(x, TABLE)
-    assert divisor_square_summatory_segmented(x, segment_size=segment_size) == want
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(divisor_core, "_SIEVE_BLOCK", block)
+        assert divisor_square_summatory_segmented(x) == want
 
 
-def test_segment_iteration_covers_range_exactly():
+def test_segment_iteration_covers_range_exactly(monkeypatch):
+    monkeypatch.setattr(divisor_core, "_SIEVE_BLOCK", 777)
     seen = []
-    for lo, block in iter_divisor_segments(5000, segment_size=777):
-        assert len(block) <= 777
+    for lo, block in iter_divisor_segments(5000):
+        assert len(block) <= 777 and lo == len(seen) + 1
         seen.extend(block.tolist())
     assert seen == ORACLE_D[1:5001]
-
-
-def test_segment_size_bounds():
-    with pytest.raises(ValueError):
-        divisor_square_summatory_segmented(10, segment_size=0)
-    with pytest.raises(ValueError):
-        divisor_square_summatory_segmented(10, segment_size=(1 << 30) + 1)
 
 
 # -- sum of d(n)^2 by the hyperbola identity ----------------------------------
