@@ -88,7 +88,8 @@ zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
 against: it tests r | a and r | b on every triple, numpy blocks of
-consecutive n at a time, and shares nothing with the fast routes but numpy.
+consecutive n at a time, and shares nothing with the fast routes but numpy
+and the wrapper that turns blocks of counts into CensusResults.
 """
 
 from dataclasses import dataclass
@@ -297,29 +298,38 @@ def fast_census(N: int) -> CensusResult:
     return CensusResult(N=N, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
 
 
-# N per vectorized step of fast_census_range.  An N up to max_n has at most
+# N per vectorized step of the sweep.  An N up to max_n has at most
 # sqrt(max_n) terms in each of its runs, so a step's temporaries are int64
 # arrays of at most 64 sqrt(max_n) entries, 2 MiB each at the table cap.
 # The sweep of 1..2000 at 64, 128 and 256 N a step: traced peaks of 154,
 # 269 and 464 KiB, on top of the oracle's 304 KiB in verify, and medians
-# of 25 interleaved runs of 12.6, 11.1 and 10.8 ms.  About half of that is building the frozen
-# CensusResult of each N: 2.7 us apiece, and slots=True barely moves it
-# (2.67 against 2.74 us, medians of 31 timeit rounds), since each field is
-# still set by a call to object.__setattr__.  In one step the traced peak
-# was 2.3 MiB, and verify's peak RSS rose by 2.1 MiB.
+# of 25 interleaved runs of 12.6, 11.1 and 10.8 ms with a frozen
+# CensusResult built per N, about half of that time (2.7 us apiece);
+# verify reads the steps' arrays and builds none.  In one step the traced
+# peak was 2.3 MiB, and verify's peak RSS rose by 2.1 MiB.
 _SWEEP_BLOCK = 64
 
 
 def fast_census_range(max_n: int) -> Iterator[CensusResult]:
     """Yield the fast CensusResult for every N in 1..max_n, in order, lazily.
 
-    The fast twin of brute_force_census_range.  It sieves D(0..max_n)
-    once, and each step of _SWEEP_BLOCK consecutive N takes one set of
-    numpy operations over that table, with the module docstring's
+    The rows of fast_census_blocks(max_n), which refuses a bad max_n at the call.
+    """
+    return _census_rows(fast_census_blocks(max_n), "fast")
+
+
+def fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, counts) for each step of the fast sweep of 1..max_n, lazily.
+
+    counts is int64 of shape (width, 4), row i holding B, A, C and S at
+    N = lo + i, the layout of brute_force_census_blocks.  It sieves
+    D(0..max_n) once, and each step of _SWEEP_BLOCK consecutive N takes one
+    set of numpy operations over that table, with the module docstring's
     identities: B(N) is the running sum of d(n)^2, S(N) the hyperbola
-    split at R = isqrt(N) and C(N) the sum over r <= R of D(N // r^2).
-    Their (N, b), (N, q) and (N, r) terms are laid out one run per N, and
-    each N's sum is the difference of one int64 cumsum at its run's ends.
+    split at R = isqrt(N), C(N) the sum over r <= R of D(N // r^2) and
+    A(N) = 2 S(N) - C(N).  Their (N, b), (N, q) and (N, r) terms are laid
+    out one run per N, and each N's sum is the difference of one int64
+    cumsum at its run's ends.
 
     Every max_n up to SUBLINEAR_TABLE_CAP = 2^24 is exact: the table's
     int32 prefix sums hold D(max_n) <= max_n (1 + ln max_n) < 3e8 < 2^31;
@@ -337,11 +347,11 @@ def fast_census_range(max_n: int) -> Iterator[CensusResult]:
             f"fast census sweep refused at max_n={max_n}: it sieves d(n) to max_n, "
             f"above the table cap SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
         )
-    return _fast_census_range(max_n)
+    return _fast_census_blocks(max_n)
 
 
-def _fast_census_range(max_n: int) -> Iterator[CensusResult]:
-    """The fast CensusResult for every N in 1..max_n, over one sieve to max_n."""
+def _fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
+    """The fast sweep's (lo, counts) steps over 1..max_n, over one sieve to max_n."""
     prefix = summatory_table(max_n, max_n).prefix
     b_total = 0  # B(lo - 1)
     for lo in range(1, max_n + 1, _SWEEP_BLOCK):
@@ -356,11 +366,17 @@ def _fast_census_range(max_n: int) -> Iterator[CensusResult]:
         del n_b, b  # so that the two layouts never meet
         n_q, q = _runs(n, n // (root + 1))
         s += _run_sums((n_q // q - n_q // (q + 1)) * prefix[q], n // (root + 1))
-        rows = zip(n.tolist(), b_counts.tolist(), s.tolist(), c.tolist())
-        for N, b_n, s_n, c_n in rows:
-            yield CensusResult(
-                N=N, b_count=b_n, a_count=2 * s_n - c_n, c_count=c_n, s_count=s_n, method="fast"
-            )
+        yield lo, np.stack((b_counts, 2 * s - c, c, s), axis=1)
+
+
+def _census_rows(blocks: Iterator[tuple[int, np.ndarray]], method: str) -> Iterator[CensusResult]:
+    """The CensusResult of every row of (lo, counts) blocks, counts in Python ints.
+
+    The columns B, A, C, S are CensusResult's count fields in order.
+    """
+    for lo, counts in blocks:
+        for N, row in enumerate(counts.tolist(), lo):
+            yield CensusResult(N, *row, method)
 
 
 def _runs(n: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -391,10 +407,10 @@ def _run_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
 # n at a time, and tests a % r == 0 and (n // a) % r == 0 on each triple
 # literally.  S adds d(a), the length of a's own divisor list, per pair
 # (n, a).  No census identity and nothing of divisor_core or the sampler is
-# used; numpy is all it shares with the fast routes.  It keeps 4 bytes per
-# divisor entry, against about 19 for the lists of Python ints it replaces
-# (1.8 MB at 10^4); sorting the layout by n takes about 20 bytes an entry
-# for a moment.  Its arrays are int32 while the layout has fewer than 2^31
+# used; numpy and _census_rows are all it shares with the fast routes.  It
+# keeps 4 bytes per divisor entry, against about 19 for the lists of Python
+# ints it replaces (1.8 MB at 10^4); sorting the layout by n takes about 20
+# bytes an entry for a moment.  Its arrays are int32 while the layout has fewer than 2^31
 # entries (max_n up to about 10^8, where d(n) <= 800, so a step holds
 # fewer than 2^26 triples) and int64 beyond.  The running totals are int64:
 # each is at most B(N) <= D_4(N) <= N (1 + ln N)^3, as d(n)^2 <= d_4(n)
@@ -414,12 +430,25 @@ def brute_force_census_range(
 ) -> Iterator[CensusResult]:
     """Yield the definitional CensusResult for every N in 1..max_n.
 
-    Raising N by one admits exactly the triples (a, b, r) with ab = N, so
-    each step counts, for each of its n, the triples with a | n, b = n // a
-    and r | n: B all of them, A those with r | a or r | b, C those with
-    both, each test a remainder taken on the triple, and S the sum of d(a)
-    over the divisors a of n.  The N's counts are running totals of these.
-    A max_n above oracle_ceiling is refused before anything is allocated.
+    The rows of brute_force_census_blocks, with its refusals.
+    """
+    return _census_rows(brute_force_census_blocks(max_n, oracle_ceiling), "brute")
+
+
+def brute_force_census_blocks(
+    max_n: int,
+    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (lo, counts) for each step of the oracle over 1..max_n.
+
+    counts is int64 of shape (width, 4), row i holding B, A, C and S at
+    N = lo + i.  Raising N by one admits exactly the triples (a, b, r)
+    with ab = N, so each step counts, for each of its n, the triples with
+    a | n, b = n // a and r | n: B all of them, A those with r | a or
+    r | b, C those with both, each test a remainder taken on the triple,
+    and S the sum of d(a) over the divisors a of n.  The N's counts are
+    running totals of these.  A max_n below 1 or above oracle_ceiling is
+    refused at the first step asked for, before anything is allocated.
     """
     _check_n(max_n)
     if max_n > oracle_ceiling:
@@ -469,19 +498,15 @@ def brute_force_census_range(
         step[:, 3] = np.add.reduceat(d[a], first[lo:hi] - first[lo])  # S: every n has a divisor
         np.cumsum(step, axis=0, out=step)
         step += totals
-        totals = step[-1]
-        for N, (b_n, a_n, c_n, s_n) in zip(range(lo, hi), step.tolist()):
-            yield CensusResult(
-                N=N, b_count=b_n, a_count=a_n, c_count=c_n, s_count=s_n, method="brute"
-            )
+        totals = step[-1].copy()  # step is the caller's once yielded
+        yield lo, step
 
 
 def brute_force_census(N: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> CensusResult:
-    """Definitional enumeration of all triples for a single N."""
-    result = None
-    for result in brute_force_census_range(N, oracle_ceiling=oracle_ceiling):
+    """Definitional enumeration of all triples for a single N: the oracle's last row."""
+    for _, counts in brute_force_census_blocks(N, oracle_ceiling):
         pass
-    return result
+    return CensusResult(N, *counts[-1].tolist(), "brute")
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,8 @@ import sys
 from decimal import Decimal, InvalidOperation
 from itertools import islice
 
+import numpy as np
+
 from . import asymptotics, census, sampler
 from .config import Config, ResourceLimitError
 
@@ -167,32 +169,35 @@ def cmd_verify(args, cfg: Config) -> int:
     max_n = args.max_n
     if max_n < 1:
         raise ValueError(f"--max-n must be >= 1, got {max_n}")
-    checked = 0
-    # The oracle is asked first, so that an oversized max_n is refused
-    # before any fast work.
-    for oracle, fast in zip(
-        census.brute_force_census_range(max_n, oracle_ceiling=cfg.oracle_ceiling),
-        census.fast_census_range(max_n),
+    # Both routes yield (lo, counts) steps of the same width, row i holding
+    # B, A, C and S at N = lo + i, which are compared step by step without
+    # a CensusResult per N.  The oracle is asked first, so that an
+    # oversized max_n is refused before any fast work.
+    for (lo, brute), (fast_lo, fast) in zip(
+        census.brute_force_census_blocks(max_n, oracle_ceiling=cfg.oracle_ceiling),
+        census.fast_census_blocks(max_n),
     ):
-        n = oracle.N
-        for label, got, want in (
-            ("B", fast.b_count, oracle.b_count),
-            ("A", fast.a_count, oracle.a_count),
-            ("C", fast.c_count, oracle.c_count),
-            ("S", fast.s_count, oracle.s_count),
-        ):
-            if got != want:
-                print(f"mismatch at N={n}: {label} fast={got} brute={want}")
-                return EXIT_MISMATCH
-        if oracle.a_count != 2 * oracle.s_count - oracle.c_count:
-            print(
-                f"mismatch at N={n}: identity A=2S-C fails on brute counts "
-                f"A={oracle.a_count} S={oracle.s_count} C={oracle.c_count}"
-            )
-            return EXIT_MISMATCH
-        checked += 1
-        if n % 500 == 0:
+        if (fast_lo, fast.shape) != (lo, brute.shape):
+            raise RuntimeError(f"the oracle's and the sweep's steps differ at N={lo}")
+        _, a, c, s = brute.T
+        # Per N in order: B, A, C and S, then the identity on the brute counts.
+        bad = np.column_stack((fast != brute, a != 2 * s - c))
+        row, col = divmod(int(bad.argmax()), 5)  # the first failure, if any
+        failed = bool(bad[row, col])
+        stop = lo + row if failed else lo + len(brute)  # the first N not verified
+        for n in range(lo + -lo % 500, stop, 500):
             log.info("verified through N=%d", n)
+        if failed:
+            got, want = fast[row].tolist(), brute[row].tolist()
+            if col < 4:
+                print(f"mismatch at N={stop}: {'BACS'[col]} fast={got[col]} brute={want[col]}")
+            else:
+                _, a_n, c_n, s_n = want
+                print(
+                    f"mismatch at N={stop}: identity A=2S-C fails on brute counts "
+                    f"A={a_n} S={s_n} C={c_n}"
+                )
+            return EXIT_MISMATCH
     # The sweep counts every N with neither B's hyperbola walk nor any D
     # above a table.  Both are checked here, at the largest N, by
     # fast_census(max_n), the route of census --n, and C by its route
@@ -200,14 +205,15 @@ def cmd_verify(args, cfg: Config) -> int:
     # max_n <= 4096, the smallest table, whose pass has the largest M, and
     # at most 1.17 sqrt(max_n) up to the oracle's default ceiling, so its
     # pass is not empty from max_n = 2 on (M = 44 at 2000, 85 at 10^4).
+    b, a, c, s = brute[-1].tolist()
     for label, got, want in (
-        ("C without a table", census.count_gcd_divisor_sum(max_n), oracle.c_count),
-        ("fast_census (A, B, C, S)", _counts(census.fast_census(max_n)), _counts(oracle)),
+        ("C without a table", census.count_gcd_divisor_sum(max_n), c),
+        ("fast_census (A, B, C, S)", _counts(census.fast_census(max_n)), (a, b, c, s)),
     ):
         if got != want:
             print(f"mismatch at N={max_n}: {label}={got} brute={want}")
             return EXIT_MISMATCH
-    print(f"verify: fast path matches brute force (A, B, C, S and A=2S-C) for all N <= {checked}")
+    print(f"verify: fast path matches brute force (A, B, C, S and A=2S-C) for all N <= {stop - 1}")
     return EXIT_OK
 
 

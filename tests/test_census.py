@@ -10,6 +10,7 @@ import tracemalloc
 import types
 from math import isqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,11 +18,13 @@ from divcensus import census, divisor_core
 from divcensus.census import (
     Counterexample,
     brute_force_census,
+    brute_force_census_blocks,
     brute_force_census_range,
     count_all_triples,
     count_da_over_hyperbola,
     count_gcd_divisor_sum,
     fast_census,
+    fast_census_blocks,
     fast_census_range,
     iter_counterexamples,
     list_counterexamples,
@@ -99,9 +102,35 @@ def test_oracle_matches_the_product_first_loops_up_to_2000():
 STEP = census._ORACLE_BLOCK
 
 
-@pytest.mark.parametrize("max_n", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1])
+def counts_of(results):
+    return [(r.N, r.b_count, r.a_count, r.c_count, r.s_count) for r in results]
+
+
+def block_rows(blocks, width):
+    """(N, B, A, C, S) of every row of (lo, counts) blocks of the given width.
+
+    Checks the layout on the way: int64 counts of four columns, blocks
+    starting at 1 and following on, each full but the last.
+    """
+    rows, widths = [], []
+    for lo, counts in blocks:
+        assert counts.dtype == np.int64 and counts.shape[1] == 4
+        assert lo == len(rows) + 1
+        widths.append(len(counts))
+        rows += [(N, *row) for N, row in enumerate(counts.tolist(), lo)]
+    assert set(widths[:-1]) <= {width} and 1 <= widths[-1] <= width
+    return rows
+
+
+@pytest.mark.parametrize("max_n", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 2000])
 def test_oracle_at_step_edges(max_n):
     assert list(brute_force_census_range(max_n)) == PRODUCT_FIRST[:max_n]
+    assert block_rows(brute_force_census_blocks(max_n), STEP) == counts_of(PRODUCT_FIRST[:max_n])
+
+
+def test_lone_brute_census_builds_one_result(built_results):
+    assert brute_force_census(1729) == PRODUCT_FIRST[1728]
+    assert built_results == [1729]
 
 
 def test_oracle_counts_are_python_ints():
@@ -131,6 +160,7 @@ def test_oracle_reads_nothing_of_divisor_core(monkeypatch):
             blanked.append(name)
     assert {"divisor_list", "summatory_table", "SUBLINEAR_TABLE_CAP"} <= set(blanked)
     assert list(brute_force_census_range(200)) == PRODUCT_FIRST[:200]
+    assert block_rows(brute_force_census_blocks(200), STEP) == counts_of(PRODUCT_FIRST[:200])
 
 
 def test_oracle_agrees_with_independent_loop_enumeration():
@@ -434,7 +464,8 @@ def test_zero_arguments_rejected():
         count_gcd_divisor_sum,
         count_da_over_hyperbola,
         fast_census,
-        fast_census_range,  # at the call, before anything is asked for
+        fast_census_range,  # these two at the call, before anything is asked for
+        fast_census_blocks,
         brute_force_census,
     ):
         with pytest.raises(ValueError):
@@ -493,6 +524,8 @@ def censuses_to_sweep_top():
 def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
     swept = list(fast_census_range(SWEEP_TOP))
     assert swept == censuses_to_sweep_top
+    blocks = fast_census_blocks(SWEEP_TOP)
+    assert block_rows(blocks, census._SWEEP_BLOCK) == counts_of(censuses_to_sweep_top)
     # A lone fast_census walks B's identity over census_table(N) at every N.
     lone = [fast_census(n) for n in (1, 2000, 9999, 10**4, SWEEP_TOP)]
     assert lone == [swept[r.N - 1] for r in lone]
@@ -504,6 +537,7 @@ def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
 def test_sweep_in_partial_blocks_matches_fast_census(block, censuses_to_sweep_top, monkeypatch):
     monkeypatch.setattr(census, "_SWEEP_BLOCK", block)
     assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
+    assert block_rows(fast_census_blocks(SWEEP_TOP), block) == counts_of(censuses_to_sweep_top)
 
 
 def test_sweep_sieves_once_to_max_n_and_calls_no_fast_census(censuses_to_sweep_top, monkeypatch):

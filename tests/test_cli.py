@@ -307,12 +307,25 @@ def with_b_off_by_one(result, at):
     return dataclasses.replace(result, b_count=result.b_count + 1) if result.N == at else result
 
 
+def bump_blocks(monkeypatch, name, at, columns):
+    """Make census.<name>, a block generator verify reads, add 1 to columns of N = at.
+
+    Columns 0..3 are B, A, C and S.
+    """
+    real = getattr(census, name)
+
+    def blocks(*args, **kwargs):
+        for lo, counts in real(*args, **kwargs):
+            if lo <= at < lo + len(counts):
+                counts[at - lo, list(columns)] += 1
+            yield lo, counts
+
+    monkeypatch.setattr(census, name, blocks)
+
+
 def b_off_by_one_at(monkeypatch, at):
-    """Make census.fast_census_range, which verify compares, report B one too high at N = at."""
-    real = census.fast_census_range
-    monkeypatch.setattr(
-        census, "fast_census_range", lambda max_n: (with_b_off_by_one(r, at) for r in real(max_n))
-    )
+    """Make census.fast_census_blocks, which verify compares, report B one too high at N = at."""
+    bump_blocks(monkeypatch, "fast_census_blocks", at, [0])
 
 
 def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
@@ -321,6 +334,60 @@ def test_verify_fault_injection_names_the_n(capsys, monkeypatch):
     assert code == 1
     assert "N=37" in out
     assert "fast=" in out and "brute=" in out
+
+
+@pytest.mark.parametrize("at", [64, 65, 100])  # the last step of --max-n 100 is 65..100
+def test_verify_names_an_n_at_a_step_edge(at, capsys, monkeypatch):
+    b_off_by_one_at(monkeypatch, at)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    b = census.brute_force_census(at).b_count
+    assert code == 1
+    assert out == f"mismatch at N={at}: B fast={b + 1} brute={b}\n"
+
+
+@pytest.mark.parametrize("columns, label", [([0, 1], "B"), ([1, 3], "A"), ([2, 3], "C")])
+def test_verify_reports_the_first_wrong_count_in_order(columns, label, capsys, monkeypatch):
+    bump_blocks(monkeypatch, "fast_census_blocks", 37, columns)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert out.startswith(f"mismatch at N=37: {label} fast=")
+
+
+def test_verify_checks_the_identity_on_the_brute_counts(capsys, monkeypatch):
+    # A one too high on both routes: they agree, but A = 2S - C fails.
+    r = census.brute_force_census(37)
+    bump_blocks(monkeypatch, "brute_force_census_blocks", 37, [1])
+    bump_blocks(monkeypatch, "fast_census_blocks", 37, [1])
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    assert code == 1
+    assert out == (
+        f"mismatch at N=37: identity A=2S-C fails on brute counts "
+        f"A={r.a_count + 1} S={r.s_count} C={r.c_count}\n"
+    )
+
+
+def test_verify_refuses_steps_out_of_line(monkeypatch):
+    monkeypatch.setattr(census, "_SWEEP_BLOCK", 7)
+    with pytest.raises(RuntimeError, match="steps differ at N=1"):
+        main(["verify", "--max-n", "100"])
+
+
+@pytest.mark.parametrize("at, logged", [(None, [500, 1000]), (500, []), (1000, [500])])
+def test_verify_logs_every_500_n_it_verified(at, logged, caplog, capsys, monkeypatch):
+    if at is not None:
+        b_off_by_one_at(monkeypatch, at)
+    with caplog.at_level("INFO", logger="divcensus"):
+        code, _, _ = run(capsys, "--verbose", "verify", "--max-n", "1000")
+    assert code == (0 if at is None else 1)
+    messages = [rec.getMessage() for rec in caplog.records]
+    assert messages == [f"verified through N={n}" for n in logged]
+
+
+def test_verify_builds_one_census_result(built_results, capsys):
+    # The two routes are compared as arrays; only fast_census(max_n) builds one.
+    code, _, _ = run(capsys, "verify", "--max-n", "2000")
+    assert code == 0
+    assert built_results == [2000]
 
 
 @pytest.mark.parametrize("top", [100, 10_001])
