@@ -4,8 +4,9 @@ A triple is drawn uniformly from the B(N) triples (a, b, r) with r | ab and
 ab <= N as a deterministic function of one uniform v in [0, B(N)):
 
     1. the product n is the first index with cum_weights[n] > v, found by a
-       guide table (Chen & Asau 1974; Devroye 1986, III.2.4) that jumps to
-       the first candidate of v's bucket and steps forward from there,
+       guide table of about 2N buckets (Chen & Asau 1974; Devroye 1986,
+       III.2.4) that jumps to the first candidate of v's bucket and steps
+       forward from there,
     2. the residual w = v - cum_weights[n-1] is uniform over the d(n)^2
        integers in [0, d(n)^2) and picks the pair (a, r) of divisors of n:
        a is divisor w // d(n) of n, r is divisor w % d(n), and b = n/a.
@@ -20,14 +21,26 @@ divisor lists are placed by one pass per k <= sqrt(N) over the multiples
 of k, without a sort (_flat_divisor_lists), so the build peaks at about
 1.5 times the tables it keeps.
 
+The draw runs in the int32 domain that SPACE_LIMIT guarantees: v, every
+table and a, b, r are int32, and only the product n is widened to int64.
+Every table is gathered with np.take.  The kernel also accepts int64 v,
+with the same results.
+
 Reproducibility: the generator is numpy's PCG64.  Trials are processed in
-fixed chunks of CHUNK_TRIALS; chunk i draws its v, one array, from the
-stream seeded by SeedSequence(entropy=seed, spawn_key=(i,)).  The chunk
-streams depend only on (seed, i), so the estimate is a deterministic
-function of (N, trials, seed).  The chunks run one at a time, in order.
-A chunk's v is then mapped and tested _DRAW_BLOCK values at a time, so
-that the temporaries of each step stay in cache; the blocks do not change
-which triples are drawn.
+fixed chunks of CHUNK_TRIALS; chunk i draws its v, one int32 array, from
+the stream seeded by SeedSequence(entropy=seed, spawn_key=(i,)).  For a
+range below 2^32 numpy's bounded draw takes the same 32-bit path for
+int32 and int64 output, so the values are those of an int64 draw.  The
+chunk streams depend only on (seed, i), so the estimate is a
+deterministic function of (N, trials, seed).  The chunks run one at a
+time, in order.  A chunk's v is then mapped and tested _DRAW_BLOCK values
+at a time, so that the temporaries of each step stay in cache; the blocks
+do not change which triples are drawn.
+
+numpy imports numpy.random on first use, and it is left that way: the
+first draw pays about 10 ms for it (a third of that is `secrets`, through
+`hmac` and `_hashlib`).  Importing it with the package would put that
+time on every command, the ones that never sample included.
 """
 
 import logging
@@ -47,9 +60,10 @@ CHUNK_TRIALS = 1 << 18
 log = logging.getLogger(__name__)
 
 # Above this N the flattened divisor lists (~ N ln N entries) get heavy.  It
-# is also the int32 domain of the divisor lists: their length D(N) <= 2^31 - 1
-# (D(2*10^6) ~ 2.9e7) bounds every index into them, and the residual
-# w < d(n)^2 < 4n <= 4N < 2^31.
+# is also the int32 domain of the whole draw: the triple count
+# B(2*10^6) = 957082634 < 2^31 bounds v and cum_weights, the length
+# D(N) <= 2^31 - 1 of the divisor lists (D(2*10^6) ~ 2.9e7) bounds every
+# index into them, and the residual w < d(n)^2 < 4n <= 4N < 2^31.
 SPACE_LIMIT = 2_000_000
 
 # Draws per step of a chunk's success count.  Each step's dozen or so
@@ -80,9 +94,10 @@ class TripleSpace:
 
     cum_weights[n] = sum_{m<=n} d(m)^2, so cum_weights[N] = B(N).
     flat_divisors holds every divisor list back to back, ascending within
-    each n; starts[n] indexes the first divisor of n.  Both are int32.
-    guide[i] is the first n with cum_weights[n] > i * width, for the
-    ceil(B/width) buckets of width = ceil(B/N).
+    each n; starts[n] indexes the first divisor of n.  guide[i] is the
+    first n with cum_weights[n] > i * width, for the ceil(B/width) buckets
+    of width = ceil(B/2N): at most 2N int32 entries, the bytes of N int64
+    ones.  Every table is int32 (SPACE_LIMIT says why).
     """
 
     N: int
@@ -102,30 +117,34 @@ class TripleSpace:
 
         Equal to np.searchsorted(cum_weights, v, side="right"): the guide
         entry of v's bucket is never past the answer, and each step forward
-        is taken only by the entries still behind it.
+        is taken only by the entries still behind it.  v is int32 or int64;
+        n is int64 either way.
         """
         cum = self.cum_weights
-        n = self.guide[v // self.width]
-        behind = np.flatnonzero(cum[n] <= v)
+        n = self.guide.take(v // self.width).astype(np.int64)
+        behind = np.flatnonzero(cum.take(n) <= v)
         while behind.size:
             n[behind] += 1
-            behind = behind[cum[n[behind]] <= v[behind]]
+            behind = behind[cum.take(n.take(behind)) <= v.take(behind)]
         return n
 
     def triples(self, v: np.ndarray):
-        """(a, b, r) for each int64 v in [0, B): a one-to-one map onto the triples.
+        """(a, b, r) for each v in [0, B): a one-to-one map onto the triples.
 
         v picks the product n = a*b, and its residual w = v - cum_weights[n-1]
         in [0, d(n)^2) the divisor pair: a = divisor w // d(n) of n and
-        r = divisor w % d(n).  a, b and r are int32, as n <= N < 2^31.
+        r = divisor w % d(n).  v is int32, as drawn, or int64; a, b and r
+        are int32, as n <= N < 2^31.
         """
         n = self.products(v)
-        w = (v - self.cum_weights[n - 1]).astype(np.int32)
-        a_index, r_index = np.divmod(w, self.table.counts[n])
-        base = self.starts[n]
-        a = self.flat_divisors[base + a_index]
-        r = self.flat_divisors[base + r_index]
-        return a, n.astype(np.int32) // a, r
+        a_index, r_index = np.divmod(v - self.cum_weights.take(n - 1), self.table.counts.take(n))
+        base = self.starts.take(n)
+        a_index += base
+        r_index += base
+        a = self.flat_divisors.take(a_index)
+        b = n.astype(np.int32)
+        b //= a
+        return a, b, self.flat_divisors.take(r_index)
 
     def draw(self, trials: int, seed: int):
         """(a, b, r) arrays for `trials` seeded draws."""
@@ -144,12 +163,15 @@ def build_triple_space(N: int) -> TripleSpace:
             f"need ~N ln N entries in memory"
         )
     table = sieve_divisor_counts(N)
-    d = table.counts[1 : N + 1].astype(np.int64)
-    cum = np.zeros(N + 1, dtype=np.int64)
+    d = table.counts[1 : N + 1]
+    cum = np.zeros(N + 1, dtype=np.int32)
     np.cumsum(d * d, out=cum[1:])
 
-    width = -(-int(cum[N]) // N)
-    guide = np.searchsorted(cum, np.arange(0, cum[N], width, dtype=np.int64), side="right")
+    # Bucket i belongs to the first n with cum[n] > i * width, so n covers
+    # buckets ceil(cum[n-1] / width) up to ceil(cum[n] / width) - 1.
+    width = -(-int(cum[N]) // (2 * N))
+    edges = -(-cum // width)
+    guide = np.repeat(np.arange(1, N + 1, dtype=np.int32), np.diff(edges))
 
     starts = np.zeros(N + 1, dtype=np.int32)
     if N > 1:
@@ -193,25 +215,31 @@ def _flat_divisor_lists(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
 def _chunk_uniforms(space: TripleSpace, trials: int, seed: int):
     """Yield each chunk's v in order, generated as needed: one array from its own stream.
 
-    Chunk i holds CHUNK_TRIALS values, the last one what is left, drawn
-    from SeedSequence(entropy=seed, spawn_key=(i,)).  A progress line is
-    logged after every PROGRESS_CHUNKS chunks.
+    Chunk i holds CHUNK_TRIALS int32 values, the last one what is left,
+    drawn from SeedSequence(entropy=seed, spawn_key=(i,)).  A progress
+    line is logged after every PROGRESS_CHUNKS chunks.
     """
     chunks = -(-trials // CHUNK_TRIALS)
     for i in range(chunks):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
         size = min(CHUNK_TRIALS, trials - i * CHUNK_TRIALS)
-        yield rng.integers(0, space.total_triples, size=size, dtype=np.int64)
+        yield rng.integers(0, space.total_triples, size=size, dtype=np.int32)
         if (i + 1) % PROGRESS_CHUNKS == 0:
             log.info("sampled %d of %d chunks", i + 1, chunks)
 
 
 def _chunk_successes(space: TripleSpace, v: np.ndarray) -> int:
-    """Successes "r | a or r | b" among the draws of one chunk's v, taken _DRAW_BLOCK at a time."""
+    """Successes "r | a or r | b" among the draws of one chunk's v, taken _DRAW_BLOCK at a time.
+
+    A draw succeeds when min(a % r, b % r) is 0; the remainders are taken
+    in place.
+    """
     successes = 0
     for lo in range(0, v.size, _DRAW_BLOCK):
         a, b, r = space.triples(v[lo : lo + _DRAW_BLOCK])
-        successes += int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+        np.remainder(a, r, out=a)
+        np.remainder(b, r, out=b)
+        successes += a.size - int(np.count_nonzero(np.minimum(a, b, out=a)))
     return successes
 
 

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import divcensus
 from divcensus import divisor_core, sampler
-from divcensus.census import brute_force_census, count_all_triples
+from divcensus.census import brute_force_census, count_all_triples, fast_census
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import divisor_list
 from divcensus.sampler import (
@@ -120,6 +121,9 @@ def test_guide_search_equals_binary_search(N):
     assert n.dtype == np.int64
     assert np.array_equal(n, np.searchsorted(cum, v, side="right"))
     assert np.array_equal(v, before)
+    assert np.array_equal(space.products(v.astype(np.int32)), n)
+    assert space.guide.dtype == np.int32 and space.guide.size <= 2 * N
+    assert np.array_equal(space.guide, np.searchsorted(cum, bucket_edges, side="right"))
 
 
 def test_space_refuses_oversized_n(monkeypatch):
@@ -322,6 +326,21 @@ def test_each_chunk_draws_one_uniform_array(monkeypatch):
         assert np.array_equal(whole[:CHUNK_TRIALS], first)
 
 
+# Small ranges, B(5*10^4) and B(SPACE_LIMIT), the largest range drawn.
+@pytest.mark.parametrize("B", [1, 2, 7, 11244299, 957082634])
+@pytest.mark.parametrize("seed", [0, 1, 2**64 - 1])
+def test_int32_chunks_are_the_int64_stream(B, seed):
+    # A full chunk and a partial one, each equal to the int64 draw of its
+    # stream: below 2^32 numpy draws both widths by the same 32-bit path.
+    space = SimpleNamespace(total_triples=B)
+    chunks = list(sampler._chunk_uniforms(space, CHUNK_TRIALS + 1234, seed))
+    assert [v.size for v in chunks] == [CHUNK_TRIALS, 1234]
+    for i, v in enumerate(chunks):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(i,)))
+        assert v.dtype == np.int32
+        assert np.array_equal(v, rng.integers(0, B, size=v.size, dtype=np.int64))
+
+
 class _StopSampling(Exception):
     pass
 
@@ -377,7 +396,8 @@ def test_trials_beyond_int64_refused_before_the_build(monkeypatch, trials):
 
 
 def test_space_limit_is_the_int32_domain():
-    # flat_divisors has D(N) entries, indexed in int32, and the residual
-    # w < d(n)^2 < 4n is int32 too.
+    # flat_divisors has D(N) entries, indexed in int32, the residual
+    # w < d(n)^2 < 4n is int32 too, and so are v < B(N) and cum_weights.
     assert divisor_core.divisor_summatory(sampler.SPACE_LIMIT) < 2**31
     assert 4 * sampler.SPACE_LIMIT < 2**31
+    assert fast_census(sampler.SPACE_LIMIT).b_count == 957082634 < 2**31
