@@ -8,18 +8,32 @@ ab <= N as a deterministic function of one uniform v in [0, B(N)):
        III.2.4) that jumps to the first candidate of v's bucket and steps
        forward from there,
     2. the residual w = v - cum_weights[n-1] is uniform over the d(n)^2
-       integers in [0, d(n)^2) and picks the pair (a, r) of divisors of n:
-       a is divisor w // d(n) of n, r is divisor w % d(n), and b = n/a.
+       integers in [0, d(n)^2) and picks the pair (a, r) of divisors of n,
+       with b = n/a.  The s(n) successful pairs, those with r | a or r | b,
+       take the first s(n) values of w, so the draw succeeds exactly when
+       v < thresholds[n] = cum_weights[n-1] + s(n).
 
 The d(n)^2 values of v that give n are exactly the d(n)^2 triples with
 ab = n, one each, so every triple has probability 1/B(N) and the success
 indicator "r | a or r | b" has mean A(N)/B(N).  Reusing the inversion
 uniform this way is Devroye 1986, II.2.
 
-The tables behind the draw (TripleSpace) are built once per N.  The
-divisor lists are placed by one pass per k <= sqrt(N) over the multiples
-of k, without a sort (_flat_divisor_lists), so the build peaks at about
-1.5 times the tables it keeps.
+Within n the pairs are ordered r-major: first the successes, row by row
+for r = 1, ..., n among the divisors, then the failures, row by row, with
+a ascending within a row.  Row r holds 2 d(n/r) - [r^2 | n] d(n/r^2)
+successes: the a with r | a, the a with r | n/a, less those counted twice.
+So s(n) = 2 d_3(n) - c(n), where d_3(n) = sum_{k | n} d(k) and
+c(n) = sum_{r^2 | n} d(n/r^2), and s(n) is the increment A(n) - A(n-1).
+
+Counting successes needs only the product: sample_triples maps each v to
+n and compares it with thresholds[n], with no divisor in sight.  The
+tables behind that (TripleSpace) are built once per N: d(n), the weights,
+the guide and the thresholds, whose s(n) is sieved by one pass per
+k <= sqrt(N) (_success_counts).  Only triples(), which names the drawn
+(a, b, r), needs the divisor lists and the row offsets; they are built on
+its first use.  The divisor lists
+are placed by one pass per k <= sqrt(N) over the multiples of k, without
+a sort (_flat_divisor_lists).
 
 The draw runs in the int32 domain that SPACE_LIMIT guarantees: v, every
 table and a, b, r are int32, and only the product n is widened to int64.
@@ -45,7 +59,7 @@ time on every command, the ones that never sample included.
 
 import logging
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import isqrt, sqrt
 
 import numpy as np
@@ -59,17 +73,19 @@ CHUNK_TRIALS = 1 << 18
 
 log = logging.getLogger(__name__)
 
-# Above this N the flattened divisor lists (~ N ln N entries) get heavy.  It
-# is also the int32 domain of the whole draw: the triple count
-# B(2*10^6) = 957082634 < 2^31 bounds v and cum_weights, the length
-# D(N) <= 2^31 - 1 of the divisor lists (D(2*10^6) ~ 2.9e7) bounds every
-# index into them, and the residual w < d(n)^2 < 4n <= 4N < 2^31.
+# The int32 domain of the draw: the triple count B(2*10^6) = 957082634
+# < 2^31 bounds v, cum_weights and thresholds, and the residual
+# w < d(n)^2 < 4n <= 4N < 2^31.  It also bounds the tables that draw() and
+# triples() build on first use: the divisor lists and the row offsets
+# (~ N ln N entries each; D(2*10^6) ~ 2.9e7 <= 2^31 - 1 bounds every index
+# into them).  A success count builds none of those.
 SPACE_LIMIT = 2_000_000
 
-# Draws per step of a chunk's success count.  Each step's dozen or so
-# temporaries (at most 8 bytes a draw) then stay in a 2 MiB L2 cache instead
-# of each being a fresh 1-2 MiB allocation for the whole chunk.  It does not
-# change the result: every v is the chunk stream's, whatever the blocks.
+# Draws per step of a chunk's success count, and of triples().  Each step's
+# temporaries (at most 8 bytes a draw for the count) then stay in a 2 MiB L2
+# cache instead of each being a fresh 1-2 MiB allocation for the whole
+# chunk.  It does not change the result: every v is the chunk stream's,
+# whatever the blocks.
 _DRAW_BLOCK = 1 << 15
 
 # One progress line at INFO per this many chunks.
@@ -92,25 +108,65 @@ class SampleEstimate:
 class TripleSpace:
     """Precomputed tables for drawing triples at one N.
 
-    cum_weights[n] = sum_{m<=n} d(m)^2, so cum_weights[N] = B(N).
+    cum_weights[n] = sum_{m<=n} d(m)^2, so cum_weights[N] = B(N), and
+    thresholds[n] = cum_weights[n-1] + s(n), so a draw v of product n
+    succeeds exactly when v < thresholds[n].  guide[i] is the first n with
+    cum_weights[n] > i * width, for the ceil(B/width) buckets of
+    width = ceil(B/2N): at most 2N int32 entries, the bytes of N int64
+    ones.  These are built with the space, and they are all a success
+    count reads.
+
+    The tables of triples() are built on its first use and then kept:
     flat_divisors holds every divisor list back to back, ascending within
-    each n; starts[n] indexes the first divisor of n.  guide[i] is the
-    first n with cum_weights[n] > i * width, for the ceil(B/width) buckets
-    of width = ceil(B/2N): at most 2N int32 entries, the bytes of N int64
-    ones.  Every table is int32 (SPACE_LIMIT says why).
+    each n, and starts[n] indexes the first divisor of n.  success_offsets
+    and failure_offsets have one entry per divisor entry (n, r) and one
+    past the end: the successes, and the failures, of the rows before
+    (n, r), over every n.  Every table is int32 (SPACE_LIMIT says why).
     """
 
     N: int
     table: DivisorTable
     cum_weights: np.ndarray
-    starts: np.ndarray
-    flat_divisors: np.ndarray
+    thresholds: np.ndarray
     guide: np.ndarray
     width: int
 
     @property
     def total_triples(self) -> int:
         return int(self.cum_weights[self.N])
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        starts = np.zeros(self.N + 1, dtype=np.int32)
+        if self.N > 1:
+            np.cumsum(self.table.counts[1 : self.N], dtype=np.int32, out=starts[2:])
+        starts.setflags(write=False)
+        return starts
+
+    @cached_property
+    def flat_divisors(self) -> np.ndarray:
+        flat = _flat_divisor_lists(self.table.counts, self.starts)
+        flat.setflags(write=False)
+        return flat
+
+    @cached_property
+    def success_offsets(self) -> np.ndarray:
+        # Row (n, r) holds 2 d(n/r) - [r^2 | n] d(n/r^2) successes.
+        counts = self.table.counts
+        n = np.repeat(np.arange(1, self.N + 1, dtype=np.int32), counts[1 : self.N + 1])
+        r = self.flat_divisors
+        q = n // r
+        square = np.flatnonzero(q % r == 0)
+        successes = 2 * counts.take(q)
+        successes[square] -= counts.take(q.take(square) // r.take(square))
+        return _exclusive_cumsum(successes)
+
+    @cached_property
+    def failure_offsets(self) -> np.ndarray:
+        # Row (n, r) holds d(n) pairs, and its successes are the step of
+        # success_offsets at (n, r).
+        counts = self.table.counts[1 : self.N + 1]
+        return _exclusive_cumsum(np.repeat(counts, counts) - np.diff(self.success_offsets))
 
     def products(self, v: np.ndarray) -> np.ndarray:
         """n with cum_weights[n-1] <= v < cum_weights[n] for each v in [0, B).
@@ -131,20 +187,53 @@ class TripleSpace:
     def triples(self, v: np.ndarray):
         """(a, b, r) for each v in [0, B): a one-to-one map onto the triples.
 
-        v picks the product n = a*b, and its residual w = v - cum_weights[n-1]
-        in [0, d(n)^2) the divisor pair: a = divisor w // d(n) of n and
-        r = divisor w % d(n).  v is int32, as drawn, or int64; a, b and r
-        are int32, as n <= N < 2^31.
+        v picks the product n = a*b and its residual w = v - cum_weights[n-1]
+        in [0, d(n)^2) the divisor pair (a, r), in the success-first order of
+        the module docstring, so that "r | a or r | b" holds exactly when
+        v < thresholds[n].  v is int32, as drawn, or int64; a, b and r are
+        int32, as n <= N < 2^31.  Each draw lays out the d(n) divisors of its
+        n, so v is taken _DRAW_BLOCK values at a time.
         """
+        blocks = [
+            self._block_triples(v[lo : lo + _DRAW_BLOCK])
+            for lo in range(0, max(v.size, 1), _DRAW_BLOCK)
+        ]
+        return tuple(np.concatenate(arrays) for arrays in zip(*blocks))
+
+    def _block_triples(self, v: np.ndarray):
         n = self.products(v)
-        a_index, r_index = np.divmod(v - self.cum_weights.take(n - 1), self.table.counts.take(n))
-        base = self.starts.take(n)
-        a_index += base
-        r_index += base
-        a = self.flat_divisors.take(a_index)
+        counts, flat = self.table.counts, self.flat_divisors
+        before = self.cum_weights.take(n - 1)
+        w = v - before
+        s = self.thresholds.take(n) - before
+        success = w < s
+        # The row (n, r) of each draw, and its rank k among the row's
+        # successes or failures, from the global row offsets.
+        row = np.empty(v.size, dtype=np.int64)
+        rank = np.empty(v.size, dtype=np.int64)
+        size = np.empty(v.size, dtype=np.int64)
+        for pick, offsets, k in (
+            (np.flatnonzero(success), self.success_offsets, w),
+            (np.flatnonzero(~success), self.failure_offsets, w - s),
+        ):
+            at = offsets.take(self.starts.take(n.take(pick))) + k.take(pick)
+            i = offsets.searchsorted(at, side="right") - 1
+            row[pick], rank[pick] = i, at - offsets.take(i)
+            size[pick] = offsets.take(i + 1) - offsets.take(i)
+        r = flat.take(row)
+        # Lay out every draw's d(n) divisors and keep those on its side of
+        # the test; a is the rank-th of them, as they are ascending.
+        d = counts.take(n)
+        first = np.cumsum(d) - d
+        divisors = flat.take(np.arange(int(d.sum())) + np.repeat(self.starts.take(n) - first, d))
+        cofactors = np.repeat(n.astype(np.int32), d) // divisors
+        r_each = np.repeat(r, d)
+        hits = (divisors % r_each == 0) | (cofactors % r_each == 0)
+        kept = np.flatnonzero(hits == np.repeat(success, d))
+        a = divisors.take(kept.take(np.cumsum(size) - size + rank))
         b = n.astype(np.int32)
         b //= a
-        return a, b, self.flat_divisors.take(r_index)
+        return a, b, r
 
     def draw(self, trials: int, seed: int):
         """(a, b, r) arrays for `trials` seeded draws."""
@@ -154,13 +243,13 @@ class TripleSpace:
 
 
 def build_triple_space(N: int) -> TripleSpace:
-    """Sieve the weight and divisor tables for sampling at bound N."""
+    """Sieve the weight, threshold and guide tables for sampling at bound N."""
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
     if N > SPACE_LIMIT:
         raise ResourceLimitError(
-            f"sampling space refused at N={N} (limit {SPACE_LIMIT}): divisor lists "
-            f"need ~N ln N entries in memory"
+            f"sampling space refused at N={N} (limit {SPACE_LIMIT}): v, cum_weights and "
+            f"thresholds must fit in int32, and draw() builds divisor lists of ~N ln N entries"
         )
     table = sieve_divisor_counts(N)
     d = table.counts[1 : N + 1]
@@ -173,16 +262,35 @@ def build_triple_space(N: int) -> TripleSpace:
     edges = -(-cum // width)
     guide = np.repeat(np.arange(1, N + 1, dtype=np.int32), np.diff(edges))
 
-    starts = np.zeros(N + 1, dtype=np.int32)
-    if N > 1:
-        np.cumsum(table.counts[1:N], dtype=np.int32, out=starts[2:])
-    flat = _flat_divisor_lists(table.counts, starts)
-    for array in (cum, starts, flat, guide):
+    thresholds = _success_counts(table.counts)
+    thresholds[1:] += cum[:-1]
+    for array in (cum, thresholds, guide):
         array.setflags(write=False)
     return TripleSpace(
-        N=N, table=table, cum_weights=cum, starts=starts, flat_divisors=flat,
-        guide=guide, width=width,
+        N=N, table=table, cum_weights=cum, thresholds=thresholds, guide=guide, width=width
     )
+
+
+def _success_counts(counts: np.ndarray) -> np.ndarray:
+    """s(n) = A(n) - A(n-1) = 2 d_3(n) - c(n) for n <= N, as int32 (module docstring).
+
+    counts[n] = d(n) for n <= N.  d_3(n) sums d(m) over the pairs (k, m)
+    with km = n; one pass per k <= isqrt(N) adds the pairs with k <= m,
+    d(m) to n = km for m >= k and d(k) to n = mk for m > k, as in the d(n)
+    sieve.  c(n) sums d(m) over n = r^2 m, one pass per r <= isqrt(N).
+    s(n) <= d(n)^2 < 4n, as it counts some of n's d(n)^2 pairs, and
+    2 d_3(n) <= 2 d(n)^2 < 8N, so int32 holds every step for
+    N <= SPACE_LIMIT.
+    """
+    N = len(counts) - 1
+    s = np.zeros(N + 1, dtype=np.int32)
+    for k in range(1, isqrt(N) + 1):
+        s[k * k :: k] += counts[k : N // k + 1]
+        s[k * (k + 1) :: k] += counts[k]
+    s *= 2
+    for r in range(1, isqrt(N) + 1):
+        s[r * r :: r * r] -= counts[1 : N // (r * r) + 1]
+    return s
 
 
 def _flat_divisor_lists(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -212,6 +320,14 @@ def _flat_divisor_lists(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return flat
 
 
+def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
+    """[0, x[0], x[0] + x[1], ..., sum(x)] as a read-only int32 array."""
+    out = np.zeros(x.size + 1, dtype=np.int32)
+    np.cumsum(x, out=out[1:])
+    out.setflags(write=False)
+    return out
+
+
 def _chunk_uniforms(space: TripleSpace, trials: int, seed: int):
     """Yield each chunk's v in order, generated as needed: one array from its own stream.
 
@@ -231,15 +347,12 @@ def _chunk_uniforms(space: TripleSpace, trials: int, seed: int):
 def _chunk_successes(space: TripleSpace, v: np.ndarray) -> int:
     """Successes "r | a or r | b" among the draws of one chunk's v, taken _DRAW_BLOCK at a time.
 
-    A draw succeeds when min(a % r, b % r) is 0; the remainders are taken
-    in place.
+    A draw of product n succeeds exactly when v < thresholds[n].
     """
     successes = 0
     for lo in range(0, v.size, _DRAW_BLOCK):
-        a, b, r = space.triples(v[lo : lo + _DRAW_BLOCK])
-        np.remainder(a, r, out=a)
-        np.remainder(b, r, out=b)
-        successes += a.size - int(np.count_nonzero(np.minimum(a, b, out=a)))
+        block = v[lo : lo + _DRAW_BLOCK]
+        successes += int(np.count_nonzero(block < space.thresholds.take(space.products(block))))
     return successes
 
 

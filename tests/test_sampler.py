@@ -10,7 +10,12 @@ from hypothesis import example, given, settings, strategies as st
 
 import divcensus
 from divcensus import divisor_core, sampler
-from divcensus.census import brute_force_census, count_all_triples, fast_census
+from divcensus.census import (
+    brute_force_census,
+    brute_force_census_range,
+    count_all_triples,
+    fast_census,
+)
 from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import divisor_list
 from divcensus.sampler import (
@@ -87,6 +92,17 @@ def test_build_peaks_below_twice_the_tables_it_keeps():
     finally:
         tracemalloc.stop()
     kept = (space.table.counts, space.cum_weights, space.starts, space.flat_divisors, space.guide)
+    assert peak <= 2 * sum(array.nbytes for array in kept)
+
+
+def test_build_peaks_below_twice_the_tables_of_a_success_count():
+    tracemalloc.start()
+    try:
+        space = build_triple_space(200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    kept = (space.table.counts, space.cum_weights, space.guide, space.thresholds)
     assert peak <= 2 * sum(array.nbytes for array in kept)
 
 
@@ -236,16 +252,18 @@ def test_unbiased_across_seeds_at_desk_scale():
     assert abs(mean - exact) <= 5 * combined_se
 
 
-# Successes of the one-uniform draw, where v's residual picks a and r: the
-# draw stream is a fixed function of (N, trials, seed).  The draw that spent
-# two more uniforms per triple on a and r gave 276_614, 391_856 and 554_820.
+# Successes of the one-uniform draw whose residual puts each n's successful
+# pairs first: the draw stream is a fixed function of (N, trials, seed).  The
+# same v gave 276_356, 392_077 and 554_316 while the residual picked a and r
+# by w // d(n) and w % d(n), and the draw that spent two more uniforms per
+# triple on a and r gave 276_614, 391_856 and 554_820.
 @pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize(
     "N, trials, seed, successes",
     [
-        (6, 300_000, 5, 276_356),
-        (1000, 600_000, 99, 392_077),
-        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_316),
+        (6, 300_000, 5, 276_410),
+        (1000, 600_000, 99, 391_392),
+        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_975),
     ],
 )
 def test_draw_stream_is_pinned(N, trials, seed, successes, runs):
@@ -288,12 +306,53 @@ def _nested_loop_triples(N):
 def test_triples_maps_every_v_to_a_distinct_triple():
     # v is uniform on [0, B), so a one-to-one map onto the B triples makes
     # the draw exactly uniform: the exhaustive form of a chi-squared test.
+    # The literal test of each triple is the threshold test of its v.
     everything = _nested_loop_triples(200)
     for N in range(1, 201):
         space = build_triple_space(N)
-        a, b, r = space.triples(np.arange(space.total_triples, dtype=np.int64))
+        v = np.arange(space.total_triples, dtype=np.int64)
+        a, b, r = space.triples(v)
         got = sorted(zip(a.tolist(), b.tolist(), r.tolist()))
         assert got == [t for t in everything if t[0] * t[1] <= N], f"N={N}"
+        literal = (a % r == 0) | (b % r == 0)
+        assert np.array_equal(literal, v < space.thresholds.take(space.products(v))), f"N={N}"
+
+
+def _success_counts_of(space):
+    """s(n) for n = 1..N, read back from the thresholds."""
+    return space.thresholds[1:].astype(np.int64) - space.cum_weights[:-1]
+
+
+def test_success_counts_are_the_oracle_increments_of_a():
+    a_counts = [result.a_count for result in brute_force_census_range(2000)]
+    assert _success_counts_of(build_triple_space(2000)).tolist() == np.diff([0] + a_counts).tolist()
+
+
+@pytest.mark.parametrize("N", [50_000, 10**6, sampler.SPACE_LIMIT])
+def test_success_counts_sum_to_a(N):
+    space = build_triple_space(N)
+    assert int(_success_counts_of(space).sum()) == fast_census(N).a_count
+
+
+def test_thresholds_are_int32_at_the_space_limit():
+    # s(n) <= d(n)^2 < 4n and thresholds[n] <= cum_weights[n] <= B(N) < 2^31.
+    N = sampler.SPACE_LIMIT
+    space = build_triple_space(N)
+    s = _success_counts_of(space)
+    d = space.table.counts[1:].astype(np.int64)
+    assert space.thresholds.dtype == np.int32
+    assert (s <= d * d).all() and (d * d < 4 * np.arange(1, N + 1)).all()
+    assert (space.thresholds[1:] <= space.cum_weights[1:]).all()
+    assert int(space.thresholds[N]) <= space.total_triples < 2**31
+
+
+def test_sampling_builds_no_divisor_lists(monkeypatch):
+    def no_lists(*args, **kwargs):
+        raise AssertionError("_flat_divisor_lists called by a success count")
+
+    monkeypatch.setattr(sampler, "_flat_divisor_lists", no_lists)
+    est = sample_triples(50_000, 300_000, seed=3)
+    assert est.trials == 300_000 and 0 < est.successes < est.trials
 
 
 class _CountingGenerator:
@@ -397,7 +456,8 @@ def test_trials_beyond_int64_refused_before_the_build(monkeypatch, trials):
 
 def test_space_limit_is_the_int32_domain():
     # flat_divisors has D(N) entries, indexed in int32, the residual
-    # w < d(n)^2 < 4n is int32 too, and so are v < B(N) and cum_weights.
+    # w < d(n)^2 < 4n is int32 too, and so are v < B(N), cum_weights and
+    # thresholds.
     assert divisor_core.divisor_summatory(sampler.SPACE_LIMIT) < 2**31
     assert 4 * sampler.SPACE_LIMIT < 2**31
     assert fast_census(sampler.SPACE_LIMIT).b_count == 957082634 < 2**31
