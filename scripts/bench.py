@@ -16,7 +16,9 @@ y, table_s and ns_per_entry, the median over as many builds as fill half
 a second.  It then times divisor_summatory_batch on the pass's x = N // m,
 m <= M = N // (y + 1), in the pass's steps of m, and adds M, the cells
 sum isqrt(x) and ns_per_cell, the median over as many repeats of the pass
-as fill half a second.  The file
+as fill half a second.  Last it adds pass_s, the median time of
+summatory_table(y, N).pass_sums on a fresh table each repeat: the pass's
+weights, its kernel and its three reductions.  The file
 BENCH_<label>.json holds the runs together with the machine facts and the
 commit and source digest of the checkout, so that files written before
 and after a change, on the same machine, can be compared.
@@ -79,10 +81,19 @@ while not times or (cells and sum(times) < 0.5):
     times.append(time.perf_counter() - t0)
 kernel_s = statistics.median(times)
 ns_per_cell = round(kernel_s / cells * 1e9, 3) if cells else None
+pass_times = []
+while not pass_times or (M and sum(pass_times) < 0.5):
+    table = dc.summatory_table(y, N)
+    t0 = time.perf_counter()
+    table.pass_sums
+    pass_times.append(time.perf_counter() - t0)
+    del table
 print(json.dumps({"y": y, "table_repeats": len(table_times), "table_s": round(table_s, 4),
                   "ns_per_entry": round(table_s / y * 1e9, 2),
                   "M": M, "cells": cells, "repeats": len(times),
-                  "kernel_s": round(kernel_s, 4), "ns_per_cell": ns_per_cell}))
+                  "kernel_s": round(kernel_s, 4), "ns_per_cell": ns_per_cell,
+                  "pass_repeats": len(pass_times),
+                  "pass_s": round(statistics.median(pass_times), 4)}))
 """
 
 

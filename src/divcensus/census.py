@@ -58,8 +58,8 @@ D(N // m) for some m <= M = N // (y + 1) (B asks for m = k^2 u, S for
 m = b, C for m = r^2).  The table's pass evaluates each of them once,
 in float64 blocks, and keeps only three sums:
 sum_{m<=M} D(N // m), which is the part of S with b <= M,
-sum_{m<=M} 2^omega(m) D(N // m), which holds every term of B with
-k^2 u <= M (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
+sum_{m<=M} w(m) D(N // m), which is B's terms with k^2 u <= M grouped
+by m = k^2 u (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
 the part of C with r^2 <= M.  So B walks only its pairs with k^2 u > M,
 whose D(x_k // u) <= y are lookups; the pairs left to the pass only
 shrink P+ and P-.  B, S and C at one N share the pass, which costs about

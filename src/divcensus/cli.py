@@ -114,12 +114,25 @@ def cmd_census(args, cfg: Config) -> int:
     return EXIT_OK
 
 
+# table --points above this is refused before its grid is built: the grid
+# is a Python list of that many values before duplicates go, and 10^6
+# points took 3 s and 15 MiB traced for 999 distinct N in [2, 1000].
+MAX_GRID_POINTS = 10_000
+
+
 def geometric_grid(start: int, stop: int, points: int) -> list[int]:
-    """Geometrically spaced integers from start to stop, deduplicated."""
+    """Geometrically spaced integers from start to stop, deduplicated.
+
+    More than MAX_GRID_POINTS points are refused before any is computed.
+    """
     if start < 2 or stop <= start:
         raise ValueError(f"need 2 <= start < stop, got start={start} stop={stop}")
     if points < 2:
         raise ValueError(f"points must be >= 2, got {points}")
+    if points > MAX_GRID_POINTS:
+        raise ResourceLimitError(
+            f"--points {points} refused: above MAX_GRID_POINTS = {MAX_GRID_POINTS}; split the range"
+        )
     step = (math.log(stop) - math.log(start)) / (points - 1)
     grid = [round(math.exp(math.log(start) + i * step)) for i in range(points)]
     grid[0], grid[-1] = start, stop

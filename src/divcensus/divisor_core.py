@@ -42,16 +42,16 @@ the D above the table are taken in one streaming pass over m <= M
 by block, and reduces it into three sums:
 
     sum_{m<=M} D(N // m)              the part of S with b <= M,
-    sum_{m<=M} 2^omega(m) D(N // m)   the part of B with k^2 u <= M,
-    sum_{r^2<=M} D(N // r^2)          the part of C with r^2 <= M,
+    sum_{m<=M} w(m) D(N // m)         the part of B with k^2 u <= M,
+    sum_{r^2<=M} D(N // r^2)          the part of C with r^2 <= M.
 
-with omega(m) the number of distinct primes of m, from a sieve to M.  The
-second sum holds every hyperbola term mu(k) d(u) D(N // (k^2 u)) of B
-(census.py) with k^2 u = m <= M: those terms all read D(N // m), and
-their weights sum_{k^2 u = m} mu(k) d(u) are the coefficients of
-zeta(s)^2 / zeta(2s), which are 2^omega(m).  Each such pair has
-u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum, because
-M <= sqrt(N).  The terms sum_{m<=M} 2^omega(m) D(N // m) are at most
+The second sum is B's hyperbola terms mu(k) d(u) D(N // (k^2 u))
+(census.py) with k^2 u <= M, grouped by m = k^2 u, so
+w(m) = sum_{k^2 u = m} mu(k) d(u) (SummatoryTable.pass_weights).  Each
+such pair has u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum,
+because M <= sqrt(N).  w(m) is the coefficient of zeta(s)^2 / zeta(2s),
+2^omega(m) with omega(m) the number of distinct primes of m, so
+0 < w(m) <= d(m), and the terms sum_{m<=M} w(m) D(N // m) are at most
 N (1 + ln N) sum_{m<=sqrt(N)} d(m) / m <= N (1 + ln N) (1 + ln sqrt(N))^2
 < 2^62 on the census domain, so each block reduces in int64, as do the
 other two, partial sums of S and C (census.py has their bound).  B then
@@ -333,27 +333,53 @@ class SummatoryTable:
         """D(q) as int64 for each entry 1 <= q <= n_max of an int64 array."""
         return self.prefix[q].astype(np.int64)
 
+    def pass_weights(self) -> np.ndarray:
+        """w(m) = sum_{k^2 u = m} mu(k) d(u) for 0 <= m <= M as int32, w(0) = 0.
+
+        Starts from d(1..M), the differences of the prefix sums, and adds
+        mu(k) d(1..M // k^2) at the multiples of k^2 for each squarefree
+        2 <= k <= sqrt(M), with mu from one sieve to sqrt(M).  Each entry
+        is a partial sum of its terms, at most sum_{k^2 | m} d(m / k^2) <=
+        d(m)^2 < 2^31 in absolute value, and ends as w(m) = 2^omega(m),
+        omega(m) the number of distinct primes of m: 1 <= w(m) <= 2^8 for
+        m <= SUBLINEAR_TABLE_CAP, whose m have at most 8 distinct primes.
+        The int64 bound of the pass's weighted sum rests on 0 < w(m) <= d(m)
+        (module docstring).
+        """
+        M = self.M
+        d = np.diff(self.prefix[: M + 1])  # d(1..M)
+        weights = np.insert(d, 0, 0)
+        if M:
+            mu = _mobius_table(isqrt(M))
+            for k in np.flatnonzero(mu)[1:].tolist():  # the squarefree k >= 2
+                multiples = weights[k * k :: k * k]
+                if mu[k] > 0:
+                    multiples += d[: multiples.size]
+                else:
+                    multiples -= d[: multiples.size]
+        return weights
+
     @cached_property
     def pass_sums(self) -> tuple[int, int, int]:
         """(plain, weighted, squares) over the D(N // m), m <= M, from one pass.
 
         plain = sum_{m<=M} D(N // m) is S's part with b <= M, weighted =
-        sum_{m<=M} 2^omega(m) D(N // m) is B's part with k^2 u <= M, and
-        squares = sum_{r^2<=M} D(N // r^2) is C's part with r^2 <= M.  It is
-        a plain tuple because every census builds one, and a named tuple
-        takes ten times as long to make.  Each D(N // m) is evaluated once,
-        _PASS_ROWS values of m at a time, and dropped after the three sums
-        take it (module docstring).  M = 0 costs nothing.
+        sum_{m<=M} w(m) D(N // m), w from pass_weights, is B's part with
+        k^2 u <= M, and squares = sum_{r^2<=M} D(N // r^2) is C's part with
+        r^2 <= M.  It is a plain tuple because every census builds one, and
+        a named tuple takes ten times as long to make.  Each D(N // m) is
+        evaluated once, _PASS_ROWS values of m at a time, and dropped after
+        the three sums take it (module docstring).  M = 0 costs nothing.
         """
         plain = weighted = squares = 0
         M = self.M
         if M:
-            weights = _two_pow_omega_table(M)
+            weights = self.pass_weights()
             for lo in range(1, M + 1, _PASS_ROWS):
                 m = np.arange(lo, min(lo + _PASS_ROWS, M + 1), dtype=np.int64)
                 d = divisor_summatory_batch(self.N // m)
                 plain += int(d.sum())
-                weighted += int(np.dot(weights[m].astype(np.int64), d))
+                weighted += int(np.dot(weights[lo : lo + d.size].astype(np.int64), d))
                 r = np.arange(isqrt(lo - 1) + 1, isqrt(int(m[-1])) + 1, dtype=np.int64)
                 squares += int(d[r * r - lo].sum())
         return plain, weighted, squares
@@ -439,58 +465,27 @@ def divisor_square_summatory_segmented(n_max: int) -> int:
     return total
 
 
-def _small_primes(n_max: int) -> Iterator[int]:
-    """The primes p <= sqrt(n_max), by a sieve of Eratosthenes."""
-    r = isqrt(n_max)
-    is_prime = np.ones(r + 1, dtype=bool)
-    for p in range(2, r + 1):
-        if is_prime[p]:
-            is_prime[p * p :: p] = False
-            yield p
-
-
 def _mobius_table(n_max: int) -> np.ndarray:
     """mu(0..n_max) as int8, mu(0) = 0.
 
     Each prime p <= sqrt(n_max) flips the sign of its multiples, zeroes the
     multiples of p^2 and is divided once out of rest, an int32 copy of n
-    (n_max <= SUBLINEAR_TABLE_CAP here).  A squarefree n whose rest stays
-    above 1 has exactly one prime factor above sqrt(n_max) left, which
-    flips the sign once more; mu is 0 already wherever rest misses a power.
+    (n_max <= SUBLINEAR_TABLE_CAP here).  So p <= sqrt(n_max) is prime
+    exactly when no smaller prime has divided rest[p].  A squarefree n
+    whose rest stays above 1 has exactly one prime factor above
+    sqrt(n_max) left, which flips the sign once more; mu is 0 already
+    wherever rest misses a power.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     mu = np.ones(n_max + 1, dtype=np.int8)
     rest = np.arange(n_max + 1, dtype=np.int32)
-    for p in _small_primes(n_max):
-        mu[p::p] *= -1
-        mu[p * p :: p * p] = 0
-        rest[p::p] //= p
+    for p in range(2, isqrt(n_max) + 1):
+        if rest[p] == p:
+            mu[p::p] *= -1
+            mu[p * p :: p * p] = 0
+            rest[p::p] //= p
     mu[rest > 1] *= -1
     mu[0] = 0
     return mu
-
-
-def _two_pow_omega_table(n_max: int) -> np.ndarray:
-    """2^omega(n) for 0 <= n <= n_max as int16, omega(n) the number of distinct
-    primes of n; 0 at n = 0.
-
-    As in _mobius_table, but each prime p <= sqrt(n_max) doubles its
-    multiples and is divided out of rest at every power p^e <= n_max, so
-    that a rest above 1 always is one prime above sqrt(n_max), which
-    doubles once more.  2^omega(n) <= 2^8 for n <= SUBLINEAR_TABLE_CAP.
-    """
-    if n_max < 1:
-        raise ValueError(f"n_max must be >= 1, got {n_max}")
-    weights = np.ones(n_max + 1, dtype=np.int16)
-    weights[0] = 0
-    rest = np.arange(n_max + 1, dtype=np.int32)
-    for p in _small_primes(n_max):
-        weights[p::p] *= 2
-        power = p
-        while power <= n_max:
-            rest[power::power] //= p
-            power *= p
-    weights[rest > 1] *= 2
-    return weights
 

@@ -199,14 +199,25 @@ def test_count_all_triples_examples():
 
 def test_count_all_triples_sieves_mu_once_per_call(monkeypatch):
     # B walks its hyperbola identity, and the walk sieves mu, to isqrt(N),
-    # once per call.
+    # once per call.  The pass's weights sieve mu to isqrt(M) once per
+    # table, and not at all when M = 0.
     table = sieve_divisor_counts(10**4 + 1)
-    walked = []
+    walked, weighted = [], []
     real = census._mobius_table
     monkeypatch.setattr(census, "_mobius_table", lambda n: walked.append(n) or real(n))
-    for n in (9999, 10**4, 10**4 + 1):
+    monkeypatch.setattr(divisor_core, "_mobius_table", lambda n: weighted.append(n) or real(n))
+    ns = (9999, 10**4, 10**4 + 1)
+    for n in ns:
         assert count_all_triples(n) == divisor_square_summatory(n, table), n
-    assert walked == [isqrt(9999), isqrt(10**4), isqrt(10**4 + 1)]
+    assert walked == [isqrt(n) for n in ns]
+    assert weighted == [isqrt(census.census_table(n).M) for n in ns]
+    assert all(weighted)
+    walked.clear()
+    weighted.clear()
+    assert count_all_triples(9999, summatory_table(9999, 9999)) == divisor_square_summatory(
+        9999, table
+    )
+    assert walked == [isqrt(9999)] and weighted == []  # M = 0: no pass
 
 
 def test_count_all_triples_from_a_table_short_of_n():

@@ -15,7 +15,8 @@ import pytest
 
 import divcensus
 from divcensus import asymptotics, census, divisor_core
-from divcensus.cli import geometric_grid, main, parse_count
+from divcensus.cli import MAX_GRID_POINTS, geometric_grid, main, parse_count
+from divcensus.config import ResourceLimitError
 
 
 def run(capsys, *argv):
@@ -77,6 +78,20 @@ def test_geometric_grid():
         geometric_grid(10, 10, 3)
     with pytest.raises(ValueError):
         geometric_grid(10, 1000, 1)
+    assert geometric_grid(2, 10**12, MAX_GRID_POINTS)[-1] == 10**12
+    with pytest.raises(ResourceLimitError, match="MAX_GRID_POINTS"):
+        geometric_grid(2, 10**12, MAX_GRID_POINTS + 1)
+
+
+def test_geometric_grid_refuses_before_building():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError):
+            geometric_grid(2, 1000, 10**8)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**14
 
 
 # -- census ---------------------------------------------------------------------
@@ -215,6 +230,13 @@ def test_table_refuses_a_huge_grid_before_any_point(capsys, monkeypatch):
     first = (divisor_core.SUBLINEAR_TABLE_CAP + 1) ** 2
     code, _, _ = run(capsys, "table", "--start", "2", "--stop", str(first), "--points", "3")
     assert code == 3 and calls == []
+
+
+def test_table_refuses_too_many_points(capsys):
+    points = str(MAX_GRID_POINTS + 1)
+    code, out, err = run(capsys, "table", "--start", "2", "--stop", "1000", "--points", points)
+    assert code == 3 and out == ""
+    assert "resource refusal" in err and "MAX_GRID_POINTS" in err
 
 
 def test_table_csv_round_trips_field_for_field(capsys):

@@ -18,7 +18,6 @@ from divcensus.divisor_core import (
     DivisorTable,
     SummatoryTable,
     _mobius_table,
-    _two_pow_omega_table,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
     divisor_summatory,
@@ -355,11 +354,20 @@ def test_mobius_table_matches_factoring():
     assert _mobius_table(1).tolist() == [0, 1]
 
 
-def test_two_pow_omega_table_matches_factoring():
-    weights = _two_pow_omega_table(5000)
+def pass_weights_to(M: int) -> np.ndarray:
+    """The pass weights w(0..M) of a table whose pass reaches M: y = M, N = M (M + 1)."""
+    table = summatory_table(M, M * (M + 1))
+    assert table.M == M
+    return table.pass_weights()
+
+
+def test_pass_weights_match_factoring():
+    weights = pass_weights_to(5000)
+    assert weights.dtype == np.int32
     assert weights.tolist() == [0] + [2 ** omega_by_factoring(n) for n in range(1, 5001)]
-    assert _two_pow_omega_table(1).tolist() == [0, 1]
-    assert _two_pow_omega_table(30030)[30030] == 2**6  # 2 * 3 * 5 * 7 * 11 * 13
+    assert pass_weights_to(1).tolist() == [0, 1]
+    assert pass_weights_to(30030)[30030] == 2**6  # 2 * 3 * 5 * 7 * 11 * 13
+    assert summatory_table(1000, 1000).pass_weights().tolist() == [0]  # M = 0
     # 2^omega(m) = sum_{k^2 u = m} mu(k) d(u), the weight of D(N // m) in the pass.
     for m in range(1, 2001):
         weight = sum(
@@ -368,6 +376,23 @@ def test_two_pow_omega_table_matches_factoring():
             if m % (k * k) == 0
         )
         assert weight == weights[m], m
+
+
+def test_pass_weights_at_the_domain_top():
+    # y = M = 2^24, the largest M a census table reaches.  Every weight is a
+    # power of two, at most 2^8: 2 * 3 * ... * 19 = 9699690 <= 2^24 has 8
+    # distinct primes, and every m <= 2^24 has at most 8.
+    top = SUBLINEAR_TABLE_CAP
+    weights = pass_weights_to(top)
+    assert weights.size == top + 1 and weights[0] == 0
+    rest = weights[1:]
+    assert rest.min() >= 1 and rest.max() == 2**8
+    assert not (rest & (rest - 1)).any()
+    assert weights[9699690] == 2**8 and weights[top] == 2  # 2^24 has one prime
+    rng = np.random.default_rng(7)
+    sampled = [*rng.integers(1, top + 1, size=300).tolist(), top - 1, 14414400]
+    for m in sampled:
+        assert weights[m] == 2 ** omega_by_factoring(m), m
 
 
 def test_mobius_table_traces_under_eight_bytes_an_entry():
