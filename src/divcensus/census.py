@@ -33,10 +33,19 @@ and grouping the k by the sign of mu(k), with x_k = N // k^2,
 where P+ and P- sum d(u) * D(x_k // u) over the pairs (k, u),
 u <= sqrt(x_k), with mu(k) = +1 and mu(k) = -1.  This costs about
 N^(2/3) sieve work plus sqrt(N) ln(N) lookups in a table of D, against
-the N ln N of summing d(n)^2 term by term.  fast_census_range, which
-counts every N up to max_n, reads B(N) from one running sum of d(n)^2
-instead; divisor_core keeps the term-by-term sums, in memory and
-segmented, as independent cross-checks.
+the N ln N of summing d(n)^2 term by term.  divisor_core keeps the
+term-by-term sums, in memory and segmented, as independent cross-checks.
+
+The sweep (fast_census_blocks and fast_census_range), which counts every
+N up to max_n, uses none of these identities.  Raising N by one admits
+the triples with ab = N, so B, S and C grow by
+
+    d(N)^2,    d_3(N) = sum_{k | N} d(k),    c(N) = sum_{r^2 | N} d(N / r^2),
+
+and the sweep takes running sums of d(n)^2 and of d_3(n) and c(n) sieved
+from one d(n) table (divisor_core.sieve_d3_and_c, which also gives the
+sampler its success counts s(n) = 2 d_3(n) - c(n)): no D(x) and no table
+of D.
 
 The A identity is inclusion-exclusion on "r | a or r | b" plus the
 a <-> b symmetry.  The C identity comes from writing a = r*c, b = r*e:
@@ -106,6 +115,8 @@ from .divisor_core import (
     _mobius_table,
     divisor_list,
     divisor_summatory_batch,
+    sieve_d3_and_c,
+    sieve_divisor_counts,
     summatory_table,
     summatory_table_size,
 )
@@ -298,16 +309,14 @@ def fast_census(N: int) -> CensusResult:
     return CensusResult(N=N, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
 
 
-# N per vectorized step of the sweep.  An N up to max_n has at most
-# sqrt(max_n) terms in each of its runs, so a step's temporaries are int64
-# arrays of at most 64 sqrt(max_n) entries, 2 MiB each at the table cap.
-# The sweep of 1..2000 at 64, 128 and 256 N a step: traced peaks of 154,
-# 269 and 464 KiB, on top of the oracle's 304 KiB in verify, and medians
-# of 25 interleaved runs of 12.6, 11.1 and 10.8 ms with a frozen
-# CensusResult built per N, about half of that time (2.7 us apiece);
-# verify reads the steps' arrays and builds none.  In one step the traced
-# peak was 2.3 MiB, and verify's peak RSS rose by 2.1 MiB.
+# N per step of the sweep, the width of the oracle's steps, which verify
+# zips with them.
 _SWEEP_BLOCK = 64
+
+# N per sieve block of the sweep, rounded down to whole steps (at least
+# one).  A block holds d_3 and c as int32 and its counts as int64, 48
+# bytes an N at most, 12 MiB here.
+_SWEEP_SIEVE_ROWS = 1 << 18
 
 
 def fast_census_range(max_n: int) -> Iterator[CensusResult]:
@@ -322,24 +331,22 @@ def fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, counts) for each step of the fast sweep of 1..max_n, lazily.
 
     counts is int64 of shape (width, 4), row i holding B, A, C and S at
-    N = lo + i, the layout of brute_force_census_blocks.  It sieves
-    D(0..max_n) once, and each step of _SWEEP_BLOCK consecutive N takes one
-    set of numpy operations over that table, with the module docstring's
-    identities: B(N) is the running sum of d(n)^2, S(N) the hyperbola
-    split at R = isqrt(N), C(N) the sum over r <= R of D(N // r^2) and
-    A(N) = 2 S(N) - C(N).  Their (N, b), (N, q) and (N, r) terms are laid
-    out one run per N, and each N's sum is the difference of one int64
-    cumsum at its run's ends.
+    N = lo + i, the layout of brute_force_census_blocks.  Raising N by one
+    adds d(N)^2 to B, d_3(N) to S and c(N) to C, with d_3(n) =
+    sum_{k | n} d(k) and c(n) = sum_{r^2 | n} d(n / r^2), so every count
+    is a running sum, and A(N) = 2 S(N) - C(N).  The sweep sieves d(0..max_n)
+    once as int32, then d_3 and c over blocks of _SWEEP_SIEVE_ROWS N
+    (divisor_core.sieve_d3_and_c) and takes their running sums: no D(x)
+    and no hyperbola identity, so it is a route to B, S and C independent
+    of fast_census.  Each step is a copy, the caller's to keep or change.
 
-    Every max_n up to SUBLINEAR_TABLE_CAP = 2^24 is exact: the table's
-    int32 prefix sums hold D(max_n) <= max_n (1 + ln max_n) < 3e8 < 2^31;
-    every term is nonnegative, so a step's int64 running sum is at most
-    _SWEEP_BLOCK S(max_n) <= 64 max_n (1 + ln max_n)^2 < 2^39 < 2^63, and
-    B(max_n) <= max_n (1 + ln max_n)^3 < 2^37; and R comes from np.sqrt,
-    which is exact for N < 2^52: the float of N is exact, and
-    sqrt(k^2 - 1) sits more than half an ulp below k while k^2 < 2^52.
-    max_n < 1 raises ValueError and max_n above the cap
-    ResourceLimitError at the call, before anything is allocated.
+    Every max_n up to SUBLINEAR_TABLE_CAP = 2^24 is exact: d(n), d_3(n)
+    and c(n) are int32, as c(n) <= d_3(n) <= d(n)^2 < 4n <= 2^26, and the
+    int64 running sums are at most B(max_n) <= max_n (1 + ln max_n)^3 < 2^37,
+    as d_3(n) <= d(n)^2.
+    Memory is the d(n) table, 4 bytes an N, and one block.  max_n < 1
+    raises ValueError and max_n above the cap ResourceLimitError at the
+    call, before anything is allocated.
     """
     _check_n(max_n)
     if max_n > SUBLINEAR_TABLE_CAP:
@@ -351,22 +358,26 @@ def fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
 
 
 def _fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
-    """The fast sweep's (lo, counts) steps over 1..max_n, over one sieve to max_n."""
-    prefix = summatory_table(max_n, max_n).prefix
-    b_total = 0  # B(lo - 1)
-    for lo in range(1, max_n + 1, _SWEEP_BLOCK):
-        n = np.arange(lo, min(lo + _SWEEP_BLOCK, max_n + 1), dtype=np.int64)
-        d = np.diff(prefix[lo - 1 : lo + n.size]).astype(np.int64)  # d(n)
-        b_counts = np.cumsum(d * d) + b_total  # B(n)
-        b_total = int(b_counts[-1])
-        root = np.sqrt(n).astype(np.int64)
-        n_b, b = _runs(n, root)  # the (N, b) and (N, r) terms, b = r = 1..R
-        s = _run_sums(prefix[n_b // b], root)
-        c = _run_sums(prefix[n_b // (b * b)], root)
-        del n_b, b  # so that the two layouts never meet
-        n_q, q = _runs(n, n // (root + 1))
-        s += _run_sums((n_q // q - n_q // (q + 1)) * prefix[q], n // (root + 1))
-        yield lo, np.stack((b_counts, 2 * s - c, c, s), axis=1)
+    """The fast sweep's (lo, counts) steps over 1..max_n, over one sieve of d to max_n."""
+    d = sieve_divisor_counts(max_n).counts
+    rows = _SWEEP_BLOCK * max(1, _SWEEP_SIEVE_ROWS // _SWEEP_BLOCK)
+    totals = np.zeros(4, dtype=np.int64)  # B, A, C and S at lo - 1
+    for lo in range(1, max_n + 1, rows):
+        hi = min(lo + rows, max_n + 1)
+        d3, c = sieve_d3_and_c(d, lo, hi)
+        counts = np.empty((hi - lo, 4), dtype=np.int64)
+        counts[:, 0] = d[lo:hi]
+        counts[:, 0] *= counts[:, 0]
+        counts[:, 1] = 2 * d3 - c
+        counts[:, 2] = c
+        counts[:, 3] = d3
+        del d3, c
+        np.cumsum(counts, axis=0, out=counts)
+        counts += totals
+        totals = counts[-1].copy()
+        for step in range(0, hi - lo, _SWEEP_BLOCK):  # copies: a step is the caller's
+            yield lo + step, counts[step : step + _SWEEP_BLOCK].copy()
+        del counts  # before the next block's
 
 
 def _census_rows(blocks: Iterator[tuple[int, np.ndarray]], method: str) -> Iterator[CensusResult]:
@@ -377,25 +388,6 @@ def _census_rows(blocks: Iterator[tuple[int, np.ndarray]], method: str) -> Itera
     for lo, counts in blocks:
         for N, row in enumerate(counts.tolist(), lo):
             yield CensusResult(N, *row, method)
-
-
-def _runs(n: np.ndarray, lengths: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each n, the pairs (n, 1..length) laid out as one run: (owners, positions)."""
-    ends = np.cumsum(lengths)
-    owners = np.repeat(n, lengths)
-    positions = np.arange(1, owners.size + 1, dtype=np.int64) - np.repeat(ends - lengths, lengths)
-    return owners, positions
-
-
-def _run_sums(terms: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Each run's sum of terms, runs of the given lengths in order, an empty run 0.
-
-    Not np.add.reduceat, which gives an empty run the next run's first term.
-    """
-    running = np.zeros(terms.size + 1, dtype=np.int64)
-    np.cumsum(terms, dtype=np.int64, out=running[1:])
-    ends = np.cumsum(lengths)
-    return running[ends] - running[ends - lengths]
 
 
 # ---------------------------------------------------------------------------

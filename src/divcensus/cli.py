@@ -211,8 +211,9 @@ def cmd_verify(args, cfg: Config) -> int:
                     f"A={a_n} S={s_n} C={c_n}"
                 )
             return EXIT_MISMATCH
-    # The sweep counts every N with neither B's hyperbola walk nor any D
-    # above a table.  Both are checked here, at the largest N, by
+    # The sweep counts every N from running sums of d(n)^2, d_3(n) and
+    # c(n), with no D at all.  B's hyperbola walk and the D above a table
+    # are checked here, at the largest N, by
     # fast_census(max_n), the route of census --n, and C by its route
     # without a table.  census_table(max_n) has isqrt(max_n) entries for
     # max_n <= 4096, the smallest table, whose pass has the largest M, and

@@ -18,6 +18,12 @@ summatory table, the sampler's counts and the segmented cross-check, is
 sieved in blocks of _SIEVE_BLOCK = 2^20 entries (4 MiB of int32), which
 stay in cache while every k strides over them (costs in the next section).
 
+sieve_d3_and_c takes the same kind of pass over a block [lo, hi) of a
+d(n) table: d_3(n) = sum_{k | n} d(k) and c(n) = sum_{r^2 | n} d(n / r^2),
+in O(sqrt(hi)) vectorized passes.  They are the steps of S and C from
+N - 1 to N, which the census sweep sums, and the sampler's success count
+of n is s(n) = 2 d_3(n) - c(n).
+
 Summatory function
 ------------------
 D(x) counts lattice points under the hyperbola ab <= x.  Splitting at
@@ -111,9 +117,16 @@ against the row k_minus_1 then cost 1.0-1.3 ns a cell, against 0.3 ns on
 wider rows or under the small buffer.  Second, the row sums are
 np.einsum("ij->i"), a running sum, not q.sum(axis=1), which takes a
 pairwise sum of each row: 0.2 ns a cell against 0.3-0.4.  The last fact
-above makes both orders exact.  The reciprocals of a lone row wider than
-the head come from a float64 arange, so no int-to-float cast runs through
+above makes both orders exact.  The reciprocals 1/k, k = c0 + 1..c1, of
+a column block of a lone row wider than the head are 1 / (j + c0 + 1)
+over the float64 row j = 0, 1, ..., so no int-to-float cast runs through
 the small buffer.
+
+The work arrays, 1/k and k - 1 over the head, one block of cells and the
+reciprocals past the head, about 1 MiB each, live in a BatchWorkspace.  A
+pass allocates one, sized for its widest row, and lends it to every call.
+Allocated per call, they cost a pass at N = 10^12 about 10^4 minor page
+faults, against about 1500 with the workspace (ru_minflt of one process).
 
 The int64 divisor_summatory stays as the independent per-x route.
 """
@@ -196,6 +209,35 @@ def _sieve(counts: np.ndarray, lo: int) -> None:
             counts[start::step] += 2
 
 
+def sieve_d3_and_c(d: np.ndarray, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """d_3(n) = sum_{k | n} d(k) and c(n) = sum_{r^2 | n} d(n / r^2) for lo <= n < hi, as int32.
+
+    d is an int32 d(n) table reaching hi - 1 with d[0] = 0, and 0 <= lo < hi;
+    entry n - lo of each result is its count at n, d_3(0) = c(0) = 0.
+    d_3(n) sums d(m) over the pairs (k, m) with km = n.  Each
+    k <= sqrt(hi - 1) adds the pairs with k <= m, as in the d(n) sieve:
+    d(m) at n = km for m >= k and d(k) at n = km for m > k.  c(n) sums d(m)
+    over n = r^2 m, each r <= sqrt(hi - 1) adding d(m) at n = r^2 m.  Every
+    entry is a partial sum of its count, and c(n) <= d_3(n) <= d(n)^2 <
+    4n, as d_3(n) counts some of the d(n)^2 pairs of divisors of n, so
+    int32 holds every step for hi <= 2^29.
+    """
+    d3 = np.zeros(hi - lo, dtype=np.int32)
+    c = np.zeros(hi - lo, dtype=np.int32)
+    for k in range(1, isqrt(hi - 1) + 1):
+        last = (hi - 1) // k
+        first = max(k, -(-lo // k))  # the first m >= k with km >= lo
+        if first <= last:
+            d3[k * first - lo :: k] += d[first : last + 1]
+            after = max(k + 1, first)
+            d3[k * after - lo :: k] += d[k]
+        square = k * k
+        first = max(1, -(-lo // square))
+        if first <= (hi - 1) // square:
+            c[square * first - lo :: square] += d[first : (hi - 1) // square + 1]
+    return d3, c
+
+
 def sieve_divisor_counts(n_max: int) -> DivisorTable:
     """Sieve d(1..n_max) in blocks of _SIEVE_BLOCK entries (module docstring)."""
     if n_max < 1:
@@ -223,12 +265,34 @@ def divisor_summatory(x: int) -> int:
     return 2 * int(np.sum(x // np.arange(1, r + 1, dtype=np.int64))) - r * r
 
 
-def divisor_summatory_batch(x: np.ndarray) -> np.ndarray:
+class BatchWorkspace:
+    """The work arrays of divisor_summatory_batch, for calls on at most rows values x <= x_max.
+
+    Sized as a call on rows values from x_max down sizes its own: 1/k and
+    k - 1 for the head k <= min(isqrt(x_max), _BLOCK_CELLS), one block of
+    cells, and the reciprocals of one column block past the head when the
+    widest row is wider than the head, about 1 MiB each.  A pass makes one
+    and lends it to each of its calls, so that none allocates them.
+    """
+
+    def __init__(self, x_max: int, rows: int):
+        width = isqrt(x_max)
+        head = min(width, _BLOCK_CELLS)
+        self.x_max, self.rows = x_max, rows
+        self.inv = 1.0 / np.arange(1.0, head + 1.0)
+        self.k_minus_1 = np.arange(head, dtype=np.float64)
+        self.cells = np.empty(min(_BLOCK_CELLS, rows * width))
+        self.reciprocals = np.empty(head if width > head else 0)
+
+
+def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = None) -> np.ndarray:
     """D(x) as int64 for each entry of a nonincreasing 1-D int64 array, in float64 blocks.
 
     Exact for 1 <= x <= SUMMATORY_BATCH_MAX_X, and a larger x is refused
     (module docstring, "Batched summatory function").  The quotients
     N // m of increasing m are nonincreasing; x in another order is refused.
+    The work arrays come from workspace, which must hold x, or are
+    allocated for this call.
     """
     x = np.asarray(x, dtype=np.int64)
     if x.size == 0:
@@ -242,15 +306,19 @@ def divisor_summatory_batch(x: np.ndarray) -> np.ndarray:
             f"batched D(x) refused at x={int(x[0])}: its float64 sums are exact "
             f"only up to SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1)^2 - 1"
         )
+    if workspace is None:
+        workspace = BatchWorkspace(int(x[0]), x.size)
+    elif int(x[0]) > workspace.x_max or x.size > workspace.rows:
+        raise ValueError(
+            f"workspace holds {workspace.rows} x <= {workspace.x_max}, "
+            f"not {x.size} from {int(x[0])}"
+        )
+    inv, k_minus_1, cells = workspace.inv, workspace.k_minus_1, workspace.cells
     width = np.sqrt(x.astype(np.float64)).astype(np.int64)  # isqrt(x), nonincreasing
     filled = np.cumsum(width)  # filled[j] - filled[i] = cells of rows i+1..j
     shifted = x + 0.5  # exact in float64
     sums = np.zeros(x.size)
     block_width = np.empty(x.size, dtype=np.int64)
-    head = min(int(width[0]), _BLOCK_CELLS)
-    inv = 1.0 / np.arange(1.0, head + 1.0)
-    k_minus_1 = np.arange(head, dtype=np.float64)
-    cells = np.empty(min(_BLOCK_CELLS, x.size * int(width[0])))
     old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
     try:
         i = 0
@@ -265,7 +333,12 @@ def divisor_summatory_batch(x: np.ndarray) -> np.ndarray:
             step = _BLOCK_CELLS // (j - i)  # a lone row wider than a block spans several
             for c0 in range(0, w, step):
                 c1 = min(c0 + step, w)
-                row = inv[c0:c1] if c1 <= inv.size else 1.0 / np.arange(c0 + 1.0, c1 + 1.0)
+                if c1 <= inv.size:
+                    row = inv[c0:c1]
+                else:  # a lone row past the head: 1/k, k = c0 + 1..c1
+                    row = workspace.reciprocals[: c1 - c0]
+                    np.add(k_minus_1[: c1 - c0], c0 + 1.0, out=row)
+                    np.divide(1.0, row, out=row)
                 q = cells[: (j - i) * (c1 - c0)].reshape(j - i, c1 - c0)
                 np.multiply(shifted[i:j, None], row, out=q)
                 np.floor(q, out=q)
@@ -375,9 +448,10 @@ class SummatoryTable:
         M = self.M
         if M:
             weights = self.pass_weights()
+            workspace = BatchWorkspace(self.N, min(M, _PASS_ROWS))  # the widest row is N // 1
             for lo in range(1, M + 1, _PASS_ROWS):
                 m = np.arange(lo, min(lo + _PASS_ROWS, M + 1), dtype=np.int64)
-                d = divisor_summatory_batch(self.N // m)
+                d = divisor_summatory_batch(self.N // m, workspace)
                 plain += int(d.sum())
                 weighted += int(np.dot(weights[lo : lo + d.size].astype(np.int64), d))
                 r = np.arange(isqrt(lo - 1) + 1, isqrt(int(m[-1])) + 1, dtype=np.int64)

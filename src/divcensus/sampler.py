@@ -28,8 +28,9 @@ c(n) = sum_{r^2 | n} d(n/r^2), and s(n) is the increment A(n) - A(n-1).
 Counting successes needs only the product: sample_triples maps each v to
 n and compares it with thresholds[n], with no divisor in sight.  The
 tables behind that (TripleSpace) are built once per N: d(n), the weights,
-the guide and the thresholds, whose s(n) is sieved by one pass per
-k <= sqrt(N) (_success_counts).  Only triples(), which names the drawn
+the guide and the thresholds, whose d_3(n) and c(n) come from
+divisor_core.sieve_d3_and_c, the sieve behind the census sweep's S and C,
+one pass per k <= sqrt(N).  Only triples(), which names the drawn
 (a, b, r), needs the divisor lists and the row offsets; they are built on
 its first use.  The divisor lists
 are placed by one pass per k <= sqrt(N) over the multiples of k, without
@@ -65,7 +66,7 @@ from math import isqrt, sqrt
 import numpy as np
 
 from .config import ResourceLimitError
-from .divisor_core import DivisorTable, sieve_divisor_counts
+from .divisor_core import DivisorTable, sieve_d3_and_c, sieve_divisor_counts
 
 # Chunk size is part of the reproducibility contract: changing it changes
 # which stream serves which trial.
@@ -262,35 +263,16 @@ def build_triple_space(N: int) -> TripleSpace:
     edges = -(-cum // width)
     guide = np.repeat(np.arange(1, N + 1, dtype=np.int32), np.diff(edges))
 
-    thresholds = _success_counts(table.counts)
+    # s(n) = 2 d_3(n) - c(n) (module docstring); 2 d_3(n) <= 2 d(n)^2 < 8N.
+    thresholds, c = sieve_d3_and_c(table.counts, 0, N + 1)
+    thresholds *= 2
+    thresholds -= c
     thresholds[1:] += cum[:-1]
     for array in (cum, thresholds, guide):
         array.setflags(write=False)
     return TripleSpace(
         N=N, table=table, cum_weights=cum, thresholds=thresholds, guide=guide, width=width
     )
-
-
-def _success_counts(counts: np.ndarray) -> np.ndarray:
-    """s(n) = A(n) - A(n-1) = 2 d_3(n) - c(n) for n <= N, as int32 (module docstring).
-
-    counts[n] = d(n) for n <= N.  d_3(n) sums d(m) over the pairs (k, m)
-    with km = n; one pass per k <= isqrt(N) adds the pairs with k <= m,
-    d(m) to n = km for m >= k and d(k) to n = mk for m > k, as in the d(n)
-    sieve.  c(n) sums d(m) over n = r^2 m, one pass per r <= isqrt(N).
-    s(n) <= d(n)^2 < 4n, as it counts some of n's d(n)^2 pairs, and
-    2 d_3(n) <= 2 d(n)^2 < 8N, so int32 holds every step for
-    N <= SPACE_LIMIT.
-    """
-    N = len(counts) - 1
-    s = np.zeros(N + 1, dtype=np.int32)
-    for k in range(1, isqrt(N) + 1):
-        s[k * k :: k] += counts[k : N // k + 1]
-        s[k * (k + 1) :: k] += counts[k]
-    s *= 2
-    for r in range(1, isqrt(N) + 1):
-        s[r * r :: r * r] -= counts[1 : N // (r * r) + 1]
-    return s
 
 
 def _flat_divisor_lists(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:

@@ -405,7 +405,7 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     real = divisor_core.divisor_summatory_batch
 
     def spy(calls):
-        return lambda x: calls.extend(x.tolist()) or real(x)
+        return lambda x, *workspace: calls.extend(x.tolist()) or real(x, *workspace)
 
     monkeypatch.setattr(divisor_core, "divisor_summatory_batch", spy(in_pass))
     monkeypatch.setattr(census, "divisor_summatory_batch", spy(in_c))
@@ -556,6 +556,45 @@ def test_sweep_sieves_once_to_max_n_and_calls_no_fast_census(censuses_to_sweep_t
     monkeypatch.setattr(census, "fast_census", None)
     assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
     assert sieved == [SWEEP_TOP]
+
+
+@pytest.mark.parametrize("rows, block", [(1, 64), (1000, 64), (1000, 7), (2**18, 1)])
+def test_sweep_across_many_sieve_blocks_matches_fast_census(
+    rows, block, censuses_to_sweep_top, monkeypatch
+):
+    # A sieve block holds whole steps, at least one: 64, 960, 994 and 2^18 N.
+    monkeypatch.setattr(census, "_SWEEP_SIEVE_ROWS", rows)
+    monkeypatch.setattr(census, "_SWEEP_BLOCK", block)
+    assert block_rows(fast_census_blocks(SWEEP_TOP), block) == counts_of(censuses_to_sweep_top)
+
+
+def test_sweep_evaluates_no_d(censuses_to_sweep_top, monkeypatch):
+    # Running sums of sieved d^2, d_3 and c: no batched D, no summatory
+    # table, no pass and no fast_census.
+    def pass_sums(self):
+        raise AssertionError("the sweep took a pass")
+
+    for module in (census, divisor_core):
+        monkeypatch.setattr(module, "divisor_summatory_batch", None)
+        monkeypatch.setattr(module, "summatory_table", None)
+    monkeypatch.setattr(divisor_core.SummatoryTable, "pass_sums", property(pass_sums))
+    monkeypatch.setattr(census, "fast_census", None)
+    assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
+
+
+def test_sweep_to_2_22_is_pinned_within_its_memory_bound():
+    # The d(n) table, 4 bytes an N, and one sieve block of at most 16 MiB.
+    # The last row was pinned by the earlier sweep over a table of D.
+    max_n = 2**22
+    tracemalloc.start()
+    try:
+        for _, counts in fast_census_blocks(max_n):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[-1].tolist() == [2287557408, 974602627, 98415315, 536508971]
+    assert peak <= 4 * max_n + 16 * 2**20
 
 
 def test_sweep_refuses_a_max_n_above_the_table_cap_before_allocating():

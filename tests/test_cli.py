@@ -464,7 +464,9 @@ def test_verify_checks_the_table_fallback(capsys, monkeypatch):
     # sieve runs to max_n; only fast_census(max_n) sees it, in the pass of
     # census_table(100) that B, S and C share.
     real = divisor_core.divisor_summatory_batch
-    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", lambda x: real(x) + 1)
+    monkeypatch.setattr(
+        divisor_core, "divisor_summatory_batch", lambda x, *workspace: real(x, *workspace) + 1
+    )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "mismatch at N=100: fast_census (A, B, C, S)=" in out

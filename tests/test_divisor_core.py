@@ -134,6 +134,72 @@ def test_table_is_read_only():
         TABLE.counts[5] = 99
 
 
+# -- d_3 and c -----------------------------------------------------------------
+
+def exponents_by_factoring(n: int) -> list[int]:
+    """The exponents of n's prime factorization, by trial division."""
+    exponents, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            a = 0
+            while n % p == 0:
+                n //= p
+                a += 1
+            exponents.append(a)
+        p += 1
+    return exponents + [1] * (n > 1)
+
+
+def d3_and_c_by_factoring(n: int) -> tuple[int, int]:
+    """d_3(n) and c(n), both multiplicative: (a+1)(a+2)/2 and sum_{2j<=a} (a-2j+1) at p^a."""
+    d3 = c = 1
+    for a in exponents_by_factoring(n):
+        d3 *= (a + 1) * (a + 2) // 2
+        c *= sum(a - 2 * j + 1 for j in range(a // 2 + 1))
+    return d3, c
+
+
+D3_AND_C = [(0, 0)] + [d3_and_c_by_factoring(n) for n in range(1, 2001)]
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0, 2001), (1, 2001), (0, 1), (1, 2), (961, 1500), (997, 2001), (1999, 2000), (2000, 2001)],
+)
+def test_d3_and_c_match_factoring(lo, hi):
+    # Blocks from 0, from 1, from a perfect square (31^2) and from 997, a
+    # prime, which no small k divides.
+    d3, c = divisor_core.sieve_d3_and_c(TABLE.counts, lo, hi)
+    assert d3.dtype == c.dtype == np.int32
+    assert list(zip(d3.tolist(), c.tolist())) == D3_AND_C[lo:hi]
+
+
+def test_d3_and_c_are_exact_across_block_edges():
+    for step in (1, 37, 64, 1000):
+        blocks = [
+            divisor_core.sieve_d3_and_c(TABLE.counts, lo, min(lo + step, 2001))
+            for lo in range(0, 2001, step)
+        ]
+        d3, c = (np.concatenate(parts) for parts in zip(*blocks))
+        assert list(zip(d3.tolist(), c.tolist())) == D3_AND_C
+
+
+def test_d3_and_c_hold_their_int32_bound_at_the_table_cap():
+    # c(n) <= d_3(n) <= d(n)^2 < 2^31 up to 2^24, the sweep's largest
+    # max_n.  14414400 has the most divisors below 2^24, 504 of them.
+    top = SUBLINEAR_TABLE_CAP
+    d = sieve_divisor_counts(top).counts
+    assert int(d.argmax()) == 14414400 and d[14414400] == 504
+    for lo, hi in ((14414400 - 2000, 14414400 + 2000), (top - 4000, top + 1)):
+        d3, c = divisor_core.sieve_d3_and_c(d, lo, hi)
+        square = d[lo:hi].astype(np.int64) ** 2
+        assert (c <= d3).all() and (d3 <= square).all() and square.max() < 2**31
+        assert d3.dtype == c.dtype == np.int32
+        for n in (lo, hi - 1, 14414400, *range(lo, hi, 397)):
+            if lo <= n < hi:
+                assert (int(d3[n - lo]), int(c[n - lo])) == d3_and_c_by_factoring(n), n
+
+
 # -- divisor_summatory -------------------------------------------------------
 
 def test_summatory_known_values():
@@ -260,6 +326,26 @@ def test_batch_summatory_restores_the_ufunc_buffer(monkeypatch):
         assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
+
+
+def test_batch_summatory_lends_its_workspace_and_refuses_one_too_small():
+    # 10^12 // m for m < 58 is wider than the head of 2^17 columns, so the
+    # reciprocals past the head come from the workspace too.
+    n = 10**12
+    x = n // np.arange(1, 300, dtype=np.int64)
+    want = divisor_summatory_batch(x)
+    assert want[[0, 57, 298]].tolist() == [divisor_summatory(int(v)) for v in x[[0, 57, 298]]]
+    workspace = divisor_core.BatchWorkspace(n, 300)
+    assert workspace.reciprocals.size == workspace.inv.size == divisor_core._BLOCK_CELLS
+    for _ in range(2):  # reused, whatever the last call left in it
+        assert np.array_equal(divisor_summatory_batch(x, workspace), want)
+    assert np.array_equal(divisor_summatory_batch(x[100:], workspace), want[100:])
+    small = np.arange(10_000, 8_999, -7, dtype=np.int64)
+    want_small = [divisor_summatory(int(v)) for v in small]
+    assert divisor_summatory_batch(small, workspace).tolist() == want_small
+    for too_small in (divisor_core.BatchWorkspace(n - 1, 300), divisor_core.BatchWorkspace(n, 298)):
+        with pytest.raises(ValueError, match="workspace holds"):
+            divisor_summatory_batch(x, too_small)
 
 
 # -- sum of d(n)^2 -----------------------------------------------------------
@@ -682,14 +768,21 @@ def test_pass_is_taken_once_per_table(monkeypatch):
     n = 10**6
     want = summatory_table(1000, n).pass_sums  # M = 999 in one step
     table = summatory_table(1000, n)
-    calls = []
+    calls, workspaces = [], []
     real = divisor_core.divisor_summatory_batch
-    monkeypatch.setattr(
-        divisor_core, "divisor_summatory_batch", lambda x: calls.append(x.size) or real(x)
-    )
+
+    def spy(x, *workspace):
+        calls.append(x.size)
+        workspaces.extend(workspace)
+        return real(x, *workspace)
+
+    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", spy)
     monkeypatch.setattr(divisor_core, "_PASS_ROWS", 300)  # M = 999 in four steps
     sums = table.pass_sums
     assert calls == [300, 300, 300, 99]
+    # One workspace for every call, sized for the widest row, n // 1.
+    assert len(workspaces) == 4 and len({id(w) for w in workspaces}) == 1
+    assert (workspaces[0].x_max, workspaces[0].rows) == (n, 300)
     assert table.pass_sums is sums and len(calls) == 4
     # The squares 17^2 | 18^2, 24^2 | 25^2 and 30^2 | 31^2 sit either side
     # of a step's end.
