@@ -96,9 +96,10 @@ zeta(2) N (1 + ln N)^2 < 2^63 in absolute value.
 
 Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
-against: it tests r | a and r | b on every triple, numpy blocks of
-consecutive n at a time, and shares nothing with the fast routes but numpy
-and the wrapper that turns blocks of counts into CensusResults.
+against: it tests r | a and r | b on every triple, by a remainder taken
+once on each pair of divisors of each n, numpy blocks of consecutive n at
+a time, and shares nothing with the fast routes but numpy and the wrapper
+that turns blocks of counts into CensusResults.
 """
 
 from dataclasses import dataclass
@@ -395,25 +396,38 @@ def _census_rows(blocks: Iterator[tuple[int, np.ndarray]], method: str) -> Itera
 # ---------------------------------------------------------------------------
 
 # The oracle lays out every divisor of every n <= max_n by marking multiples,
-# then every triple (n, a, r) with a | n and r | n, _ORACLE_BLOCK consecutive
-# n at a time, and tests a % r == 0 and (n // a) % r == 0 on each triple
-# literally.  S adds d(a), the length of a's own divisor list, per pair
-# (n, a).  No census identity and nothing of divisor_core or the sampler is
-# used; numpy and _census_rows are all it shares with the fast routes.  It
-# keeps 4 bytes per divisor entry, against about 19 for the lists of Python
-# ints it replaces (1.8 MB at 10^4); sorting the layout by n takes about 20
-# bytes an entry for a moment.  Its arrays are int32 while the layout has fewer than 2^31
-# entries (max_n up to about 10^8, where d(n) <= 800, so a step holds
-# fewer than 2^26 triples) and int64 beyond.  The running totals are int64:
-# each is at most B(N) <= D_4(N) <= N (1 + ln N)^3, as d(n)^2 <= d_4(n)
-# (module docstring), below 2^63 for N <= 10^14, far past any
-# DIVCENSUS_ORACLE_CEILING whose layout fits in memory.
+# then takes the n in blocks of whole steps and, within a block, in classes
+# of equal d(n).  For a class of c numbers with t divisors each it gathers
+# their divisors as a (c, t) matrix, ascending, and takes a % r once for
+# every pair (a, r) of divisors of one n: that says whether r | a, and, read
+# with the rows mirrored, whether r | b, since b = n // a is the mirrored
+# divisor.  The mirror is checked on every row, at the cost of one division
+# per divisor, so every test stays a literal remainder.  S adds d(a), the
+# length of a's own divisor list, per pair (n, a).  No census identity and
+# nothing of divisor_core or the sampler is used; numpy and _census_rows are
+# all it shares with the fast routes.  The layout keeps 4 bytes per divisor
+# entry, against about 19 for the lists of Python ints it replaces (1.8 MB
+# at 10^4); sorting it by n takes about 20 bytes an entry for a moment,
+# 1.8 MiB traced at 10^4, the oracle's peak there.  The layout's arrays are
+# int32 while it has fewer than 2^31 entries (max_n up to about 10^8) and
+# int64 beyond; a block's matrices hold divisors and layout offsets in the
+# same dtype, and its tallies, at most d(n)^2 per n, go straight to int64.
+# The running totals are int64: each is at most B(N) <= D_4(N) <=
+# N (1 + ln N)^3, as d(n)^2 <= d_4(n) (module docstring), below 2^63 for
+# N <= 10^14, far past any DIVCENSUS_ORACLE_CEILING whose layout fits in
+# memory.
 
-# n per vectorized step of the oracle.  In verify --max-n 2000 a step holds
-# about 6000 triples; 64, 128 and 256 n a step took 6.5, 5.6 and 5.2 ms of
-# numpy work in all, medians of 41 interleaved runs on a 2-vCPU VM, with
-# traced peaks of 304, 344 and 549 KiB, most of it the sort of the layout.
+# n per step of the oracle, the width of the sweep's steps, which verify
+# zips with them.
 _ORACLE_BLOCK = 64
+
+# Triples per block of the oracle: a block takes whole steps while their
+# triples, sum d(n)^2, stay within it, and at least one step, though a step
+# holds far fewer (about 1.2 * 10^4 triples near 10^4, 5 * 10^4 near 10^7).
+# A class's remainders and masks take about 6 bytes a triple, so a block
+# adds at most about 6 MiB to the layout.  At 10^4 (1.5 * 10^6 triples, two
+# blocks) its largest class peaks at 0.9 MiB, below the layout's sort.
+_ORACLE_BLOCK_TRIPLES = 1 << 20
 
 
 def brute_force_census_range(
@@ -437,10 +451,13 @@ def brute_force_census_blocks(
     N = lo + i.  Raising N by one admits exactly the triples (a, b, r)
     with ab = N, so each step counts, for each of its n, the triples with
     a | n, b = n // a and r | n: B all of them, A those with r | a or
-    r | b, C those with both, each test a remainder taken on the triple,
-    and S the sum of d(a) over the divisors a of n.  The N's counts are
-    running totals of these.  A max_n below 1 or above oracle_ceiling is
-    refused at the first step asked for, before anything is allocated.
+    r | b, C those with both, and S the sum of d(a) over the divisors a
+    of n.  Each test is a remainder taken on a pair of divisors of n: r | a
+    on (a, r), and r | b on (b, r), read from the pair of the mirrored
+    divisor b = n // a, which is checked.  The N's counts are running
+    totals of these.  Each step is a copy, the caller's to keep or change.
+    A max_n below 1 or above oracle_ceiling is refused at the first step
+    asked for, before anything is allocated.
     """
     _check_n(max_n)
     if max_n > oracle_ceiling:
@@ -466,32 +483,61 @@ def brute_force_census_blocks(
     del m
     first = np.zeros(max_n + 2, dtype=dtype)  # n's divisors are divisors[first[n]:first[n + 1]]
     np.cumsum(d, out=first[1:])
+    # Blocks of whole steps, at most _ORACLE_BLOCK_TRIPLES triples unless one
+    # step; triples[i] counts the triples of the n below edges[i].
+    edges = np.append(np.arange(1, max_n + 1, _ORACLE_BLOCK), max_n + 1)
+    triples = np.cumsum(np.square(d, dtype=np.int64))[edges - 1]
     totals = np.zeros(4, dtype=np.int64)
-    for lo in range(1, max_n + 1, _ORACLE_BLOCK):
-        hi = min(lo + _ORACLE_BLOCK, max_n + 1)
-        width = hi - lo
-        # The pairs (n, a), a | n, of this step, and for each its d(n) r | n.
-        n = np.repeat(np.arange(lo, hi, dtype=dtype), d[lo:hi])
+    i = 0
+    while i < edges.size - 1:
+        top = int(np.searchsorted(triples, triples[i] + _ORACLE_BLOCK_TRIPLES, side="right")) - 1
+        j = max(i + 1, top)
+        lo, hi = int(edges[i]), int(edges[j])
+        i = j
+        # The n of the block grouped by d(n), one class of equal d(n) at a time.
+        size = d[lo:hi]
+        order = np.argsort(size, kind="stable")
+        cuts = np.flatnonzero(np.diff(size[order])) + 1
+        counts = np.empty((hi - lo, 4), dtype=np.int64)
+        for rows in np.split(order, cuts):
+            n = (rows + lo).astype(dtype)
+            t = int(size[rows[0]])
+            divs = divisors[first[n][:, None] + np.arange(t, dtype=dtype)]  # (c, t), ascending
+            counts[rows, 1:3] = _class_tallies(n, divs)
+        counts[:, 0] = size
+        counts[:, 0] *= counts[:, 0]  # B
         a = divisors[first[lo] : first[hi]]
-        size = d[n]
-        ends = np.cumsum(size, dtype=dtype)
-        r = divisors[np.arange(ends[-1], dtype=dtype) + np.repeat(first[n] - ends + size, size)]
-        in_a = np.repeat(a, size) % r == 0
-        in_b = np.repeat(n // a, size) % r == 0
-        del r
-        # Column 0, 1 or 2 of n's row: r divides neither, one or both of a and b.
-        tally = np.bincount(np.repeat(3 * (n - lo), size) + in_a + in_b, minlength=3 * width)
-        tally = tally.reshape(width, 3)
-        del in_a, in_b
-        step = np.empty((width, 4), dtype=np.int64)
-        step[:, 0] = tally.sum(axis=1)  # B
-        step[:, 1] = tally[:, 1] + tally[:, 2]  # A
-        step[:, 2] = tally[:, 2]  # C
-        step[:, 3] = np.add.reduceat(d[a], first[lo:hi] - first[lo])  # S: every n has a divisor
-        np.cumsum(step, axis=0, out=step)
-        step += totals
-        totals = step[-1].copy()  # step is the caller's once yielded
-        yield lo, step
+        counts[:, 3] = np.add.reduceat(d[a], first[lo:hi] - first[lo])  # S: every n has a divisor
+        np.cumsum(counts, axis=0, out=counts)
+        counts += totals
+        totals = counts[-1].copy()
+        for step in range(0, hi - lo, _ORACLE_BLOCK):  # copies: a step is the caller's
+            yield lo + step, counts[step : step + _ORACLE_BLOCK].copy()
+        del counts  # before the next block's
+
+
+def _class_tallies(n: np.ndarray, divs: np.ndarray) -> np.ndarray:
+    """A and C of each n of one class, as an int64 array of shape (c, 2).
+
+    Row i of divs lists the t divisors of n[i] ascending.  rel[i, x, y]
+    is divs[i, x] % divs[i, y] == 0, one literal remainder for each pair
+    (a, r) of divisors of n[i], so it says whether r | a.  b = n // a is
+    the mirrored divisor divs[i, t - 1 - x], so rel[:, ::-1, :] says
+    whether r | b.  The mirror is checked on every row, and a row that
+    breaks it raises RuntimeError.  A counts the pairs with r | a or
+    r | b, C those with both.
+    """
+    # count_nonzero, not array_equal: its full .all() reduction took a
+    # 64 KiB buffer that showed in verify's peak RSS.
+    if np.count_nonzero(n[:, None] // divs != divs[:, ::-1]):
+        raise RuntimeError("oracle layout broken: n // a is not the mirrored divisor of a")
+    rel = divs[:, :, None] % divs[:, None, :] == 0
+    in_b = rel[:, ::-1, :]
+    flat = (n.size, -1)
+    tallies = np.empty((n.size, 2), dtype=np.int64)
+    tallies[:, 0] = np.count_nonzero((rel | in_b).reshape(flat), axis=1)
+    tallies[:, 1] = np.count_nonzero((rel & in_b).reshape(flat), axis=1)
+    return tallies
 
 
 def brute_force_census(N: int, oracle_ceiling: int = DEFAULT_ORACLE_CEILING) -> CensusResult:

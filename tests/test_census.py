@@ -29,7 +29,7 @@ from divcensus.census import (
     iter_counterexamples,
     list_counterexamples,
 )
-from divcensus.config import ResourceLimitError
+from divcensus.config import DEFAULT_ORACLE_CEILING, ResourceLimitError
 from divcensus.divisor_core import (
     SUBLINEAR_TABLE_CAP,
     divisor_square_summatory,
@@ -126,6 +126,89 @@ def block_rows(blocks, width):
 def test_oracle_at_step_edges(max_n):
     assert list(brute_force_census_range(max_n)) == PRODUCT_FIRST[:max_n]
     assert block_rows(brute_force_census_blocks(max_n), STEP) == counts_of(PRODUCT_FIRST[:max_n])
+
+
+# With the block budget at B(192), the triples of the n <= 192, the first
+# block is exactly three steps; the later ones, whose steps hold more
+# triples, take two steps or one.  A budget of one triple makes every
+# step a block.
+BLOCK_EDGE = 3 * STEP
+BLOCK_BUDGET = PRODUCT_FIRST[BLOCK_EDGE - 1].b_count
+TRIPLES_TO = [0] + [r.b_count for r in PRODUCT_FIRST]  # B(N), the triples of the n <= N
+
+
+def oracle_blocks(max_n, budget):
+    """The oracle's blocks by their rule: whole steps while their triples fit, at least one."""
+    edges = [*range(1, max_n + 1, STEP), max_n + 1]
+    blocks, i = [], 0
+    while i < len(edges) - 1:
+        j, base = i + 1, TRIPLES_TO[edges[i] - 1]
+        while j + 1 < len(edges) and TRIPLES_TO[edges[j + 1] - 1] - base <= budget:
+            j += 1
+        blocks.append(range(edges[i], edges[j]))
+        i = j
+    return blocks
+
+
+@pytest.mark.parametrize(
+    "budget, max_n",
+    [(BLOCK_BUDGET, n) for n in (BLOCK_EDGE - 1, BLOCK_EDGE, BLOCK_EDGE + 1, 1000, 2000)]
+    + [(1, 2000)],
+)
+def test_oracle_at_block_edges(budget, max_n, monkeypatch):
+    monkeypatch.setattr(census, "_ORACLE_BLOCK_TRIPLES", budget)
+    classes = []
+    tallies = census._class_tallies
+
+    def spy(n, divs):
+        classes.append((divs.shape[1], n.tolist()))
+        return tallies(n, divs)
+
+    monkeypatch.setattr(census, "_class_tallies", spy)
+    assert block_rows(brute_force_census_blocks(max_n), STEP) == counts_of(PRODUCT_FIRST[:max_n])
+    # Every class is n of one d(n) inside one block, block by block, and
+    # the classes take each n <= max_n once.
+    blocks = oracle_blocks(max_n, budget)
+    assert (len(blocks) > 1) == (max_n > BLOCK_EDGE or budget == 1)
+    if max_n >= BLOCK_EDGE and budget == BLOCK_BUDGET:
+        assert blocks[0] == range(1, BLOCK_EDGE + 1)
+    at = []
+    for t, ns in classes:
+        at.append(next(k for k, block in enumerate(blocks) if ns[0] in block))
+        assert set(ns) <= set(blocks[at[-1]])
+        assert {isqrt(TRIPLES_TO[n] - TRIPLES_TO[n - 1]) for n in ns} == {t}  # d(n)
+    assert at == sorted(at)
+    assert sorted(n for _, ns in classes for n in ns) == list(range(1, max_n + 1))
+
+
+def test_oracle_class_tallies_and_their_mirror_guard():
+    # 12 and 18 have six divisors each; A and C as the loops count them.
+    n = np.array([12, 18], dtype=np.int32)
+    divs = np.array([[1, 2, 3, 4, 6, 12], [1, 2, 3, 6, 9, 18]], dtype=np.int32)
+    want = [
+        [r.a_count - q.a_count, r.c_count - q.c_count]
+        for q, r in ((PRODUCT_FIRST[n - 2], PRODUCT_FIRST[n - 1]) for n in (12, 18))
+    ]
+    assert census._class_tallies(n, divs).tolist() == want
+    # A row whose b = n // a is not its mirrored divisor is refused, not counted.
+    swapped = divs[:, [1, 0, 2, 3, 4, 5]]
+    wrong = np.array([[1, 2, 3, 4, 6, 12], [1, 2, 3, 6, 9, 9]], dtype=np.int32)
+    for broken in (swapped, wrong):
+        with pytest.raises(RuntimeError, match="mirrored"):
+            census._class_tallies(n, broken)
+
+
+def test_oracle_at_its_default_ceiling_peaks_below_2_mib():
+    # The sort of the layout sets the peak, 1.8 MiB; the blocks stay below it.
+    tracemalloc.start()
+    try:
+        for _, counts in brute_force_census_blocks(DEFAULT_ORACLE_CEILING):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts[-1].tolist() == [1504136, 857678, 135568, 496623]
+    assert peak <= 2 * 2**20
 
 
 def test_lone_brute_census_builds_one_result(built_results):
