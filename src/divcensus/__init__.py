@@ -10,15 +10,12 @@ from .census import (
     CensusResult,
     Counterexample,
     brute_force_census,
-    brute_force_census_range,
     count_all_triples,
     count_da_over_hyperbola,
     count_gcd_divisor_sum,
     fast_census,
-    fast_census_range,
-    list_counterexamples,
 )
-from .config import Config, ResourceLimitError
+from .config import ResourceLimitError
 from .divisor_core import (
     DivisorTable,
     divisor_list,
@@ -29,7 +26,6 @@ from .divisor_core import (
 )
 from .asymptotics import (
     RatioPoint,
-    log_weighted_harmonic,
     ratio_point,
     ratio_table,
 )

@@ -30,13 +30,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-import numpy as np
-
 from .census import CensusResult, check_census_size, fast_census
 
 PI_SQUARED = math.pi**2
-
-_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -92,22 +88,3 @@ def ratio_table(Ns: Sequence[int]) -> list[RatioPoint]:
     _check_grid(Ns)
     check_census_size(Ns[-1])
     return [ratio_point(fast_census(n)) for n in Ns]
-
-
-def log_weighted_harmonic(N: int) -> float:
-    """sum_{b<=N} ln(b)/b by direct summation.
-
-    Tracks ln^2(N)/2 to within O(ln N / N) plus a bounded constant.  Chunked
-    pairwise summation (numpy within chunks, fsum across them) keeps the
-    rounding error negligible out to 10^7+ terms.
-    """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
-    partials = []
-    lo = 1
-    while lo <= N:
-        hi = min(lo + _CHUNK - 1, N)
-        b = np.arange(lo, hi + 1, dtype=np.float64)
-        partials.append(float(np.sum(np.log(b) / b)))
-        lo = hi + 1
-    return math.fsum(partials)

@@ -36,9 +36,9 @@ N^(2/3) sieve work plus sqrt(N) ln(N) lookups in a table of D, against
 the N ln N of summing d(n)^2 term by term.  divisor_core keeps the
 term-by-term sums, in memory and segmented, as independent cross-checks.
 
-The sweep (fast_census_blocks and fast_census_range), which counts every
-N up to max_n, uses none of these identities.  Raising N by one admits
-the triples with ab = N, so B, S and C grow by
+The sweep (fast_census_blocks), which counts every N up to max_n, uses
+none of these identities.  Raising N by one admits the triples with
+ab = N, so B, S and C grow by
 
     d(N)^2,    d_3(N) = sum_{k | N} d(k),    c(N) = sum_{r^2 | N} d(N / r^2),
 
@@ -98,12 +98,11 @@ Every count is also computable by definitional enumeration
 (brute_force_census), which is the oracle the fast identities are verified
 against: it tests r | a and r | b on every triple, by a remainder taken
 once on each pair of divisors of each n, numpy blocks of consecutive n at
-a time, and shares nothing with the fast routes but numpy and the wrapper
-that turns blocks of counts into CensusResults.
+a time, and shares nothing with the fast routes but numpy and
+CensusResult.
 """
 
 from dataclasses import dataclass
-from itertools import islice
 from math import isqrt
 from typing import Iterator, Optional
 
@@ -320,14 +319,6 @@ _SWEEP_BLOCK = 64
 _SWEEP_SIEVE_ROWS = 1 << 18
 
 
-def fast_census_range(max_n: int) -> Iterator[CensusResult]:
-    """Yield the fast CensusResult for every N in 1..max_n, in order, lazily.
-
-    The rows of fast_census_blocks(max_n), which refuses a bad max_n at the call.
-    """
-    return _census_rows(fast_census_blocks(max_n), "fast")
-
-
 def fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (lo, counts) for each step of the fast sweep of 1..max_n, lazily.
 
@@ -381,16 +372,6 @@ def _fast_census_blocks(max_n: int) -> Iterator[tuple[int, np.ndarray]]:
         del counts  # before the next block's
 
 
-def _census_rows(blocks: Iterator[tuple[int, np.ndarray]], method: str) -> Iterator[CensusResult]:
-    """The CensusResult of every row of (lo, counts) blocks, counts in Python ints.
-
-    The columns B, A, C, S are CensusResult's count fields in order.
-    """
-    for lo, counts in blocks:
-        for N, row in enumerate(counts.tolist(), lo):
-            yield CensusResult(N, *row, method)
-
-
 # ---------------------------------------------------------------------------
 # Definitional oracle
 # ---------------------------------------------------------------------------
@@ -404,7 +385,7 @@ def _census_rows(blocks: Iterator[tuple[int, np.ndarray]], method: str) -> Itera
 # divisor.  The mirror is checked on every row, at the cost of one division
 # per divisor, so every test stays a literal remainder.  S adds d(a), the
 # length of a's own divisor list, per pair (n, a).  No census identity and
-# nothing of divisor_core or the sampler is used; numpy and _census_rows are
+# nothing of divisor_core or the sampler is used; numpy and CensusResult are
 # all it shares with the fast routes.  The layout keeps 4 bytes per divisor
 # entry, against about 19 for the lists of Python ints it replaces (1.8 MB
 # at 10^4); sorting it by n takes about 20 bytes an entry for a moment,
@@ -428,17 +409,6 @@ _ORACLE_BLOCK = 64
 # adds at most about 6 MiB to the layout.  At 10^4 (1.5 * 10^6 triples, two
 # blocks) its largest class peaks at 0.9 MiB, below the layout's sort.
 _ORACLE_BLOCK_TRIPLES = 1 << 20
-
-
-def brute_force_census_range(
-    max_n: int,
-    oracle_ceiling: int = DEFAULT_ORACLE_CEILING,
-) -> Iterator[CensusResult]:
-    """Yield the definitional CensusResult for every N in 1..max_n.
-
-    The rows of brute_force_census_blocks, with its refusals.
-    """
-    return _census_rows(brute_force_census_blocks(max_n, oracle_ceiling), "brute")
 
 
 def brute_force_census_blocks(
@@ -570,10 +540,3 @@ def _counterexamples(N: int) -> Iterator[Counterexample]:
             for r in divs:
                 if a % r != 0 and b % r != 0:
                     yield Counterexample(a=a, b=b, r=r)
-
-
-def list_counterexamples(N: int, limit: Optional[int] = None) -> list[Counterexample]:
-    """The first `limit` counterexamples (all of them when limit is None)."""
-    if limit is not None and limit < 1:
-        raise ValueError(f"limit must be >= 1, got {limit}")
-    return list(islice(iter_counterexamples(N), limit))

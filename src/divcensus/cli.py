@@ -19,7 +19,7 @@ from itertools import islice
 import numpy as np
 
 from . import asymptotics, census, sampler
-from .config import Config, ResourceLimitError
+from .config import DEFAULT_ORACLE_CEILING, ENV_PREFIX, ResourceLimitError
 
 log = logging.getLogger("divcensus")
 
@@ -104,10 +104,10 @@ def emit_records(fields: list[str], records, fmt: str, stream=None) -> None:
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_census(args, cfg: Config) -> int:
+def cmd_census(args) -> int:
     n = args.n
     if args.method == "brute":
-        result = census.brute_force_census(n, oracle_ceiling=cfg.oracle_ceiling)
+        result = census.brute_force_census(n, oracle_ceiling=args.oracle_ceiling)
     else:
         result = census.fast_census(n)
     emit_records(CENSUS_FIELDS, [census_record(result)], args.format)
@@ -143,7 +143,7 @@ def geometric_grid(start: int, stop: int, points: int) -> list[int]:
     return seen
 
 
-def cmd_table(args, cfg: Config) -> int:
+def cmd_table(args) -> int:
     census.check_census_size(args.stop)  # before the float grid, which overflows first
     grid = geometric_grid(args.start, args.stop, args.points)
     points = asymptotics.ratio_table(grid)
@@ -151,7 +151,7 @@ def cmd_table(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_sample(args, cfg: Config) -> int:
+def cmd_sample(args) -> int:
     seed = args.seed
     if seed is None:
         seed = int.from_bytes(os.urandom(8), "big")
@@ -161,7 +161,7 @@ def cmd_sample(args, cfg: Config) -> int:
     return EXIT_OK
 
 
-def cmd_counterexamples(args, cfg: Config) -> int:
+def cmd_counterexamples(args) -> int:
     if args.limit < 1:
         raise ValueError(f"limit must be >= 1, got {args.limit}")
     found = islice(census.iter_counterexamples(args.n), args.limit)
@@ -177,7 +177,7 @@ def _counts(res: census.CensusResult) -> tuple[int, int, int, int]:
     return res.a_count, res.b_count, res.c_count, res.s_count
 
 
-def cmd_verify(args, cfg: Config) -> int:
+def cmd_verify(args) -> int:
     """Fast path vs definitional brute force on every N <= max_n."""
     max_n = args.max_n
     if max_n < 1:
@@ -187,7 +187,7 @@ def cmd_verify(args, cfg: Config) -> int:
     # a CensusResult per N.  The oracle is asked first, so that an
     # oversized max_n is refused before any fast work.
     for (lo, brute), (fast_lo, fast) in zip(
-        census.brute_force_census_blocks(max_n, oracle_ceiling=cfg.oracle_ceiling),
+        census.brute_force_census_blocks(max_n, oracle_ceiling=args.oracle_ceiling),
         census.fast_census_blocks(max_n),
     ):
         if (fast_lo, fast.shape) != (lo, brute.shape):
@@ -248,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
     knobs = parser.add_argument_group("knobs (override DIVCENSUS_* environment)")
-    knobs.add_argument("--oracle-ceiling", type=int, default=None, metavar="N")
+    knobs.add_argument("--oracle-ceiling", type=parse_count, default=None, metavar="N")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -293,11 +293,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def resolve_config(args) -> Config:
-    cfg = Config.from_env()
-    return Config(
-        oracle_ceiling=cfg.oracle_ceiling if args.oracle_ceiling is None else args.oracle_ceiling,
-    )
+def resolve_oracle_ceiling(args) -> int:
+    """--oracle-ceiling if given, else DIVCENSUS_ORACLE_CEILING, else DEFAULT_ORACLE_CEILING.
+
+    The variable is parsed like every count, and refused when malformed even
+    if the flag is given; a refusal names where the bad value came from.
+    """
+    name = ENV_PREFIX + "ORACLE_CEILING"
+    raw = os.environ.get(name)
+    try:
+        value = DEFAULT_ORACLE_CEILING if raw is None else parse_count(raw)
+    except CountError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+    if args.oracle_ceiling is not None:
+        name, value = "--oracle-ceiling", args.oracle_ceiling
+    if value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value}")
+    return value
 
 
 def main(argv=None) -> int:
@@ -321,8 +333,8 @@ def _run(argv) -> int:
         format="%(name)s: %(message)s",
     )
     try:
-        cfg = resolve_config(args)
-        return args.func(args, cfg)
+        args.oracle_ceiling = resolve_oracle_ceiling(args)
+        return args.func(args)
     except ResourceLimitError as exc:
         print(f"divcensus: resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

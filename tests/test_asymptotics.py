@@ -1,4 +1,4 @@
-"""Normalization formulas and the log-weighted harmonic sum."""
+"""Normalization formulas."""
 
 import math
 
@@ -9,11 +9,10 @@ from divcensus.config import ResourceLimitError
 from divcensus.divisor_core import SUBLINEAR_TABLE_CAP
 from divcensus.asymptotics import (
     PI_SQUARED,
-    log_weighted_harmonic,
     ratio_point,
     ratio_table,
 )
-from divcensus.census import brute_force_census, brute_force_census_range, list_counterexamples
+from divcensus.census import brute_force_census, iter_counterexamples
 
 
 def test_ratio_table_at_one():
@@ -63,18 +62,19 @@ def test_normalizations_positive_for_n_at_least_two():
 
 
 def test_ratio_is_one_below_four_and_below_one_after():
-    for result in brute_force_census_range(40):
-        pt = ratio_point(result)
-        if result.N <= 3:
+    for n in range(1, 41):
+        pt = ratio_point(brute_force_census(n))
+        if n <= 3:
             assert pt.ratio == 1.0
         else:
             assert pt.ratio < 1.0
 
 
 def test_census_gap_equals_counterexample_count():
-    for result in brute_force_census_range(200):
+    for n in range(1, 201):
+        result = brute_force_census(n)
         gap = result.b_count - result.a_count
-        assert gap == len(list_counterexamples(result.N))
+        assert gap == sum(1 for _ in iter_counterexamples(n))
 
 
 def test_ramanujan_norm_small_formula():
@@ -108,20 +108,3 @@ def test_lemma_norm_follows_its_two_term_asymptotic():
     (pt,) = ratio_table([n])
     assert want == pytest.approx(1.5444, abs=1e-4)
     assert pt.lemma_norm == pytest.approx(want, abs=1e-3)
-
-
-def test_log_weighted_harmonic_small_values():
-    assert log_weighted_harmonic(1) == 0.0
-    assert log_weighted_harmonic(2) == pytest.approx(math.log(2) / 2, rel=1e-15)
-    with pytest.raises(ValueError):
-        log_weighted_harmonic(0)
-
-
-def test_log_weighted_harmonic_matches_fsum_oracle():
-    want = math.fsum(math.log(b) / b for b in range(1, 1001))
-    assert log_weighted_harmonic(1000) == pytest.approx(want, abs=1e-10)
-
-
-def test_log_weighted_harmonic_tracks_half_log_squared():
-    for n in (10, 1000, 10**4, 10**5):
-        assert abs(log_weighted_harmonic(n) - math.log(n) ** 2 / 2) <= 1.0

@@ -8,6 +8,7 @@ with no divisor lists) and hand counts.
 
 import tracemalloc
 import types
+from itertools import islice
 from math import isqrt
 
 import numpy as np
@@ -19,15 +20,12 @@ from divcensus.census import (
     Counterexample,
     brute_force_census,
     brute_force_census_blocks,
-    brute_force_census_range,
     count_all_triples,
     count_da_over_hyperbola,
     count_gcd_divisor_sum,
     fast_census,
     fast_census_blocks,
-    fast_census_range,
     iter_counterexamples,
-    list_counterexamples,
 )
 from divcensus.config import DEFAULT_ORACLE_CEILING, ResourceLimitError
 from divcensus.divisor_core import (
@@ -91,14 +89,6 @@ def product_first_census_range(max_n):
         )
 
 
-ORACLE = list(brute_force_census_range(2000))
-PRODUCT_FIRST = list(product_first_census_range(2000))
-
-
-def test_oracle_matches_the_product_first_loops_up_to_2000():
-    assert ORACLE == PRODUCT_FIRST
-
-
 STEP = census._ORACLE_BLOCK
 
 
@@ -122,9 +112,17 @@ def block_rows(blocks, width):
     return rows
 
 
+# (N, B, A, C, S) of every N <= 2000, by the oracle and by the loops.
+ORACLE = block_rows(brute_force_census_blocks(2000), STEP)
+PRODUCT_FIRST = list(product_first_census_range(2000))
+
+
+def test_oracle_matches_the_product_first_loops_up_to_2000():
+    assert ORACLE == counts_of(PRODUCT_FIRST)
+
+
 @pytest.mark.parametrize("max_n", [1, STEP - 1, STEP, STEP + 1, 2 * STEP + 1, 2000])
 def test_oracle_at_step_edges(max_n):
-    assert list(brute_force_census_range(max_n)) == PRODUCT_FIRST[:max_n]
     assert block_rows(brute_force_census_blocks(max_n), STEP) == counts_of(PRODUCT_FIRST[:max_n])
 
 
@@ -218,7 +216,8 @@ def test_lone_brute_census_builds_one_result(built_results):
 
 def test_oracle_counts_are_python_ints():
     # so that census --method brute stays JSON-serialisable
-    for r in ORACLE:
+    for n in (1, STEP, 1729):
+        r = brute_force_census(n)
         assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}
 
 
@@ -242,27 +241,24 @@ def test_oracle_reads_nothing_of_divisor_core(monkeypatch):
             monkeypatch.setattr(census, name, None)
             blanked.append(name)
     assert {"divisor_list", "summatory_table", "SUBLINEAR_TABLE_CAP"} <= set(blanked)
-    assert list(brute_force_census_range(200)) == PRODUCT_FIRST[:200]
     assert block_rows(brute_force_census_blocks(200), STEP) == counts_of(PRODUCT_FIRST[:200])
 
 
 def test_oracle_agrees_with_independent_loop_enumeration():
     for N in (1, 2, 3, 7, 12, 30, 60):
-        got = ORACLE[N - 1]
-        assert (got.a_count, got.b_count, got.c_count, got.s_count) == loop_census(N)
+        _, b, a, c, s = ORACLE[N - 1]
+        assert (a, b, c, s) == loop_census(N)
 
 
 def test_oracle_hand_counts():
-    n2 = ORACLE[1]
-    assert (n2.b_count, n2.a_count, n2.c_count, n2.s_count) == (5, 5, 3, 4)
-    n4 = ORACLE[3]
-    assert (n4.b_count, n4.a_count, n4.c_count, n4.s_count) == (18, 17, 9, 13)
-    assert ORACLE[0].method == "brute"
+    assert ORACLE[1] == (2, 5, 5, 3, 4)
+    assert ORACLE[3] == (4, 18, 17, 9, 13)
+    assert brute_force_census(1).method == "brute"
 
 
 def test_single_shot_brute_matches_range():
-    assert brute_force_census(4) == ORACLE[3]
-    assert brute_force_census(1729) == ORACLE[1728]
+    assert counts_of([brute_force_census(4)]) == [ORACLE[3]]
+    assert counts_of([brute_force_census(1729)]) == [ORACLE[1728]]
 
 
 def test_oracle_ceiling_refusal():
@@ -513,11 +509,9 @@ def test_small_census_makes_no_pass(monkeypatch):
     monkeypatch.setattr(divisor_core, "divisor_summatory_batch", None)
     monkeypatch.setattr(census, "divisor_summatory_batch", None)
     for n in (1, 100, 9999):
-        for _ in fast_census_range(n):  # neither a pass nor C calls the batched D
+        for _ in fast_census_blocks(n):  # neither a pass nor C calls the batched D
             pass
-    *_, got = fast_census_range(100)
-    want = ORACLE[99]
-    assert (got.b_count, got.s_count, got.c_count) == (want.b_count, want.s_count, want.c_count)
+    assert block_rows(fast_census_blocks(100), census._SWEEP_BLOCK) == ORACLE[:100]
 
 
 def test_census_pins_at_10_12():
@@ -558,8 +552,7 @@ def test_zero_arguments_rejected():
         count_gcd_divisor_sum,
         count_da_over_hyperbola,
         fast_census,
-        fast_census_range,  # these two at the call, before anything is asked for
-        fast_census_blocks,
+        fast_census_blocks,  # at the call, before anything is asked for
         brute_force_census,
     ):
         with pytest.raises(ValueError):
@@ -570,27 +563,15 @@ def test_zero_arguments_rejected():
 
 def test_fast_census_matches_oracle_up_to_400():
     for want in ORACLE[:400]:
-        got = fast_census(want.N)
+        got = fast_census(want[0])
         assert got.method == "fast"
-        assert (got.a_count, got.b_count, got.c_count, got.s_count) == (
-            want.a_count,
-            want.b_count,
-            want.c_count,
-            want.s_count,
-        ), f"N={want.N}"
+        assert counts_of([got]) == [want], f"N={want[0]}"
 
 
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(min_value=1, max_value=2000))
 def test_fast_census_matches_oracle_sampled(n):
-    want = ORACLE[n - 1]
-    got = fast_census(n)
-    assert (got.a_count, got.b_count, got.c_count, got.s_count) == (
-        want.a_count,
-        want.b_count,
-        want.c_count,
-        want.s_count,
-    )
+    assert counts_of([fast_census(n)]) == [ORACLE[n - 1]]
 
 
 # The sweep runs 50 N past the oracle's default ceiling.
@@ -616,28 +597,27 @@ def censuses_to_sweep_top():
 
 
 def test_sweep_matches_fast_census_at_every_n(censuses_to_sweep_top):
-    swept = list(fast_census_range(SWEEP_TOP))
-    assert swept == censuses_to_sweep_top
-    blocks = fast_census_blocks(SWEEP_TOP)
-    assert block_rows(blocks, census._SWEEP_BLOCK) == counts_of(censuses_to_sweep_top)
+    swept = block_rows(fast_census_blocks(SWEEP_TOP), census._SWEEP_BLOCK)
+    assert swept == counts_of(censuses_to_sweep_top)
     # A lone fast_census walks B's identity over census_table(N) at every N.
     lone = [fast_census(n) for n in (1, 2000, 9999, 10**4, SWEEP_TOP)]
-    assert lone == [swept[r.N - 1] for r in lone]
-    for r in swept + lone:
+    assert counts_of(lone) == [swept[r.N - 1] for r in lone]
+    for r in lone:
         assert {type(v) for v in (r.N, r.b_count, r.a_count, r.c_count, r.s_count)} == {int}
 
 
 @pytest.mark.parametrize("block", [1, 7])
 def test_sweep_in_partial_blocks_matches_fast_census(block, censuses_to_sweep_top, monkeypatch):
     monkeypatch.setattr(census, "_SWEEP_BLOCK", block)
-    assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
     assert block_rows(fast_census_blocks(SWEEP_TOP), block) == counts_of(censuses_to_sweep_top)
 
 
 def test_sweep_sieves_once_to_max_n_and_calls_no_fast_census(censuses_to_sweep_top, monkeypatch):
     sieved = spy_on_sieve(monkeypatch)
     monkeypatch.setattr(census, "fast_census", None)
-    assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
+    assert block_rows(fast_census_blocks(SWEEP_TOP), census._SWEEP_BLOCK) == counts_of(
+        censuses_to_sweep_top
+    )
     assert sieved == [SWEEP_TOP]
 
 
@@ -662,7 +642,9 @@ def test_sweep_evaluates_no_d(censuses_to_sweep_top, monkeypatch):
         monkeypatch.setattr(module, "summatory_table", None)
     monkeypatch.setattr(divisor_core.SummatoryTable, "pass_sums", property(pass_sums))
     monkeypatch.setattr(census, "fast_census", None)
-    assert list(fast_census_range(SWEEP_TOP)) == censuses_to_sweep_top
+    assert block_rows(fast_census_blocks(SWEEP_TOP), census._SWEEP_BLOCK) == counts_of(
+        censuses_to_sweep_top
+    )
 
 
 def test_sweep_to_2_22_is_pinned_within_its_memory_bound():
@@ -683,11 +665,11 @@ def test_sweep_to_2_22_is_pinned_within_its_memory_bound():
 def test_sweep_refuses_a_max_n_above_the_table_cap_before_allocating():
     # At the call, not at the first step.  The cap itself is taken: the
     # sweep is lazy, so nothing is sieved until a step is asked for.
-    fast_census_range(SUBLINEAR_TABLE_CAP)
+    fast_census_blocks(SUBLINEAR_TABLE_CAP)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceLimitError, match="SUBLINEAR_TABLE_CAP"):
-            fast_census_range(SUBLINEAR_TABLE_CAP + 1)
+            fast_census_blocks(SUBLINEAR_TABLE_CAP + 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -695,37 +677,37 @@ def test_sweep_refuses_a_max_n_above_the_table_cap_before_allocating():
 
 
 def test_inclusion_exclusion_identity_on_oracle():
-    for r in ORACLE[:500]:
-        assert r.a_count == 2 * r.s_count - r.c_count
+    for _, _, a, c, s in ORACLE[:500]:
+        assert a == 2 * s - c
 
 
 def test_lemma_reparametrization_vs_oracle():
-    for r in ORACLE[:500]:
-        n = r.N
+    for n, _, _, c, _ in ORACLE[:500]:
         identity = sum(divisor_summatory(n // (k * k)) for k in range(1, isqrt(n) + 1))
-        assert identity == r.c_count, f"N={n}"
+        assert identity == c, f"N={n}"
 
 
 def test_counts_are_nondecreasing_and_ordered():
     prev = None
-    for r in ORACLE:
-        assert 1 <= r.a_count <= r.b_count
-        assert r.c_count <= r.a_count
+    for _, b, a, c, s in ORACLE:
+        assert 1 <= a <= b
+        assert c <= a
         if prev is not None:
-            assert r.a_count >= prev.a_count
-            assert r.b_count >= prev.b_count
-            assert r.c_count >= prev.c_count
-            assert r.s_count >= prev.s_count
-            assert r.b_count - r.a_count >= prev.b_count - prev.a_count
-        prev = r
+            prev_b, prev_a, prev_c, prev_s = prev
+            assert a >= prev_a
+            assert b >= prev_b
+            assert c >= prev_c
+            assert s >= prev_s
+            assert b - a >= prev_b - prev_a
+        prev = b, a, c, s
 
 
 # -- counterexamples -----------------------------------------------------------
 
 def test_counterexamples_known_lists():
-    assert list_counterexamples(3) == []
-    assert list_counterexamples(4) == [Counterexample(2, 2, 4)]
-    assert list_counterexamples(6) == [
+    assert list(iter_counterexamples(3)) == []
+    assert list(iter_counterexamples(4)) == [Counterexample(2, 2, 4)]
+    assert list(iter_counterexamples(6)) == [
         Counterexample(2, 2, 4),
         Counterexample(2, 3, 6),
         Counterexample(3, 2, 6),
@@ -734,11 +716,11 @@ def test_counterexamples_known_lists():
 
 def test_counterexamples_include_smallest_composite_failure():
     for n in (6, 30, 100):
-        assert Counterexample(2, 3, 6) in list_counterexamples(n)
+        assert Counterexample(2, 3, 6) in iter_counterexamples(n)
 
 
 def test_counterexamples_satisfy_defining_conditions():
-    for cx in list_counterexamples(300):
+    for cx in iter_counterexamples(300):
         assert (cx.a * cx.b) % cx.r == 0
         assert cx.a % cx.r != 0
         assert cx.b % cx.r != 0
@@ -747,13 +729,13 @@ def test_counterexamples_satisfy_defining_conditions():
 
 
 def test_counterexamples_sorted_by_product_then_a_then_r():
-    keys = [(c.a * c.b, c.a, c.r) for c in list_counterexamples(500)]
+    keys = [(c.a * c.b, c.a, c.r) for c in iter_counterexamples(500)]
     assert keys == sorted(keys)
 
 
 def test_counterexample_count_reconciles_with_census_gap():
-    full = list_counterexamples(500)
-    gaps = {r.N: r.b_count - r.a_count for r in ORACLE[:500]}
+    full = list(iter_counterexamples(500))
+    gaps = {n: b - a for n, b, a, _, _ in ORACLE[:500]}
     running = 0
     by_product = {}
     for c in full:
@@ -764,11 +746,10 @@ def test_counterexample_count_reconciles_with_census_gap():
 
 
 def test_counterexample_limit_is_a_prefix():
-    full = list_counterexamples(100)
-    assert list_counterexamples(100, limit=5) == full[:5]
-    assert list_counterexamples(100, limit=10**9) == full
-    with pytest.raises(ValueError):
-        list_counterexamples(100, limit=0)
+    # The limit of the counterexamples command; its refusal of 0 is a CLI test.
+    full = list(iter_counterexamples(100))
+    assert list(islice(iter_counterexamples(100), 5)) == full[:5]
+    assert list(islice(iter_counterexamples(100), 10**9)) == full
 
 
 def test_iter_counterexamples_is_lazy():

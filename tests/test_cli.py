@@ -144,6 +144,54 @@ def test_ceiling_env_and_flag_precedence(capsys, monkeypatch):
     assert code == 0  # flag beats env
 
 
+@pytest.mark.parametrize("via_env", [False, True])
+def test_ceiling_parses_like_every_count(via_env, capsys, monkeypatch):
+    knob = ()
+    if via_env:
+        monkeypatch.setenv("DIVCENSUS_ORACLE_CEILING", "1e5")
+    else:
+        knob = ("--oracle-ceiling", "1e5")
+    code, out, _ = run(capsys, *knob, "census", "--n", "10001", "--method", "brute")
+    assert code == 0 and jsonl_records(out)[0]["method"] == "brute"
+    code, _, err = run(capsys, *knob, "census", "--n", "100001", "--method", "brute")
+    assert code == 3 and "(ceiling 100000)" in err
+
+
+@pytest.mark.parametrize(
+    "env, flag, message",
+    [
+        (None, "0", "--oracle-ceiling must be a positive integer, got 0"),
+        (None, "-3", "--oracle-ceiling must be a positive integer, got -3"),
+        ("0", None, "DIVCENSUS_ORACLE_CEILING must be a positive integer, got 0"),
+        ("-5", None, "DIVCENSUS_ORACLE_CEILING must be a positive integer, got -5"),
+        ("lots", None, "DIVCENSUS_ORACLE_CEILING: not a number: 'lots'"),
+        ("1.5", "50", "DIVCENSUS_ORACLE_CEILING: expected an integer, got '1.5'"),
+    ],
+)
+def test_bad_ceiling_is_refused_by_its_source_on_every_command(
+    env, flag, message, capsys, monkeypatch
+):
+    # A malformed variable is refused even where the flag would override it.
+    if env is not None:
+        monkeypatch.setenv("DIVCENSUS_ORACLE_CEILING", env)
+    knob = () if flag is None else ("--oracle-ceiling", flag)
+    for command in (
+        ("census", "--n", "5"),
+        ("table", "--start", "10", "--stop", "100", "--points", "2"),
+        ("sample", "--n", "300", "--trials", "1000", "--seed", "4"),
+        ("verify", "--max-n", "5"),
+        ("counterexamples", "--n", "5"),
+    ):
+        assert run(capsys, *knob, *command) == (2, "", f"divcensus: invalid argument: {message}\n")
+
+
+def test_malformed_ceiling_flag_is_an_argparse_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--oracle-ceiling", "lots", "census", "--n", "5"])
+    assert exc.value.code == 2
+    assert "argument --oracle-ceiling: not a number: 'lots'" in capsys.readouterr().err
+
+
 def test_segment_and_thread_env_knobs_change_nothing_numeric(capsys, monkeypatch):
     _, baseline, _ = run(capsys, "census", "--n", "5000")
     monkeypatch.setenv("DIVCENSUS_THREADS", "3")  # no longer a knob: ignored
