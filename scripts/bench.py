@@ -15,13 +15,12 @@ first times summatory_table(y, N), y = summatory_table_size(N), and adds
 y, table_s and ns_per_entry, the median over as many builds as fill half
 a second.  It then times divisor_summatory_batch on the pass's x = N // m,
 m <= M = N // (y + 1), in the pass's steps of m, with one BatchWorkspace
-lent to every step as the pass lends it (a checkout without BatchWorkspace
-allocates per call), and adds M, the cells sum isqrt(x) and ns_per_cell,
-the median over as many repeats of the pass as fill half a second.  Last
-it adds pass_s, the median time of summatory_table(y, N).pass_sums on a
-fresh table each repeat: the pass's weights, its kernel and its three
-reductions.  The file
-BENCH_<label>.json holds the runs together with the machine facts and the
+lent to every step as the pass lends it, and adds M, the cells sum
+isqrt(x) and ns_per_cell, the median over as many repeats of the pass as
+fill half a second.  Last it adds pass_s, the median time of
+summatory_table(y, N).pass_sums on a fresh table each repeat: the pass's
+weights, its kernel and its three reductions.  The file BENCH_<label>.json
+holds the runs together with the machine facts and the
 commit and source digest of the checkout, so that files written before
 and after a change, on the same machine, can be compared.
 
@@ -75,16 +74,12 @@ M = N // (y + 1)
 m = np.arange(1, M + 1, dtype=np.int64)
 steps = [N // m[lo : lo + dc._PASS_ROWS] for lo in range(0, M, dc._PASS_ROWS)]
 cells = sum(int(np.sqrt(x.astype(np.float64)).astype(np.int64).sum()) for x in steps)
-if hasattr(dc, "BatchWorkspace"):  # one workspace lent to every step, as the pass does
-    workspace = dc.BatchWorkspace(N, min(M, dc._PASS_ROWS))
-    kernel = lambda x: dc.divisor_summatory_batch(x, workspace)
-else:  # a checkout from before the workspace allocates per call
-    kernel = dc.divisor_summatory_batch
+workspace = dc.BatchWorkspace(N, min(M, dc._PASS_ROWS))  # lent to every step, as the pass does
 times = []
 while not times or (cells and sum(times) < 0.5):
     t0 = time.perf_counter()
     for x in steps:
-        kernel(x)
+        dc.divisor_summatory_batch(x, workspace)
     times.append(time.perf_counter() - t0)
 kernel_s = statistics.median(times)
 ns_per_cell = round(kernel_s / cells * 1e9, 3) if cells else None

@@ -31,10 +31,10 @@ tables behind that (TripleSpace) are built once per N: d(n), the weights,
 the guide and the thresholds, whose d_3(n) and c(n) come from
 divisor_core.sieve_d3_and_c, the sieve behind the census sweep's S and C,
 one pass per k <= sqrt(N).  Only triples(), which names the drawn
-(a, b, r), needs the divisor lists and the row offsets; they are built on
-its first use.  The divisor lists
-are placed by one pass per k <= sqrt(N) over the multiples of k, without
-a sort (_flat_divisor_lists).
+(a, b, r), needs the divisor lists; they are built on its first use, by
+one pass per k <= sqrt(N) over the multiples of k, without a sort
+(_flat_divisor_lists).  Each draw then finds its row r, and its a, among
+the divisors of its own n.
 
 The draw runs in the int32 domain that SPACE_LIMIT guarantees: v, every
 table and a, b, r are int32, and only the product n is widened to int64.
@@ -77,9 +77,12 @@ log = logging.getLogger(__name__)
 # The int32 domain of the draw: the triple count B(2*10^6) = 957082634
 # < 2^31 bounds v, cum_weights and thresholds, and the residual
 # w < d(n)^2 < 4n <= 4N < 2^31.  It also bounds the tables that draw() and
-# triples() build on first use: the divisor lists and the row offsets
-# (~ N ln N entries each; D(2*10^6) ~ 2.9e7 <= 2^31 - 1 bounds every index
-# into them).  A success count builds none of those.
+# triples() build on first use, the divisor lists (~ N ln N entries;
+# D(2*10^6) ~ 2.9e7 <= 2^31 - 1 bounds every index into them), and the
+# row sizes summed over one block of triples(): a draw's side of the test
+# holds at most 64272 pairs (the failures of n = 1801800), so a block's sum
+# stays below _DRAW_BLOCK * 2^16 = 2^31.  A success count builds none of
+# those.
 SPACE_LIMIT = 2_000_000
 
 # Draws per step of a chunk's success count, and of triples().  Each step's
@@ -119,10 +122,8 @@ class TripleSpace:
 
     The tables of triples() are built on its first use and then kept:
     flat_divisors holds every divisor list back to back, ascending within
-    each n, and starts[n] indexes the first divisor of n.  success_offsets
-    and failure_offsets have one entry per divisor entry (n, r) and one
-    past the end: the successes, and the failures, of the rows before
-    (n, r), over every n.  Every table is int32 (SPACE_LIMIT says why).
+    each n, and starts[n] indexes the first divisor of n.  Every table is
+    int32 (SPACE_LIMIT says why).
     """
 
     N: int
@@ -150,25 +151,6 @@ class TripleSpace:
         flat.setflags(write=False)
         return flat
 
-    @cached_property
-    def success_offsets(self) -> np.ndarray:
-        # Row (n, r) holds 2 d(n/r) - [r^2 | n] d(n/r^2) successes.
-        counts = self.table.counts
-        n = np.repeat(np.arange(1, self.N + 1, dtype=np.int32), counts[1 : self.N + 1])
-        r = self.flat_divisors
-        q = n // r
-        square = np.flatnonzero(q % r == 0)
-        successes = 2 * counts.take(q)
-        successes[square] -= counts.take(q.take(square) // r.take(square))
-        return _exclusive_cumsum(successes)
-
-    @cached_property
-    def failure_offsets(self) -> np.ndarray:
-        # Row (n, r) holds d(n) pairs, and its successes are the step of
-        # success_offsets at (n, r).
-        counts = self.table.counts[1 : self.N + 1]
-        return _exclusive_cumsum(np.repeat(counts, counts) - np.diff(self.success_offsets))
-
     def products(self, v: np.ndarray) -> np.ndarray:
         """n with cum_weights[n-1] <= v < cum_weights[n] for each v in [0, B).
 
@@ -193,7 +175,8 @@ class TripleSpace:
         the module docstring, so that "r | a or r | b" holds exactly when
         v < thresholds[n].  v is int32, as drawn, or int64; a, b and r are
         int32, as n <= N < 2^31.  Each draw lays out the d(n) divisors of its
-        n, so v is taken _DRAW_BLOCK values at a time.
+        n and finds its row and its a among them, so v is taken _DRAW_BLOCK
+        values at a time.
         """
         blocks = [
             self._block_triples(v[lo : lo + _DRAW_BLOCK])
@@ -203,34 +186,48 @@ class TripleSpace:
 
     def _block_triples(self, v: np.ndarray):
         n = self.products(v)
-        counts, flat = self.table.counts, self.flat_divisors
+        counts = self.table.counts
         before = self.cum_weights.take(n - 1)
         w = v - before
         s = self.thresholds.take(n) - before
         success = w < s
-        # The row (n, r) of each draw, and its rank k among the row's
-        # successes or failures, from the global row offsets.
-        row = np.empty(v.size, dtype=np.int64)
-        rank = np.empty(v.size, dtype=np.int64)
-        size = np.empty(v.size, dtype=np.int64)
-        for pick, offsets, k in (
-            (np.flatnonzero(success), self.success_offsets, w),
-            (np.flatnonzero(~success), self.failure_offsets, w - s),
-        ):
-            at = offsets.take(self.starts.take(n.take(pick))) + k.take(pick)
-            i = offsets.searchsorted(at, side="right") - 1
-            row[pick], rank[pick] = i, at - offsets.take(i)
-            size[pick] = offsets.take(i + 1) - offsets.take(i)
-        r = flat.take(row)
-        # Lay out every draw's d(n) divisors and keep those on its side of
-        # the test; a is the rank-th of them, as they are ascending.
+        # Lay out every draw's d(n) divisors once: they are its candidate
+        # rows r, and then its candidate a.  The temporaries are updated in
+        # place and freed once spent, as a smaller heap faults in fewer pages.
         d = counts.take(n)
         first = np.cumsum(d) - d
-        divisors = flat.take(np.arange(int(d.sum())) + np.repeat(self.starts.take(n) - first, d))
-        cofactors = np.repeat(n.astype(np.int32), d) // divisors
+        index = np.repeat((self.starts.take(n) - first).astype(np.int32), d)
+        index += np.arange(index.size, dtype=np.int32)
+        divisors = self.flat_divisors.take(index)
+        del index
+        cofactors = np.repeat(n.astype(np.int32), d)
+        cofactors //= divisors
+        # Row r holds 2 d(n/r) - [r^2 | n] d(n/r^2) successes, and the rest
+        # of its d(n) pairs fail.  One running sum over the block of the row
+        # sizes on each draw's side, in int32 (SPACE_LIMIT), places the
+        # draw's rank k there: its row, the rank within the row and the
+        # row's size.
+        failure = np.repeat(~success, d)
+        square = np.flatnonzero(cofactors % divisors == 0)
+        sizes = counts.take(cofactors)
+        sizes *= 2
+        sizes[square] -= counts.take(cofactors.take(square) // divisors.take(square))
+        np.subtract(np.repeat(d, d), sizes, out=sizes, where=failure)
+        ends = np.cumsum(sizes, dtype=np.int32)
+        at = ends.take(first) - sizes.take(first) + np.where(success, w, w - s)
+        row = ends.searchsorted(at, side="right")
+        size = sizes.take(row)
+        rank = at - ends.take(row) + size
+        del ends, sizes
+        r = divisors.take(row)
+        # Keep the divisors on each draw's side of the test; a is the
+        # rank-th of its row's, as they are ascending.
         r_each = np.repeat(r, d)
-        hits = (divisors % r_each == 0) | (cofactors % r_each == 0)
-        kept = np.flatnonzero(hits == np.repeat(success, d))
+        hits = divisors % r_each == 0
+        cofactors %= r_each
+        hits |= cofactors == 0
+        hits ^= failure
+        kept = np.flatnonzero(hits)
         a = divisors.take(kept.take(np.cumsum(size) - size + rank))
         b = n.astype(np.int32)
         b //= a
@@ -300,14 +297,6 @@ def _flat_divisor_lists(counts: np.ndarray, starts: np.ndarray) -> np.ndarray:
         flat[high[run]] = np.arange(k, N // k + 1, dtype=np.int32)
         high[run] -= 1
     return flat
-
-
-def _exclusive_cumsum(x: np.ndarray) -> np.ndarray:
-    """[0, x[0], x[0] + x[1], ..., sum(x)] as a read-only int32 array."""
-    out = np.zeros(x.size + 1, dtype=np.int32)
-    np.cumsum(x, out=out[1:])
-    out.setflags(write=False)
-    return out
 
 
 def _chunk_uniforms(space: TripleSpace, trials: int, seed: int):

@@ -1,5 +1,6 @@
 """Seeded triple sampling: determinism, uniformity, unbiasedness."""
 
+import hashlib
 import math
 import tracemalloc
 from types import SimpleNamespace
@@ -8,8 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-import divcensus
-from divcensus import divisor_core, sampler
+from divcensus import census, divisor_core, sampler
 from divcensus.census import (
     brute_force_census,
     brute_force_census_blocks,
@@ -28,7 +28,7 @@ from divcensus.sampler import (
 
 
 def test_divisor_list_is_the_one_trial_division_helper():
-    assert divisor_list is divcensus.divisor_list is divcensus.census.divisor_list
+    assert divisor_list is census.divisor_list
 
 
 def test_divisor_list_known_values():
@@ -274,6 +274,27 @@ def test_draw_stream_is_pinned(N, trials, seed, successes, runs):
         assert sample_triples(N, trials, seed).successes == successes
 
 
+# sha256 of draw()'s a, b and r bytes: the triples themselves, and so their
+# order within each n, are a fixed function of (N, trials, seed).
+@pytest.mark.parametrize(
+    "N, trials, seed, digest",
+    [
+        (6, 300_000, 5, "c2b95a645620680a296bc562063951e6a478ee7177ef2be26c3b4b322325cc77"),
+        (
+            300,
+            CHUNK_TRIALS + 1234,
+            2024,
+            "bcc1bf5fddd2278338534dd9127e8e6d5b418609ad2424a878387aca28b5be59",
+        ),
+        (10**5, CHUNK_TRIALS, 5, "c9ca5a1b53122a519641856e764e1823139573d0de091ce63bab35a7da48379f"),
+    ],
+)
+def test_drawn_triples_are_pinned(N, trials, seed, digest):
+    a, b, r = build_triple_space(N).draw(trials, seed)
+    assert a.dtype == b.dtype == r.dtype == np.int32
+    assert hashlib.sha256(a.tobytes() + b.tobytes() + r.tobytes()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("trials, seed", [(0, 1), (10, -1), (10, 2**64)])
 def test_bad_trials_or_seed_refused_before_the_build(monkeypatch, trials, seed):
     def no_build(*args, **kwargs):
@@ -465,3 +486,43 @@ def test_space_limit_is_the_int32_domain():
     assert divisor_core.divisor_summatory(sampler.SPACE_LIMIT) < 2**31
     assert 4 * sampler.SPACE_LIMIT < 2**31
     assert fast_census(sampler.SPACE_LIMIT).b_count == 957082634 < 2**31
+
+
+@pytest.fixture(scope="module")
+def limit_space():
+    space = build_triple_space(sampler.SPACE_LIMIT)
+    space.flat_divisors  # builds starts too
+    return space
+
+
+def test_first_draw_builds_no_table_per_divisor_entry(limit_space):
+    # A draw finds its row among its own divisors: beyond the divisor lists
+    # it holds one block's layout, not a table as long as those lists.
+    tracemalloc.start()
+    try:
+        limit_space.draw(2**15, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < limit_space.flat_divisors.nbytes
+
+
+def test_block_row_sizes_sum_in_int32(limit_space, monkeypatch):
+    # A draw's side of the test holds at most 64272 pairs up to SPACE_LIMIT
+    # (the failures of n = 1801800), so one block's row sizes sum below 2^31.
+    space, n = limit_space, 1801800
+    d = space.table.counts[1:].astype(np.int64)
+    s = _success_counts_of(space)
+    failures = d * d - s
+    assert int(np.maximum(s, failures).max()) == int(failures[n - 1]) == 64272
+    assert sampler._DRAW_BLOCK * 64272 < 2**31
+    # A whole block of failures at that n reaches the bound; blocks of 1024
+    # draws give the same triples.
+    step = np.arange(sampler._DRAW_BLOCK, dtype=np.int32) * 64272 // sampler._DRAW_BLOCK
+    v = int(space.thresholds[n]) + step
+    a, b, r = space.triples(v)
+    assert (a * b == n).all() and (a % r != 0).all() and (b % r != 0).all()
+    assert len(set(zip(a.tolist(), r.tolist()))) == v.size
+    monkeypatch.setattr(sampler, "_DRAW_BLOCK", 1024)
+    for whole, small in zip((a, b, r), space.triples(v)):
+        assert np.array_equal(whole, small)
