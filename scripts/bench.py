@@ -19,7 +19,11 @@ lent to every step as the pass lends it, and adds M, the cells sum
 isqrt(x) and ns_per_cell, the median over as many repeats of the pass as
 fill half a second.  Last it adds pass_s, the median time of
 summatory_table(y, N).pass_sums on a fresh table each repeat: the pass's
-weights, its kernel and its three reductions.  The file BENCH_<label>.json
+weights, its kernel and its three reductions.  Before all of them, the
+CLI's fixed cost: the time of one in-process cli.main(["census", "--n",
+"1"]) after the imports, in each of CLI_PROCESSES fresh interpreters, is
+recorded with its median as cli_s; a fresh process's wall time buries it
+under about 0.1 s of interpreter and numpy start-up.  The file BENCH_<label>.json
 holds the runs together with the machine facts and the
 commit and source digest of the checkout, so that files written before
 and after a change, on the same machine, can be compared.
@@ -45,6 +49,7 @@ import hashlib
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -57,6 +62,21 @@ DEFAULT_NS = ["1e8", "1e10", "1e12", "1e13"]
 DEFAULT_VERIFY_MAX_NS = ["2000", "10000"]
 DEFAULT_SAMPLE_NS = ["5e4", "1e6"]
 SAMPLE_ARGS = ["--trials", "2e6", "--seed", "1"]
+CLI_ARGV = ["census", "--n", "1"]
+CLI_PROCESSES = 9
+# Run by `python -c CLI_CODE ARGV_JSON` on a checkout's src/; prints the seconds
+# of one cli.main(argv), imports excluded, and exits with its exit code.
+CLI_CODE = """
+import contextlib, io, json, sys, time
+from divcensus import cli
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    t0 = time.perf_counter()
+    code = cli.main(argv)
+    elapsed = time.perf_counter() - t0
+print(elapsed)
+sys.exit(code)
+"""
 # Run by `python -c KERNEL_CODE N` on a checkout's src/; prints one JSON line.
 KERNEL_CODE = """
 import json, statistics, sys, time
@@ -202,6 +222,19 @@ def run_kernel(n: str, env: dict) -> dict:
     return record
 
 
+def run_cli(processes: int, env: dict) -> dict:
+    """CLI_CODE in `processes` fresh interpreters: cli.main(CLI_ARGV)'s times and their median."""
+    record = {"command": "cli", "argv": CLI_ARGV, "processes": processes, "exit": 0, "runs_s": []}
+    for _ in range(processes):
+        measured, stdout = run_python(["-c", CLI_CODE, json.dumps(CLI_ARGV)], env)
+        if measured["exit"] != 0:
+            record.update(exit=measured["exit"], stderr=measured["stderr"])
+            return record
+        record["runs_s"].append(round(float(last_line(stdout)), 6))
+    record["cli_s"] = round(statistics.median(record["runs_s"]), 6)
+    return record
+
+
 def last_line(stdout: str) -> str:
     lines = stdout.strip().splitlines()
     return lines[-1] if lines else ""
@@ -250,7 +283,8 @@ def main() -> int:
     checkouts = [checkout.resolve() for checkout in args.checkout]
     envs = [child_env(checkout) for checkout in checkouts]
     jobs = (
-        [(run, n) for n in args.n for run in (run_census, run_kernel)]
+        [(run_cli, CLI_PROCESSES)]
+        + [(run, n) for n in args.n for run in (run_census, run_kernel)]
         + [(run_verify, m) for m in args.verify_max_n]
         + [(run_sample, n) for n in args.sample_n]
     )
@@ -270,6 +304,7 @@ def main() -> int:
         result = {
             "label": label,
             "commands": [
+                "python -c CLI_CODE " + json.dumps(CLI_ARGV),
                 "python -m divcensus census --n N",
                 "python -c KERNEL_CODE N",
                 "python -m divcensus verify --max-n M",

@@ -3,11 +3,16 @@
 Data goes to stdout as JSON-lines or RFC-4180-style CSV; logging goes to
 stderr.  Exit codes: 0 success, 1 verification mismatch, 2 argument error,
 3 resource refusal.
+
+The command line is read by the standard library's getopt against one
+table, COMMANDS, which also gives the help text: global options before
+the command word, then the command's own.  Long options take
+`--opt value` or `--opt=value`, and a unique prefix of their name.
 """
 
-import argparse
 import csv
 import gc
+import getopt
 import json
 import logging
 import math
@@ -15,6 +20,7 @@ import os
 import sys
 from decimal import Decimal, InvalidOperation
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,8 +40,8 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class CountError(argparse.ArgumentTypeError, ValueError):
-    """A malformed count; argparse shows the message of this type of error."""
+class CountError(ValueError):
+    """A malformed count; a usage error shows its message after the option's name."""
 
 
 # Counts with more digits are refused before int() builds them, which takes
@@ -58,6 +64,14 @@ def parse_count(text: str) -> int:
             f"got {value.adjusted() + 1}"
         )
     return int(value)
+
+
+def parse_int(text: str) -> int:
+    """An integer as int() reads it ('12', '-5', '1_000'), for --points, --seed and --limit."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"invalid int value: {text!r}") from None
 
 
 def _round_real(x: float) -> float:
@@ -232,65 +246,199 @@ def cmd_verify(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing
+# Command table and argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    # argparse exits 2 on its own errors, which matches the exit-code contract
-    parser = argparse.ArgumentParser(
-        prog="divcensus",
-        description=(
-            "Exact counts of triples (a, b, r) with r | ab and ab <= N: all of "
-            "them (B), those where r | a or r | b (A), those where r divides "
-            "both (C), plus convergence tables against their asymptotics and "
-            "seeded sampling of the failure rate. Logs are natural throughout."
-        ),
-    )
-    parser.add_argument("--verbose", action="store_true", help="log progress to stderr")
-    knobs = parser.add_argument_group("knobs (override DIVCENSUS_* environment)")
-    knobs.add_argument("--oracle-ceiling", type=parse_count, default=None, metavar="N")
+REQUIRED = object()  # the default of an option that must be given
 
-    sub = parser.add_subparsers(dest="command", required=True)
+FORMAT_OPTION = (
+    "format", ("jsonl", "csv"), "jsonl", "output format (default: jsonl, one JSON object per line)"
+)
 
-    def add_format(p):
-        p.add_argument(
-            "--format",
-            choices=["jsonl", "csv"],
-            default="jsonl",
-            help="output format (default: jsonl, one JSON object per line)",
+# An option is (name, converter, default or REQUIRED, help).  The converter
+# reads the text given as --name TEXT or --name=TEXT into the value a
+# handler finds as args.<name, with - as _>; it is the tuple of accepted
+# words for a choice, and None for a flag, which takes no value and reads
+# True when given.  Global options go before the command.
+GLOBAL_OPTIONS = [
+    ("verbose", None, False, "log progress to stderr"),
+    (
+        "oracle-ceiling",
+        parse_count,
+        None,
+        f"largest N of the brute-force path (default: {ENV_PREFIX}ORACLE_CEILING, "
+        f"else {DEFAULT_ORACLE_CEILING})",
+    ),
+]
+
+# command: (handler, one-line help, options)
+COMMANDS = {
+    "census": (cmd_census, "exact A, B, C, S at one N", [
+        ("n", parse_count, REQUIRED, "bound N (scientific ok: 1e7)"),
+        ("method", ("brute", "fast"), "fast", "enumeration or identities (default: fast)"),
+        FORMAT_OPTION,
+    ]),
+    "table": (cmd_table, "convergence table on a geometric grid of N", [
+        ("start", parse_count, REQUIRED, "first N of the grid"),
+        ("stop", parse_count, REQUIRED, "last N of the grid"),
+        ("points", parse_int, REQUIRED, f"grid points, at most {MAX_GRID_POINTS}"),
+        FORMAT_OPTION,
+    ]),
+    "sample": (cmd_sample, "seeded Monte Carlo estimate of A(N)/B(N)", [
+        ("n", parse_count, REQUIRED, "bound N"),
+        ("trials", parse_count, REQUIRED, "triples drawn"),
+        ("seed", parse_int, None, "64-bit seed; drawn from entropy if absent"),
+        FORMAT_OPTION,
+    ]),
+    "verify": (cmd_verify, "check the fast path against brute force", [
+        ("max-n", parse_count, 2000, "check every N up to this one (default: 2000)"),
+    ]),
+    "counterexamples": (cmd_counterexamples, "triples with r | ab but r dividing neither factor", [
+        ("n", parse_count, REQUIRED, "bound N on ab"),
+        ("limit", parse_int, 10, "most triples written (default: 10)"),
+        FORMAT_OPTION,
+    ]),
+}
+
+DESCRIPTION = (
+    "Exact counts of triples (a, b, r) with r | ab and ab <= N: all of them (B),\n"
+    "those where r | a or r | b (A), those where r divides both (C), plus\n"
+    "convergence tables against their asymptotics and seeded sampling of the\n"
+    "failure rate. Logs are natural throughout."
+)
+
+
+def _option_text(name: str, convert) -> str:
+    """--name, with the placeholder of its value."""
+    if isinstance(convert, tuple):
+        return f"--{name} {{{','.join(convert)}}}"
+    if convert is None:
+        return f"--{name}"
+    return f"--{name} {name.upper().replace('-', '_')}"
+
+
+def _usage(command: str | None) -> str:
+    if command is None:
+        options, prog, tail = GLOBAL_OPTIONS, "divcensus", ["COMMAND", "..."]
+    else:
+        options, prog, tail = COMMANDS[command][2], f"divcensus {command}", []
+    words = ["usage:", prog, "[-h]"]
+    for name, convert, default, _ in options:
+        text = _option_text(name, convert)
+        words.append(text if default is REQUIRED else f"[{text}]")
+    return " ".join(words + tail)
+
+
+def _help(command: str | None) -> str:
+    """The help of divcensus (command None) or of one command, from the tables."""
+    if command is None:
+        about, options = DESCRIPTION, GLOBAL_OPTIONS
+    else:
+        _, about, options = COMMANDS[command]
+    sections = [
+        ("options", [("-h, --help", "show this help and exit")] + [
+            (_option_text(name, convert), text) for name, convert, _, text in options
+        ]),
+    ]
+    if command is None:
+        sections.append(
+            ("commands (see divcensus COMMAND --help)",
+             [(name, entry[1]) for name, entry in COMMANDS.items()])
         )
+    lines = [_usage(command), "", about]
+    for title, rows in sections:
+        width = max(len(left) for left, _ in rows)
+        lines += ["", f"{title}:"] + [f"  {left:<{width}}  {right}" for left, right in rows]
+    return "\n".join(lines) + "\n"
 
-    p = sub.add_parser("census", help="exact A, B, C, S at one N")
-    p.add_argument("--n", type=parse_count, required=True, help="bound N (scientific ok: 1e7)")
-    p.add_argument("--method", choices=["brute", "fast"], default="fast")
-    add_format(p)
-    p.set_defaults(func=cmd_census)
 
-    p = sub.add_parser("table", help="convergence table on a geometric grid of N")
-    p.add_argument("--start", type=parse_count, required=True)
-    p.add_argument("--stop", type=parse_count, required=True)
-    p.add_argument("--points", type=int, required=True)
-    add_format(p)
-    p.set_defaults(func=cmd_table)
+def _invalid_choice(text: str, choices) -> str:
+    return f"invalid choice: {text!r} (choose from {', '.join(map(repr, choices))})"
 
-    p = sub.add_parser("sample", help="seeded Monte Carlo estimate of A(N)/B(N)")
-    p.add_argument("--n", type=parse_count, required=True)
-    p.add_argument("--trials", type=parse_count, required=True)
-    p.add_argument("--seed", type=int, default=None, help="64-bit seed; drawn from entropy if absent")
-    add_format(p)
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("verify", help="check the fast path against brute force")
-    p.add_argument("--max-n", type=parse_count, default=2000)
-    p.set_defaults(func=cmd_verify)
+def _usage_error(command: str | None, message: str):
+    """Print the usage and `divcensus: error: message` to stderr, and exit 2."""
+    print(_usage(command), file=sys.stderr)
+    print(f"divcensus: error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
 
-    p = sub.add_parser("counterexamples", help="triples with r | ab but r dividing neither factor")
-    p.add_argument("--n", type=parse_count, required=True)
-    p.add_argument("--limit", type=int, default=10)
-    add_format(p)
-    p.set_defaults(func=cmd_counterexamples)
 
-    return parser
+def _getopt_message(exc: getopt.GetoptError, longopts: list[str], where: str) -> str:
+    """'argument --X: reason' for a getopt refusal."""
+    if f"--{exc.opt}" not in exc.msg:  # a short option; -h is the only one
+        return f"argument -{exc.opt}: not an option of {where}"
+    if exc.opt + "=" in longopts:  # getopt names the whole option here
+        return f"argument --{exc.opt}: expected one argument"
+    if exc.opt in longopts:
+        return f"argument --{exc.opt}: takes no value"
+    matches = ["--" + o.rstrip("=") for o in longopts if o.startswith(exc.opt)]
+    if matches:
+        return f"argument --{exc.opt}: ambiguous option, could match {', '.join(matches)}"
+    return f"argument --{exc.opt}: not an option of {where}"
+
+
+def _parse_options(argv: list[str], options: list, command: str | None) -> tuple[dict, list[str]]:
+    """The values of `options` read from the head of argv, and the rest of argv.
+
+    getopt stops at the first word that is not an option: the command, in
+    the pass over divcensus's own options (command None); after a command
+    every word must be an option.  -h or --help prints the help of
+    `command` (None: divcensus) and exits 0.  A value is converted where it
+    stands, and the last of a repeated option wins.
+    """
+    where = "divcensus" if command is None else f"divcensus {command}"
+    longopts = ["help"]
+    longopts += [name + ("" if convert is None else "=") for name, convert, _, _ in options]
+    try:
+        found, rest = getopt.getopt(argv, "h", longopts)
+    except getopt.GetoptError as exc:
+        _usage_error(command, _getopt_message(exc, longopts, where))
+    if any(opt in ("-h", "--help") for opt, _ in found):
+        sys.stdout.write(_help(command))
+        raise SystemExit(EXIT_OK)
+    if command is not None and rest:
+        _usage_error(command, f"argument {rest[0]}: {where} takes options only")
+    converters = {name: convert for name, convert, _, _ in options}
+    values = {}
+    for opt, text in found:
+        name = opt[2:]
+        convert = converters[name]
+        if convert is None:
+            values[name] = True
+        elif isinstance(convert, tuple):
+            if text not in convert:
+                _usage_error(command, f"argument {opt}: {_invalid_choice(text, convert)}")
+            values[name] = text
+        else:
+            try:
+                values[name] = convert(text)
+            except ValueError as exc:
+                _usage_error(command, f"argument {opt}: {exc}")
+    for name, _, default, _ in options:
+        if name not in values:
+            if default is REQUIRED:
+                _usage_error(command, f"argument --{name}: required by {where}")
+            values[name] = default
+    return {name.replace("-", "_"): value for name, value in values.items()}, rest
+
+
+def parse_args(argv: list[str]):
+    """The handler of the command that argv names, and its arguments.
+
+    Two getopt passes read COMMANDS: divcensus's own options up to the
+    command word, then the command's options; a word left after them is
+    refused.  Every refusal prints the usage and `divcensus: error:
+    argument X: reason` to stderr and exits 2.
+    """
+    values, rest = _parse_options(argv, GLOBAL_OPTIONS, None)
+    if not rest:
+        _usage_error(None, f"argument COMMAND: required, one of {', '.join(COMMANDS)}")
+    command, *rest = rest
+    if command not in COMMANDS:
+        _usage_error(None, f"argument COMMAND: {_invalid_choice(command, COMMANDS)}")
+    handler, _, options = COMMANDS[command]
+    command_values, _ = _parse_options(rest, options, command)
+    return handler, SimpleNamespace(**values, **command_values)
 
 
 def resolve_oracle_ceiling(args) -> int:
@@ -325,8 +473,7 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    handler, args = parse_args(sys.argv[1:] if argv is None else argv)
     logging.basicConfig(
         stream=sys.stderr,
         level=logging.INFO if args.verbose else logging.WARNING,
@@ -334,7 +481,7 @@ def _run(argv) -> int:
     )
     try:
         args.oracle_ceiling = resolve_oracle_ceiling(args)
-        return args.func(args)
+        return handler(args)
     except ResourceLimitError as exc:
         print(f"divcensus: resource refusal: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

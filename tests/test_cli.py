@@ -15,7 +15,14 @@ import pytest
 
 import divcensus
 from divcensus import asymptotics, census, divisor_core
-from divcensus.cli import MAX_GRID_POINTS, geometric_grid, main, parse_count
+from divcensus.cli import (
+    COMMANDS,
+    GLOBAL_OPTIONS,
+    MAX_GRID_POINTS,
+    geometric_grid,
+    main,
+    parse_count,
+)
 from divcensus.config import ResourceLimitError
 
 
@@ -67,6 +74,71 @@ def test_unknown_command_is_a_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["census", "--n"], "--n"),  # no value
+        (["census"], "--n"),  # a required option missing
+        (["census", "--n", "5", "--format", "xml"], "--format"),
+        (["census", "5"], "5"),  # a stray positional
+        (["census", "--n", "5", "--bogus", "1"], "--bogus"),
+        (["census", "--n", "5", "--verbose"], "--verbose"),  # global flags go first
+        (["census", "-x"], "-x"),
+        (["--verbose=1", "census", "--n", "5"], "--verbose"),
+        (["table", "--st", "10", "--stop", "100", "--points", "2"], "--st"),  # ambiguous
+        (["table", "--start", "10", "--stop", "100", "--points", "x"], "--points"),
+        ([], "COMMAND"),
+    ],
+)
+def test_usage_errors_exit_two_and_name_the_argument(argv, named, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"divcensus: error: argument {named}: " in captured.err
+
+
+@pytest.mark.parametrize(
+    "given, spelled_out",
+    [
+        (["census", "--n=30"], ["census", "--n", "30"]),
+        (["census", "--n", "30", "--format=csv"], ["census", "--n", "30", "--format", "csv"]),
+        (["verify", "--max", "50"], ["verify", "--max-n", "50"]),  # a unique prefix
+    ],
+)
+def test_equals_and_prefix_forms_read_as_spelled_out(given, spelled_out, capsys):
+    expected = run(capsys, *spelled_out)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, *given) == expected
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command_and_global_option(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([flag])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for command in COMMANDS:
+        assert f"\n  {command} " in out
+    for name, *_ in GLOBAL_OPTIONS:
+        assert f"--{name}" in out
+
+
+@pytest.mark.parametrize("command", list(COMMANDS))
+def test_command_help_lists_every_option(command, capsys):
+    # Help wins over a missing required option.
+    for flag in ("-h", "--help"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag])
+        assert exc.value.code == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.startswith(f"usage: divcensus {command} ")
+        for name, *_ in COMMANDS[command][2]:
+            assert f"\n  --{name}" in captured.out
 
 
 def test_geometric_grid():
@@ -522,17 +594,36 @@ def test_verify_checks_the_table_fallback(capsys, monkeypatch):
 
 # -- python -m divcensus ----------------------------------------------------------------
 
-def test_python_dash_m_runs_the_cli():
+def run_python(*args):
+    """`python *args` in a fresh interpreter that imports this divcensus."""
     src = str(Path(divcensus.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    done = subprocess.run(
-        [sys.executable, "-m", "divcensus", "census", "--n", "100"],
-        capture_output=True, text=True, env=env, timeout=60,
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    done = run_python("-m", "divcensus", "census", "--n", "100")
     assert done.returncode == 0, done.stderr
     assert jsonl_records(done.stdout) == [
         {"N": 100, "A": 2313, "B": 3046, "C": 629, "S": 1471, "method": "fast"}
     ]
+
+
+def test_cli_imports_neither_argparse_nor_locale():
+    # argparse's first use, with the locale import its gettext lookups make,
+    # cost about as much as a census at N = 1.6e7.
+    code = (
+        "import contextlib, io, sys\n"
+        "from divcensus import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['census', '--n', '100']) == 0\n"
+        "print(sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    done = run_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "[]\n"
 
 
 # -- counterexamples --------------------------------------------------------------------
