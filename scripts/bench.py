@@ -11,22 +11,26 @@ default), with every DIVCENSUS_* variable cleared and BLAS pinned to one
 thread.  Each run records its wall time, its CPU time and peak RSS (from
 the child's own rusage) and its exit code; a census run adds the four
 counts it printed, a verify or sample run its last line.  The kernel run
-first times summatory_table(y, N), y = summatory_table_size(N), and adds
+first times summatory_table(y), y = summatory_table_size(N), and adds
 y, table_s and ns_per_entry, the median over as many builds as fill half
 a second.  It then times divisor_summatory_batch on the pass's x = N // m,
 m <= M = N // (y + 1), in the pass's steps of m, with one BatchWorkspace
 lent to every step as the pass lends it, and adds M, the cells sum
 isqrt(x) and ns_per_cell, the median over as many repeats of the pass as
-fill half a second.  Last it adds pass_s, the median time of
-summatory_table(y, N).pass_sums on a fresh table each repeat: the pass's
-weights, its kernel and its three reductions.  Before all of them, the
-CLI's fixed cost: the time of one in-process cli.main(["census", "--n",
-"1"]) after the imports, in each of CLI_PROCESSES fresh interpreters, is
-recorded with its median as cli_s; a fresh process's wall time buries it
-under about 0.1 s of interpreter and numpy start-up.  The file BENCH_<label>.json
-holds the runs together with the machine facts and the
-commit and source digest of the checkout, so that files written before
-and after a change, on the same machine, can be compared.
+fill half a second.  Then it adds pass_s, the median time of
+census.pass_sums(N, table) on a fresh table each repeat: the pass's
+weights, its kernel and its three reductions.  Last, on one table and its
+pass's sums, it adds the median times of the stages that fast_census runs
+after the pass, each over as many runs as fill half a second: walk_s for
+B's walk, s_s for S's lookups and c_s for C's lookups.  Before all of
+them, the CLI's fixed cost: the time of one in-process
+cli.main(["census", "--n", "1"]) after the imports, in each of
+CLI_PROCESSES fresh interpreters, is recorded with its median as cli_s;
+a fresh process's wall time buries it under about 0.1 s of interpreter
+and numpy start-up.  The file BENCH_<label>.json holds the runs together
+with the machine facts and the commit and source digest of the checkout,
+so that files written before and after a change, on the same machine,
+can be compared.
 
 Usage:
     python scripts/bench.py --label after [--checkout .] [--n 1e8 1e10 1e12 1e13]
@@ -81,20 +85,20 @@ sys.exit(code)
 KERNEL_CODE = """
 import json, statistics, sys, time
 import numpy as np
-from divcensus import divisor_core as dc
+from divcensus import census, divisor_core as dc
 N = int(float(sys.argv[1]))
 y = dc.summatory_table_size(N)
 table_times = []
 while sum(table_times) < 0.5:
     t0 = time.perf_counter()
-    dc.summatory_table(y, N)
+    dc.summatory_table(y)
     table_times.append(time.perf_counter() - t0)
 table_s = statistics.median(table_times)
 M = N // (y + 1)
 m = np.arange(1, M + 1, dtype=np.int64)
-steps = [N // m[lo : lo + dc._PASS_ROWS] for lo in range(0, M, dc._PASS_ROWS)]
+steps = [N // m[lo : lo + census._PASS_ROWS] for lo in range(0, M, census._PASS_ROWS)]
 cells = sum(int(np.sqrt(x.astype(np.float64)).astype(np.int64).sum()) for x in steps)
-workspace = dc.BatchWorkspace(N, min(M, dc._PASS_ROWS))  # lent to every step, as the pass does
+workspace = dc.BatchWorkspace(N, min(M, census._PASS_ROWS))  # lent to every step, as the pass does
 times = []
 while not times or (cells and sum(times) < 0.5):
     t0 = time.perf_counter()
@@ -105,17 +109,28 @@ kernel_s = statistics.median(times)
 ns_per_cell = round(kernel_s / cells * 1e9, 3) if cells else None
 pass_times = []
 while not pass_times or (M and sum(pass_times) < 0.5):
-    table = dc.summatory_table(y, N)
+    table = dc.summatory_table(y)
     t0 = time.perf_counter()
-    table.pass_sums
+    plain, weighted, squares = census.pass_sums(N, table)
     pass_times.append(time.perf_counter() - t0)
     del table
+table = dc.summatory_table(y)  # the stages' table, after the last pass's is freed
+stages = {}
+for name, stage, total in (("walk_s", census._b_walk, weighted),
+                           ("s_s", census._s_lookups, plain),
+                           ("c_s", census._c_lookups, squares)):
+    stage_times = []
+    while sum(stage_times) < 0.5:
+        t0 = time.perf_counter()
+        stage(N, table, total)
+        stage_times.append(time.perf_counter() - t0)
+    stages[name] = round(statistics.median(stage_times), 6)
 print(json.dumps({"y": y, "table_repeats": len(table_times), "table_s": round(table_s, 4),
                   "ns_per_entry": round(table_s / y * 1e9, 2),
                   "M": M, "cells": cells, "repeats": len(times),
                   "kernel_s": round(kernel_s, 4), "ns_per_cell": ns_per_cell,
                   "pass_repeats": len(pass_times),
-                  "pass_s": round(statistics.median(pass_times), 4)}))
+                  "pass_s": round(statistics.median(pass_times), 4), **stages}))
 """
 
 

@@ -59,20 +59,54 @@ each taken by N // q - N // (q + 1) values of b, so
 
     S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-At every N, a census's B, S and C read D from one summatory table sieved
-for this N alone (divisor_core), of y = summatory_table_size(N) entries,
-about N^(2/3) / 4 and at least sqrt(N); nothing is kept between
-censuses.  Every D(q) with q <= y is a lookup.  Every D(q) above y is
-D(N // m) for some m <= M = N // (y + 1) (B asks for m = k^2 u, S for
-m = b, C for m = r^2).  The table's pass evaluates each of them once,
-in float64 blocks, and keeps only three sums:
-sum_{m<=M} D(N // m), which is the part of S with b <= M,
-sum_{m<=M} w(m) D(N // m), which is B's terms with k^2 u <= M grouped
-by m = k^2 u (divisor_core has the weights), and sum_{r^2<=M} D(N // r^2),
-the part of C with r^2 <= M.  So B walks only its pairs with k^2 u > M,
-whose D(x_k // u) <= y are lookups; the pairs left to the pass only
-shrink P+ and P-.  B, S and C at one N share the pass, which costs about
-2 N / sqrt(y) cells, about 4 N^(2/3) below the table cap.
+Summatory table and the pass above it
+-------------------------------------
+At every N, a census's B, S and C read D from one table, census_table(N):
+divisor_core's prefix sums D(0..y), y = summatory_table_size(N), about
+N^(2/3) / 4 and at least sqrt(N), sieved for this N alone; nothing is
+kept between censuses.  Every D they ask for above y is D(N // m) with
+m <= M = N // (y + 1) <= sqrt(N), because (N // a) // b = N // (ab): B
+asks for m = k^2 u, S for m = b, C for m = r^2.  So a D(q) with q <= y is
+a plain lookup, and the D above the table are taken in one streaming pass
+over m <= M (pass_sums), which refuses a table shorter than sqrt(N).  The
+pass evaluates each D(N // m) once, in float64 blocks of _PASS_ROWS
+values of m, and reduces it into three sums:
+
+    sum_{m<=M} D(N // m)              the part of S with b <= M,
+    sum_{m<=M} w(m) D(N // m)         the part of B with k^2 u <= M,
+    sum_{r^2<=M} D(N // r^2)          the part of C with r^2 <= M.
+
+The second sum is B's hyperbola terms mu(k) d(u) D(N // (k^2 u)) with
+k^2 u <= M, grouped by m = k^2 u, so w(m) = sum_{k^2 u = m} mu(k) d(u)
+(_weights).  Each such pair has u <= m / k^2 <= sqrt(N) / k, inside the
+hyperbola sum, because M <= sqrt(N).  w(m) is the coefficient of
+zeta(s)^2 / zeta(2s), 2^omega(m) with omega(m) the number of distinct
+primes of m, so 0 < w(m) <= d(m), and the terms sum_{m<=M} w(m) D(N // m)
+are at most N (1 + ln N) sum_{m<=sqrt(N)} d(m) / m <=
+N (1 + ln N) (1 + ln sqrt(N))^2 < 2^62 on the census domain, so each
+block reduces in int64, as do the other two, partial sums of S and C
+(bound below).  fast_census takes the pass once and hands each sum to
+its count's stage: B walks only its pairs with k^2 u > M, whose
+D(N // (k^2 u)) <= y are lookups, so the pairs left to the pass only
+shrink P+ and P- (_b_walk); S and C look up their D(N // m) with m > M
+(_s_lookups, _c_lookups).
+
+The sieve costs c_s y and the pass sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y)
+cells of c_p each, least in sum at y = (c_p N / c_s)^(2/3).  When the
+rule was fitted, on one core of a 2-vCPU VM, a sieve entry cost 16-20 ns
+while the table fit in cache and a pass cell 1.4-3 ns, so
+(c_p / c_s)^(2/3) came to about 0.27, and the one size rule,
+summatory_table_size(N), is y = N^(2/3) / 4, at least sqrt(N) and at
+most SUBLINEAR_TABLE_CAP.  Below the cap both parts cost about N^(2/3):
+the sieve N^(2/3) / 4 entries and the pass 4 N^(2/3) cells.  The cap
+binds from N = 2^39, about 5.5e11.  The small ufunc buffer and the
+einsum row sums of divisor_core's batched D have since cut a pass cell
+to about 0.6 of its former cost at N = 1e10 and to 0.7-0.9 at 1e12 and
+1e13 (medians of alternating in-process runs by scripts/bench.py, in
+several spells of the host, whose speed moved the absolute figures by up
+to half: 0.8-1.5 ns a cell at 1e13), and the blocked sieve cut a table
+entry to 24-34 ns at 2^24 (divisor_core).  summatory_table_size is left
+unchanged until scripts/bench.py shows that a re-fit gains.
 
 C alone needs no table: it evaluates every D(N // r^2) in float64
 blocks, each distinct quotient once, which takes about sqrt(N) ln(N) / 3
@@ -104,14 +138,14 @@ CensusResult.
 
 from dataclasses import dataclass
 from math import isqrt
-from typing import Iterator, Optional
+from typing import Iterator
 
 import numpy as np
 
 from .config import DEFAULT_ORACLE_CEILING, ResourceLimitError
 from .divisor_core import (
     SUBLINEAR_TABLE_CAP,
-    SummatoryTable,
+    BatchWorkspace,
     _mobius_table,
     divisor_list,
     divisor_summatory_batch,
@@ -150,6 +184,9 @@ def _check_n(N: int) -> None:
 # Terms per vectorized step of S and C: a few int64 temporaries, ~10 MiB.
 _TERM_CHUNK = 1 << 18
 
+# Values m per step of the pass over m <= M.
+_PASS_ROWS = 1 << 14
+
 # (k, u) pairs per vectorized step of B's walk, a long run of one k split
 # across steps: about ten 2 MiB temporaries, 22 MiB traced at N = 10^11.
 _PAIR_CHUNK = 1 << 18
@@ -172,22 +209,13 @@ def check_census_size(N: int) -> None:
         )
 
 
-def census_table(N: int) -> SummatoryTable:
-    """The one d(n) and D(m) table behind B, S and C at N, sieved for this N alone.
+def census_table(N: int) -> np.ndarray:
+    """D(0..y) as read-only int32, y = summatory_table_size(N), sieved for this N alone.
 
-    It has summatory_table_size(N) entries, about N^(2/3) / 4 and at least
-    sqrt(N), and the D(N // m), m <= M, above it are its pass.
+    y is about N^(2/3) / 4 and at least sqrt(N); the D(N // m),
+    m <= M = N // (y + 1), above it are pass_sums's.
     """
-    return summatory_table(summatory_table_size(N), N)
-
-
-def _table_for(N: int, table: Optional[SummatoryTable]) -> SummatoryTable:
-    """census_table(N) when no table is given, else the given one, if it was built for N."""
-    if table is None:
-        return census_table(N)
-    if table.N != N:
-        raise ValueError(f"table built for N={table.N}, not for N={N}")
-    return table
+    return summatory_table(summatory_table_size(N))
 
 
 def _ranges(start: int, stop: int) -> Iterator[np.ndarray]:
@@ -196,30 +224,83 @@ def _ranges(start: int, stop: int) -> Iterator[np.ndarray]:
         yield np.arange(lo, min(lo + _TERM_CHUNK, stop + 1), dtype=np.int64)
 
 
-def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
-    """B(N) = sum_{n<=N} d(n)^2.
+def _weights(prefix: np.ndarray, M: int) -> np.ndarray:
+    """w(m) = sum_{k^2 u = m} mu(k) d(u) for 0 <= m <= M, M >= 1, in prefix's dtype, w(0) = 0.
+
+    Starts from d(1..M), the differences of the prefix sums D(0..M), and
+    adds mu(k) d(1..M // k^2) at the multiples of k^2 for each squarefree
+    2 <= k <= sqrt(M), with mu from one sieve to sqrt(M).  Each entry is a
+    partial sum of its terms, at most sum_{k^2 | m} d(m / k^2) <= d(m)^2 <
+    2^31 in absolute value, and ends as w(m) = 2^omega(m), omega(m) the
+    number of distinct primes of m: 1 <= w(m) <= 2^8 for
+    m <= SUBLINEAR_TABLE_CAP, whose m have at most 8 distinct primes.  The
+    int64 bound of the pass's weighted sum rests on 0 < w(m) <= d(m)
+    (module docstring).
+    """
+    d = np.diff(prefix[: M + 1])  # d(1..M)
+    weights = np.insert(d, 0, 0)
+    mu = _mobius_table(isqrt(M))
+    for k in np.flatnonzero(mu)[1:].tolist():  # the squarefree k >= 2
+        multiples = weights[k * k :: k * k]
+        if mu[k] > 0:
+            multiples += d[: multiples.size]
+        else:
+            multiples -= d[: multiples.size]
+    return weights
+
+
+def pass_sums(N: int, prefix: np.ndarray) -> tuple[int, int, int]:
+    """(plain, weighted, squares) over the D(N // m) above the table prefix = D(0..y).
+
+    With M = N // (y + 1): plain = sum_{m<=M} D(N // m) is S's part with
+    b <= M, weighted = sum_{m<=M} w(m) D(N // m), w from _weights, is B's
+    part with k^2 u <= M, and squares = sum_{r^2<=M} D(N // r^2) is C's
+    part with r^2 <= M.  It is a plain tuple because every census takes
+    one, and a named tuple takes ten times as long to make.  Each D(N // m)
+    is evaluated once, _PASS_ROWS values of m at a time, and dropped after
+    the three sums take it (module docstring).  M = 0 costs nothing.  A
+    table shorter than sqrt(N) is refused: B reads d(u) from it for every
+    u <= sqrt(N).
+    """
+    if prefix.size <= isqrt(N):
+        raise ValueError(f"summatory table size {prefix.size - 1} is below sqrt(N) = {isqrt(N)}")
+    plain = weighted = squares = 0
+    M = N // prefix.size
+    if M:
+        weights = _weights(prefix, M)
+        workspace = BatchWorkspace(N, min(M, _PASS_ROWS))  # the widest row is N // 1
+        for lo in range(1, M + 1, _PASS_ROWS):
+            m = np.arange(lo, min(lo + _PASS_ROWS, M + 1), dtype=np.int64)
+            d = divisor_summatory_batch(N // m, workspace)
+            plain += int(d.sum())
+            weighted += int(np.dot(weights[lo : lo + d.size].astype(np.int64), d))
+            r = np.arange(isqrt(lo - 1) + 1, isqrt(int(m[-1])) + 1, dtype=np.int64)
+            squares += int(d[r * r - lo].sum())
+    return plain, weighted, squares
+
+
+def _b_walk(N: int, prefix: np.ndarray, weighted: int) -> int:
+    """B(N) from the pass's weighted sum and a walk of the pairs with k^2 u > M over prefix.
 
     By the hyperbola identity of the module docstring,
-    B = 2 (P+ - P-) - corners, walking the pairs with k^2 u > M.  With a
-    table that reaches N, M = 0 and the walk takes every pair.
+    B = 2 (P+ - P-) - corners.  With a table that reaches N, M = 0 and the
+    walk takes every pair.
     """
-    check_census_size(N)
-    table = _table_for(N, table)
-    above = table.pass_sums[1]  # before the walk, so that their temporaries never meet
     root = isqrt(N)
+    M = N // prefix.size
     mu = _mobius_table(root)
     ks = np.flatnonzero(mu)
     runs = root // ks  # isqrt(N // k^2) = isqrt(N) // k
-    corner = table.prefix[runs].astype(np.int64)  # D(isqrt(N // k^2))
+    corner = prefix[runs].astype(np.int64)  # D(isqrt(N // k^2))
     corners = int(np.dot(mu[ks] * corner, corner))
     del corner
     # The pairs with u <= M // k^2 are in the pass's weighted sum.  The walk
     # takes the rest, u = M // k^2 + 1..isqrt(N) // k, whose quotients
-    # N // (k^2 u) <= table.n_max are lookups.  Only the k <= sqrt(M) lose
+    # N // (k^2 u) < prefix.size are lookups.  Only the k <= sqrt(M) lose
     # pairs, and only k = 1 can lose its whole run (when M = isqrt(N)):
     # for k >= 2, M <= isqrt(N) gives isqrt(N) // k >= k (M // k^2).
-    few = int(np.searchsorted(ks, isqrt(table.M), side="right"))
-    runs[:few] -= table.M // (ks[:few] * ks[:few])
+    few = int(np.searchsorted(ks, isqrt(M), side="right"))
+    runs[:few] -= M // (ks[:few] * ks[:few])
     first = int(runs[0] == 0)
     ks, runs = ks[first:], runs[first:]
     ends = np.cumsum(runs)
@@ -235,77 +316,92 @@ def count_all_triples(N: int, table: Optional[SummatoryTable] = None) -> int:
         j = int(np.searchsorted(ends, hi, side="left")) + 1
         k, begin = ks[i:j], ends[i:j] - runs[i:j]
         run = np.minimum(ends[i:j], hi) - np.maximum(begin, lo)
-        skip = table.M // (k * k)
+        skip = M // (k * k)
         u = np.arange(lo + 1, hi + 1, dtype=np.int64) - np.repeat(begin - skip, run)
-        d_sum = table.summatory(np.repeat(N // (k * k), run) // u)
-        d_u = table.prefix[u] - table.prefix[u - 1]
+        d_sum = prefix[np.repeat(N // (k * k), run) // u]
+        d_u = prefix[u] - prefix[u - 1]
         terms = d_u.astype(np.uint64) * d_sum.astype(np.uint64)
         by_k = np.add.reduceat(terms, np.cumsum(run) - run)
         plus = mu[k] > 0
         positive += int(by_k[plus].sum())
         negative += int(by_k[~plus].sum())
-    return 2 * (above + positive - negative) - corners
+    return 2 * (weighted + positive - negative) - corners
 
 
-def count_gcd_divisor_sum(N: int, table: Optional[SummatoryTable] = None) -> int:
-    """C(N) = sum_{ab<=N} d(gcd(a,b)) = sum_{r<=sqrt(N)} D(floor(N/r^2)).
-
-    Without a table nothing is sieved: every D(N // r^2) comes from
-    divisor_summatory_batch, _TERM_CHUNK values of r at a time.  Past
-    r ~ N^(1/3) runs of r share one quotient, which is evaluated once:
-    about 2 N^(1/3) rows, sqrt(N) (ln(N) + 4) / 3 cells in all.  With a
-    table, the r^2 <= M are the squares sum of its pass and the rest are
-    lookups.
-    """
-    check_census_size(N)
-    if table is None:
-        total = 0
-        for r in _ranges(1, isqrt(N)):
-            x = N // (r * r)
-            starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
-            runs = np.diff(starts, append=x.size)
-            total += int(np.dot(divisor_summatory_batch(x[starts]), runs))
-        return total
-    table = _table_for(N, table)
-    total = table.pass_sums[2]  # the r^2 <= M
-    for r in _ranges(isqrt(table.M) + 1, isqrt(N)):
-        total += int(table.summatory(N // (r * r)).sum())
-    return total
-
-
-def count_da_over_hyperbola(N: int, table: Optional[SummatoryTable] = None) -> int:
-    """S(N) = sum_{ab<=N} d(a) = sum_{b<=N} D(floor(N/b)).
+def _s_lookups(N: int, prefix: np.ndarray, plain: int) -> int:
+    """S(N) from the pass's plain sum, the b <= M, and lookups in prefix for the rest.
 
     With R = isqrt(N), the b > R take each quotient q <= N // (R + 1) for
     N // q - N // (q + 1) values of b, so
 
         S(N) = sum_{b<=R} D(N // b) + sum_{q<=N//(R+1)} (N // q - N // (q + 1)) D(q).
 
-    The b <= M, whose D(N // b) lie above the table, are the plain sum of
-    the table's pass; every other D is a lookup, since M <= R <= y.
+    Every D but the pass's is a lookup, since M <= R <= y.  numpy sums the
+    int32 lookups in int64.
+    """
+    root = isqrt(N)
+    total = plain
+    for b in _ranges(N // prefix.size + 1, root):
+        total += int(prefix[N // b].sum())
+    for q in _ranges(1, N // (root + 1)):
+        total += int(np.dot(N // q - N // (q + 1), prefix[q]))
+    return total
+
+
+def _c_lookups(N: int, prefix: np.ndarray, squares: int) -> int:
+    """C(N) from the pass's squares sum, the r^2 <= M, and lookups in prefix for the rest."""
+    total = squares
+    for r in _ranges(isqrt(N // prefix.size) + 1, isqrt(N)):
+        total += int(prefix[N // (r * r)].sum())
+    return total
+
+
+def count_all_triples(N: int) -> int:
+    """B(N) = sum_{n<=N} d(n)^2, by the pass and walk of fast_census."""
+    check_census_size(N)
+    prefix = census_table(N)
+    return _b_walk(N, prefix, pass_sums(N, prefix)[1])
+
+
+def count_da_over_hyperbola(N: int) -> int:
+    """S(N) = sum_{ab<=N} d(a) = sum_{b<=N} D(floor(N/b)), by fast_census's pass and lookups."""
+    check_census_size(N)
+    prefix = census_table(N)
+    return _s_lookups(N, prefix, pass_sums(N, prefix)[0])
+
+
+def count_gcd_divisor_sum(N: int) -> int:
+    """C(N) = sum_{ab<=N} d(gcd(a,b)) = sum_{r<=sqrt(N)} D(floor(N/r^2)), sieving nothing.
+
+    Every D(N // r^2) comes from divisor_summatory_batch, _TERM_CHUNK
+    values of r at a time.  Past r ~ N^(1/3) runs of r share one quotient,
+    which is evaluated once: about 2 N^(1/3) rows, sqrt(N) (ln(N) + 4) / 3
+    cells in all.  fast_census takes C from its table instead (_c_lookups):
+    0.03 ms against 0.34 ms here at N = 1.6e7 (best of 5 in-process
+    runs, one core of a 2-vCPU VM).
     """
     check_census_size(N)
-    table = _table_for(N, table)
-    root = isqrt(N)
-    total = table.pass_sums[0]  # the b <= M
-    for b in _ranges(table.M + 1, root):
-        total += int(table.summatory(N // b).sum())
-    for q in _ranges(1, N // (root + 1)):
-        total += int(np.dot(N // q - N // (q + 1), table.summatory(q)))
+    total = 0
+    for r in _ranges(1, isqrt(N)):
+        x = N // (r * r)
+        starts = np.flatnonzero(np.r_[True, x[1:] != x[:-1]])
+        runs = np.diff(starts, append=x.size)
+        total += int(np.dot(divisor_summatory_batch(x[starts]), runs))
     return total
 
 
 def fast_census(N: int) -> CensusResult:
-    """All four counts by the identity-based routes.
+    """All four counts by the identity-based routes, over census_table(N) and one pass.
 
-    B walks its hyperbola identity and S and C look up their D, over
-    census_table(N) and its pass, at every N.
+    The pass runs before B's walk sieves mu to sqrt(N), so that their
+    temporaries never meet.
     """
     check_census_size(N)
-    table = census_table(N)
-    b = count_all_triples(N, table)
-    s = count_da_over_hyperbola(N, table)
-    c = count_gcd_divisor_sum(N, table)
+    prefix = census_table(N)
+    plain, weighted, squares = pass_sums(N, prefix)
+    b = _b_walk(N, prefix, weighted)
+    s = _s_lookups(N, prefix, plain)
+    c = _c_lookups(N, prefix, squares)
     return CensusResult(N=N, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
 
 

@@ -2,7 +2,7 @@
 
 One knob exists, the oracle ceiling, the largest N the brute-force census
 takes.  The CLI resolves it with precedence: --oracle-ceiling >
-DIVCENSUS_ORACLE_CEILING > DEFAULT_ORACLE_CEILING (cli.oracle_ceiling).
+DIVCENSUS_ORACLE_CEILING > DEFAULT_ORACLE_CEILING (cli.resolve_oracle_ceiling).
 """
 
 ENV_PREFIX = "DIVCENSUS_"

@@ -16,7 +16,10 @@ block takes 1 back.  That is O(L log hi) element increments for a block
 of L entries, in O(sqrt(hi)) vectorized passes.  Every d(n) table, the
 summatory table, the sampler's counts and the segmented cross-check, is
 sieved in blocks of _SIEVE_BLOCK = 2^20 entries (4 MiB of int32), which
-stay in cache while every k strides over them (costs in the next section).
+stay in cache while every k strides over them.  A table entry costs
+19 ns at 1.2e6 entries and 24-34 ns at 2^24, where striding each k over
+the whole table cost 19 and 59-63 ns (medians of 5 alternating runs by
+scripts/bench.py, bench/BENCH_blocked-sieve.json).
 
 sieve_d3_and_c takes the same kind of pass over a block [lo, hi) of a
 d(n) table: d_3(n) = sum_{k | n} d(k) and c(n) = sum_{r^2 | n} d(n / r^2),
@@ -35,53 +38,13 @@ which is O(sqrt(x)) and needs no table, so it stays usable for arguments
 as large as the census bound N itself.  It is one int64 reduction, exact
 for x <= SUMMATORY_MAX_X = 2^52; a larger x is refused.
 
-Summatory table and the pass above it
--------------------------------------
-summatory_table(y, N) serves one bound N, with sqrt(N) <= y.  It sieves
-d(n) once up to y and takes the int32 prefix sums D(0..y) in place; d(n)
-is read back as D(n) - D(n-1).  Every count of the census is a sum of D
-values (census.py has the identities), and every D it asks for above y is
-D(N // m) with m <= M = N // (y + 1) <= sqrt(N), because
-(N // a) // b = N // (ab).  So a D(q) with q <= y is a plain lookup, and
-the D above the table are taken in one streaming pass over m <= M
-(SummatoryTable.pass_sums).  The pass evaluates each D(N // m) once, block
-by block, and reduces it into three sums:
-
-    sum_{m<=M} D(N // m)              the part of S with b <= M,
-    sum_{m<=M} w(m) D(N // m)         the part of B with k^2 u <= M,
-    sum_{r^2<=M} D(N // r^2)          the part of C with r^2 <= M.
-
-The second sum is B's hyperbola terms mu(k) d(u) D(N // (k^2 u))
-(census.py) with k^2 u <= M, grouped by m = k^2 u, so
-w(m) = sum_{k^2 u = m} mu(k) d(u) (SummatoryTable.pass_weights).  Each
-such pair has u <= m / k^2 <= sqrt(N) / k, inside the hyperbola sum,
-because M <= sqrt(N).  w(m) is the coefficient of zeta(s)^2 / zeta(2s),
-2^omega(m) with omega(m) the number of distinct primes of m, so
-0 < w(m) <= d(m), and the terms sum_{m<=M} w(m) D(N // m) are at most
-N (1 + ln N) sum_{m<=sqrt(N)} d(m) / m <= N (1 + ln N) (1 + ln sqrt(N))^2
-< 2^62 on the census domain, so each block reduces in int64, as do the
-other two, partial sums of S and C (census.py has their bound).  B then
-walks only its pairs with k^2 u > M, whose D(N // (k^2 u)) <= y are
-lookups, and S and C look up their D(N // m) with m > M.
-
-The sieve costs c_s y and the pass sum_{m<=M} sqrt(N / m) ~ 2 N / sqrt(y)
-cells of c_p each, least in sum at y = (c_p N / c_s)^(2/3).  When the
-rule was fitted, on one core of a 2-vCPU VM, a sieve entry cost 16-20 ns
-while the table fit in cache and a pass cell 1.4-3 ns, so
-(c_p / c_s)^(2/3) came to about 0.27, and the one
-size rule, summatory_table_size(N), is y = N^(2/3) / 4, at least sqrt(N)
-and at most SUBLINEAR_TABLE_CAP.  Below the cap both parts cost about
-N^(2/3): the sieve N^(2/3) / 4 entries and the pass 4 N^(2/3) cells.  The
-cap binds from N = 2^39, about 5.5e11.  The small ufunc buffer and the
-einsum row sums of the next section have since cut a pass cell to about
-0.6 of its former cost at N = 1e10 and to 0.7-0.9 at 1e12 and 1e13
-(medians of alternating in-process runs by scripts/bench.py, in several
-spells of the host, whose speed moved the absolute figures by up to half:
-0.8-1.5 ns a cell at 1e13).  The blocked sieve makes a table entry cost
-19 ns at 1.2e6 entries and 24-34 ns at 2^24, where striding each k over
-the whole table cost 19 and 59-63 ns (medians of 5 alternating runs by
-scripts/bench.py, bench/BENCH_blocked-sieve.json).  summatory_table_size
-is left unchanged until scripts/bench.py shows that a re-fit gains.
+Summatory table
+---------------
+summatory_table(y) sieves d(n) once up to y and takes the int32 prefix
+sums D(0..y) in place, so it peaks at 4 bytes an entry; d(n) is read back
+as D(n) - D(n-1).  The census reads every D(q) with q <= y from it and
+takes the D above it in one pass (census.py, which also states the cost
+model behind summatory_table_size).
 
 Batched summatory function
 --------------------------
@@ -132,7 +95,6 @@ The int64 divisor_summatory stays as the independent per-x route.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from math import isqrt
 from typing import Iterator
 
@@ -175,9 +137,6 @@ _SPARE_CELLS = 1 << 13
 # 4.6 / 4.5 / 4.6 / 6.9 at 4e8, 3.6 / 3.5 / 3.6 / 4.8 at 1e10; 1.39 /
 # 1.41 / 1.41 at 1e12, whose rows are all over 4000 wide.
 _UFUNC_BUFSIZE = 256
-
-# Values m per step of a summatory table's pass over m <= M.
-_PASS_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -369,101 +328,11 @@ def divisor_list(n: int) -> list[int]:
     return small + large[::-1]
 
 
-@dataclass(frozen=True)
-class SummatoryTable:
-    """D(q) for the q a census at N asks for: q <= n_max, and the pass above.
-
-    prefix[m] = D(m) = sum_{n<=m} d(n) for 0 <= m <= n_max, with n_max at
-    least sqrt(N).  d(n) = prefix[n] - prefix[n-1] is read back from the
-    prefix sums rather than kept beside them, which halves the table's
-    memory.  The prefix sums are int32, exact because n_max <=
-    SUBLINEAR_TABLE_CAP: D(y) <= y (1 + ln y) < 3e8 < 2^31 there.
-
-    The D(q) above n_max that B, S and C at N ask for are D(N // m) with
-    m <= M = N // (n_max + 1); pass_sums reduces them, once per table.
-    """
-
-    N: int
-    prefix: np.ndarray
-
-    def __post_init__(self):
-        if self.n_max < isqrt(self.N):
-            raise ValueError(
-                f"summatory table size {self.n_max} is below sqrt(N) = {isqrt(self.N)}"
-            )
-
-    @property
-    def n_max(self) -> int:
-        """The largest m whose D(m) the table holds."""
-        return self.prefix.size - 1
-
-    @property
-    def M(self) -> int:
-        """The m <= M whose D(N // m) lie above the table."""
-        return self.N // (self.n_max + 1)
-
-    def summatory(self, q: np.ndarray) -> np.ndarray:
-        """D(q) as int64 for each entry 1 <= q <= n_max of an int64 array."""
-        return self.prefix[q].astype(np.int64)
-
-    def pass_weights(self) -> np.ndarray:
-        """w(m) = sum_{k^2 u = m} mu(k) d(u) for 0 <= m <= M as int32, w(0) = 0.
-
-        Starts from d(1..M), the differences of the prefix sums, and adds
-        mu(k) d(1..M // k^2) at the multiples of k^2 for each squarefree
-        2 <= k <= sqrt(M), with mu from one sieve to sqrt(M).  Each entry
-        is a partial sum of its terms, at most sum_{k^2 | m} d(m / k^2) <=
-        d(m)^2 < 2^31 in absolute value, and ends as w(m) = 2^omega(m),
-        omega(m) the number of distinct primes of m: 1 <= w(m) <= 2^8 for
-        m <= SUBLINEAR_TABLE_CAP, whose m have at most 8 distinct primes.
-        The int64 bound of the pass's weighted sum rests on 0 < w(m) <= d(m)
-        (module docstring).
-        """
-        M = self.M
-        d = np.diff(self.prefix[: M + 1])  # d(1..M)
-        weights = np.insert(d, 0, 0)
-        if M:
-            mu = _mobius_table(isqrt(M))
-            for k in np.flatnonzero(mu)[1:].tolist():  # the squarefree k >= 2
-                multiples = weights[k * k :: k * k]
-                if mu[k] > 0:
-                    multiples += d[: multiples.size]
-                else:
-                    multiples -= d[: multiples.size]
-        return weights
-
-    @cached_property
-    def pass_sums(self) -> tuple[int, int, int]:
-        """(plain, weighted, squares) over the D(N // m), m <= M, from one pass.
-
-        plain = sum_{m<=M} D(N // m) is S's part with b <= M, weighted =
-        sum_{m<=M} w(m) D(N // m), w from pass_weights, is B's part with
-        k^2 u <= M, and squares = sum_{r^2<=M} D(N // r^2) is C's part with
-        r^2 <= M.  It is a plain tuple because every census builds one, and
-        a named tuple takes ten times as long to make.  Each D(N // m) is
-        evaluated once, _PASS_ROWS values of m at a time, and dropped after
-        the three sums take it (module docstring).  M = 0 costs nothing.
-        """
-        plain = weighted = squares = 0
-        M = self.M
-        if M:
-            weights = self.pass_weights()
-            workspace = BatchWorkspace(self.N, min(M, _PASS_ROWS))  # the widest row is N // 1
-            for lo in range(1, M + 1, _PASS_ROWS):
-                m = np.arange(lo, min(lo + _PASS_ROWS, M + 1), dtype=np.int64)
-                d = divisor_summatory_batch(self.N // m, workspace)
-                plain += int(d.sum())
-                weighted += int(np.dot(weights[lo : lo + d.size].astype(np.int64), d))
-                r = np.arange(isqrt(lo - 1) + 1, isqrt(int(m[-1])) + 1, dtype=np.int64)
-                squares += int(d[r * r - lo].sum())
-        return plain, weighted, squares
-
-
 def summatory_table_size(n_max: int) -> int:
     """The one size rule for a summatory table at bound n_max.
 
     y = n_max^(2/3) / 4 balances the sieve against the D(q) evaluations
-    above the table (module docstring); y is at least sqrt(n_max), so that
+    above the table (census.py's docstring); y is at least sqrt(n_max), so that
     B finds d(u) for every u <= sqrt(n_max), while the cap allows, and at
     most SUBLINEAR_TABLE_CAP.
     """
@@ -475,14 +344,15 @@ def summatory_table_size(n_max: int) -> int:
     return min(SUBLINEAR_TABLE_CAP, max(root, int(n_max ** (2 / 3)) // 4))
 
 
-def summatory_table(y: int, N: int) -> SummatoryTable:
-    """Sieve d(1..y) once and take the prefix sums D(1..y) in place, for sums at bound N.
+def summatory_table(y: int) -> np.ndarray:
+    """D(0..y) as a read-only int32 array: d(1..y) sieved once, then summed in place.
 
-    y must be at least sqrt(N).  The prefix sums overwrite the sieve's own
-    int32 counts, so the table peaks at 4 bytes an entry.
+    The prefix sums overwrite the sieve's own int32 counts, so the table
+    peaks at 4 bytes an entry.  They are exact because y <= SUBLINEAR_TABLE_CAP:
+    D(y) <= y (1 + ln y) < 3e8 < 2^31 there.
     """
-    if N < 1:
-        raise ValueError(f"N must be >= 1, got {N}")
+    if y < 1:
+        raise ValueError(f"y must be >= 1, got {y}")
     if y > SUBLINEAR_TABLE_CAP:
         raise ValueError(
             f"summatory table size {y} exceeds SUBLINEAR_TABLE_CAP = {SUBLINEAR_TABLE_CAP}"
@@ -496,7 +366,7 @@ def summatory_table(y: int, N: int) -> SummatoryTable:
         np.cumsum(block, out=block)
         carry = block[-1]
     prefix.setflags(write=False)
-    return SummatoryTable(N=N, prefix=prefix)
+    return prefix
 
 
 def divisor_square_summatory(x: int, table: DivisorTable) -> int:

@@ -6,12 +6,10 @@ enumeration through N=2000, the decade grid of fast censuses up to 10^7)
 are computed once per session.
 """
 
-import math
 import time
 import tracemalloc
 from math import isqrt
 
-import numpy as np
 import pytest
 
 from divcensus import asymptotics, census, cli, divisor_core, sampler
@@ -151,29 +149,6 @@ def test_criterion_07_gcd_sum_bound(decade_points):
         "C(N)/(N ln N) <= 3.0 across the decade grid",
         ok,
         "sequence " + ", ".join(f"{v:.4f}" for v in values),
-    )
-
-
-def log_weighted_harmonic(n: int) -> float:
-    """sum_{b<=n} ln(b)/b by direct summation: numpy within chunks of 2^20 terms, fsum across."""
-    partials = []
-    for lo in range(1, n + 1, 2**20):
-        b = np.arange(lo, min(lo + 2**20, n + 1), dtype=np.float64)
-        partials.append(float(np.sum(np.log(b) / b)))
-    return math.fsum(partials)
-
-
-def test_criterion_08_log_weighted_harmonic_band():
-    worst = 0.0
-    for exp in range(1, 8):
-        n = 10**exp
-        gap = abs(log_weighted_harmonic(n) - math.log(n) ** 2 / 2)
-        worst = max(worst, gap)
-    report(
-        8,
-        "|sum ln(b)/b - ln^2(N)/2| <= 1.0 for N in 10..10^7",
-        worst <= 1.0,
-        f"worst gap {worst:.4f}",
     )
 
 

@@ -270,6 +270,16 @@ def test_oracle_ceiling_refusal():
 
 # -- individual fast operations ----------------------------------------------
 
+def stages(n, prefix):
+    """B, S and C at n by fast_census's stages over prefix = D(0..y): one pass, then the rest."""
+    plain, weighted, squares = census.pass_sums(n, prefix)
+    return (
+        census._b_walk(n, prefix, weighted),
+        census._s_lookups(n, prefix, plain),
+        census._c_lookups(n, prefix, squares),
+    )
+
+
 def test_count_all_triples_examples():
     assert count_all_triples(1) == 1
     assert count_all_triples(4) == 18
@@ -278,25 +288,21 @@ def test_count_all_triples_examples():
 
 def test_count_all_triples_sieves_mu_once_per_call(monkeypatch):
     # B walks its hyperbola identity, and the walk sieves mu, to isqrt(N),
-    # once per call.  The pass's weights sieve mu to isqrt(M) once per
-    # table, and not at all when M = 0.
+    # once per call.  The pass's weights sieve mu to isqrt(M) before it,
+    # once per table, and not at all when M = 0.
     table = sieve_divisor_counts(10**4 + 1)
-    walked, weighted = [], []
+    sieved = []
     real = census._mobius_table
-    monkeypatch.setattr(census, "_mobius_table", lambda n: walked.append(n) or real(n))
-    monkeypatch.setattr(divisor_core, "_mobius_table", lambda n: weighted.append(n) or real(n))
+    monkeypatch.setattr(census, "_mobius_table", lambda n: sieved.append(n) or real(n))
     ns = (9999, 10**4, 10**4 + 1)
     for n in ns:
         assert count_all_triples(n) == divisor_square_summatory(n, table), n
-    assert walked == [isqrt(n) for n in ns]
-    assert weighted == [isqrt(census.census_table(n).M) for n in ns]
+    weighted = [isqrt(n // census.census_table(n).size) for n in ns]  # isqrt(M)
     assert all(weighted)
-    walked.clear()
-    weighted.clear()
-    assert count_all_triples(9999, summatory_table(9999, 9999)) == divisor_square_summatory(
-        9999, table
-    )
-    assert walked == [isqrt(9999)] and weighted == []  # M = 0: no pass
+    assert sieved == [v for n, w in zip(ns, weighted) for v in (w, isqrt(n))]
+    sieved.clear()
+    assert stages(9999, summatory_table(9999))[0] == divisor_square_summatory(9999, table)
+    assert sieved == [isqrt(9999)]  # M = 0: no pass
 
 
 def test_count_all_triples_from_a_table_short_of_n():
@@ -304,7 +310,7 @@ def test_count_all_triples_from_a_table_short_of_n():
     want = brute_force_census(5000).b_count
     assert count_all_triples(5000) == want == 620_598
     for y in (isqrt(5000), 71, 4999):
-        assert count_all_triples(5000, summatory_table(y, 5000)) == want, y
+        assert stages(5000, summatory_table(y))[0] == want, y
 
 
 def test_count_gcd_divisor_sum_examples():
@@ -351,18 +357,16 @@ def test_s_and_c_from_any_table_size_match_loops(n, data):
     # segmented sum of d(n)^2, a route that shares no code with the pass.
     root = isqrt(n)
     y = data.draw(st.one_of(st.integers(root, 2 * root), st.integers(root, n)), label="y")
-    table = summatory_table(min(y, n), n)
-    got = (count_da_over_hyperbola(n, table), count_gcd_divisor_sum(n, table))
-    assert got == loop_s_and_c(n)
-    b = count_all_triples(n, table)
+    b, s, c = stages(n, summatory_table(min(y, n)))
+    assert (s, c) == loop_s_and_c(n)
     assert b == divisor_core.divisor_square_summatory_segmented(n)
 
 
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000))
 def test_c_without_a_table_sieves_nothing_and_matches_the_table_routes(n):
-    tables = (summatory_table(isqrt(n), n), census.census_table(n), summatory_table(n, n))
-    want = {count_gcd_divisor_sum(n, table) for table in tables}
+    tables = (summatory_table(isqrt(n)), census.census_table(n), summatory_table(n))
+    want = {stages(n, table)[2] for table in tables}
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(divisor_core, "_sieve", None)
         got = count_gcd_divisor_sum(n)
@@ -380,13 +384,12 @@ def test_c_without_a_table_pins(n, c, monkeypatch):
     assert count_gcd_divisor_sum(n) == c
 
 
-def test_tables_below_sqrt_n_or_for_another_n_are_refused():
+def test_tables_below_sqrt_n_are_refused():
+    # The pass refuses a table that ends below sqrt(N), and takes one that
+    # ends at it.
     with pytest.raises(ValueError, match="below sqrt"):
-        summatory_table(99, 10**4)
-    table = summatory_table(100, 10**4)
-    for op in (count_all_triples, count_da_over_hyperbola, count_gcd_divisor_sum):
-        with pytest.raises(ValueError, match="N=10000"):
-            op(10**4 - 1, table)
+        census.pass_sums(10**4, summatory_table(99))
+    assert stages(10**4, summatory_table(100)) == stages(10**4, summatory_table(10**4))
 
 
 @pytest.mark.parametrize(
@@ -398,9 +401,9 @@ def test_tables_below_sqrt_n_or_for_another_n_are_refused():
 )
 def test_s_and_c_pins(n, s, c):
     # Pinned from the earlier route over floor-quotient blocks.
-    table = census.census_table(n)
-    assert count_da_over_hyperbola(n) == count_da_over_hyperbola(n, table) == s
-    assert count_gcd_divisor_sum(n) == count_gcd_divisor_sum(n, table) == c
+    assert stages(n, census.census_table(n))[1:] == (s, c)
+    assert count_da_over_hyperbola(n) == s
+    assert count_gcd_divisor_sum(n) == c
 
 
 def spy_on_sieve(monkeypatch) -> list[int]:
@@ -427,23 +430,13 @@ def test_fast_census_sieves_once(n, monkeypatch):
     assert sieved == [size, size]
 
 
-def private_b_s_c(n, y):
-    """B, S and C at n from a table of size y sieved for n alone."""
-    private = summatory_table(y, n)
-    return (
-        count_all_triples(n, private),
-        count_da_over_hyperbola(n, private),
-        count_gcd_divisor_sum(n, private),
-    )
-
-
 @settings(max_examples=100, deadline=None)
 @given(n=st.integers(min_value=1, max_value=9999))
 def test_small_census_matches_a_private_table(n):
     # census_table(N) and its pass against B's walk and S and C over a
     # table that reaches N, which leaves nothing to a pass.
     got = fast_census(n)
-    assert (got.b_count, got.s_count, got.c_count) == private_b_s_c(n, n)
+    assert (got.b_count, got.s_count, got.c_count) == stages(n, summatory_table(n))
 
 
 @settings(max_examples=40, deadline=None)
@@ -452,7 +445,7 @@ def test_census_matches_b_term_by_term_and_a_table_that_reaches_n(n):
     # B's walk and the pass against the in-memory sum of d(n)^2, and S and
     # C against a table that reaches N.
     got = fast_census(n)
-    b, s, c = private_b_s_c(n, n)
+    b, s, c = stages(n, summatory_table(n))
     assert got.b_count == divisor_square_summatory(n, sieve_divisor_counts(n)) == b
     assert (got.s_count, got.c_count, got.a_count) == (s, c, 2 * s - c)
 
@@ -460,7 +453,8 @@ def test_census_matches_b_term_by_term_and_a_table_that_reaches_n(n):
 def test_census_table_has_one_size_rule():
     for n in (1, 100, 9999, 10**4, 10**6):
         table = census.census_table(n)
-        assert (table.N, table.n_max) == (n, divisor_core.summatory_table_size(n))
+        assert table.size == divisor_core.summatory_table_size(n) + 1
+        assert table.dtype == np.int32 and not table.flags.writeable
 
 
 @pytest.mark.parametrize("n", [10**4, 10**5, 3_718_064])
@@ -481,27 +475,38 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     m_max = n // (divisor_core.summatory_table_size(n) + 1)
     assert m_max == 861
     in_pass, in_c = [], []
-    real = divisor_core.divisor_summatory_batch
+    real = census.divisor_summatory_batch
 
-    def spy(calls):
-        return lambda x, *workspace: calls.extend(x.tolist()) or real(x, *workspace)
+    def spy(x, *workspace):  # the pass lends its workspace; C without a table has none
+        (in_pass if workspace else in_c).extend(x.tolist())
+        return real(x, *workspace)
 
-    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", spy(in_pass))
-    monkeypatch.setattr(census, "divisor_summatory_batch", spy(in_c))
-    fast_census(n)
+    monkeypatch.setattr(census, "divisor_summatory_batch", spy)
+    fast_census(n)  # B, S and C read the same pass
     assert sorted(in_pass) == sorted(n // m for m in range(1, m_max + 1))
     assert in_c == []
     in_pass.clear()
-    table = census.census_table(n)
-    count_all_triples(n, table)
+    count_all_triples(n)
     assert len(in_pass) == m_max
-    count_da_over_hyperbola(n, table)
-    count_gcd_divisor_sum(n, table)
-    assert len(in_pass) == m_max and in_c == []  # S and C read the same pass
+    count_da_over_hyperbola(n)
+    assert len(in_pass) == 2 * m_max and in_c == []  # alone, each takes its own pass
     in_pass.clear()
     count_gcd_divisor_sum(n)  # alone, C makes no pass
     assert in_pass == []
     assert in_c == sorted({n // (r * r) for r in range(1, isqrt(n) + 1)}, reverse=True)
+
+
+def test_each_table_route_takes_one_pass_and_c_alone_none(monkeypatch):
+    # fast_census and B and S alone each take exactly one pass over their
+    # table; C alone has no table and takes none.
+    n = 10**6
+    calls = []
+    real = census.pass_sums
+    monkeypatch.setattr(census, "pass_sums", lambda N, prefix: calls.append(N) or real(N, prefix))
+    for op in (fast_census, count_all_triples, count_da_over_hyperbola, count_gcd_divisor_sum):
+        calls.clear()
+        op(n)
+        assert calls == ([] if op is count_gcd_divisor_sum else [n]), op.__name__
 
 
 def test_small_census_makes_no_pass(monkeypatch):
@@ -587,8 +592,7 @@ def censuses_to_sweep_top():
     """
     censuses = []
     for n in range(1, SWEEP_TOP + 1):
-        table = census.census_table(n)
-        b, s = count_all_triples(n, table), count_da_over_hyperbola(n, table)
+        b, s, _ = stages(n, census.census_table(n))
         c = count_gcd_divisor_sum(n)
         censuses.append(
             census.CensusResult(N=n, b_count=b, a_count=2 * s - c, c_count=c, s_count=s, method="fast")
@@ -634,13 +638,10 @@ def test_sweep_across_many_sieve_blocks_matches_fast_census(
 def test_sweep_evaluates_no_d(censuses_to_sweep_top, monkeypatch):
     # Running sums of sieved d^2, d_3 and c: no batched D, no summatory
     # table, no pass and no fast_census.
-    def pass_sums(self):
-        raise AssertionError("the sweep took a pass")
-
     for module in (census, divisor_core):
         monkeypatch.setattr(module, "divisor_summatory_batch", None)
         monkeypatch.setattr(module, "summatory_table", None)
-    monkeypatch.setattr(divisor_core.SummatoryTable, "pass_sums", property(pass_sums))
+    monkeypatch.setattr(census, "pass_sums", None)
     monkeypatch.setattr(census, "fast_census", None)
     assert block_rows(fast_census_blocks(SWEEP_TOP), census._SWEEP_BLOCK) == counts_of(
         censuses_to_sweep_top

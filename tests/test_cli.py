@@ -556,13 +556,13 @@ def test_verify_checks_fast_census_at_max_n(max_n, capsys, monkeypatch):
 
 def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
     # Off by one only from a table short of N: verify --max-n 100 sweeps
-    # its N without count_all_triples, then asks fast_census(100) for B
-    # over census_table(100), of size 10.
-    real = census.count_all_triples
+    # its N without B's walk, then asks fast_census(100) for B over
+    # census_table(100), D(0..10).
+    real = census._b_walk
     monkeypatch.setattr(
         census,
-        "count_all_triples",
-        lambda n, table=None: real(n, table) + (table is not None and table.n_max < n),
+        "_b_walk",
+        lambda n, prefix, weighted: real(n, prefix, weighted) + (prefix.size <= n),
     )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
@@ -570,10 +570,14 @@ def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
 
 
 def test_verify_checks_c_without_a_table(capsys, monkeypatch):
-    # Only C without a table takes its D from census's batched D; every
-    # table route reads the pass in divisor_core.
-    real = divisor_core.divisor_summatory_batch
-    monkeypatch.setattr(census, "divisor_summatory_batch", lambda x: real(x) + 1)
+    # Only C without a table calls the batched D without a workspace; the
+    # pass lends one to every call.
+    real = census.divisor_summatory_batch
+    monkeypatch.setattr(
+        census,
+        "divisor_summatory_batch",
+        lambda x, *workspace: real(x, *workspace) + (not workspace),
+    )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "mismatch at N=100: C without a table=" in out
@@ -583,9 +587,11 @@ def test_verify_checks_the_table_fallback(capsys, monkeypatch):
     # An off-by-one D(q) above the table reaches no N of the sweep, whose
     # sieve runs to max_n; only fast_census(max_n) sees it, in the pass of
     # census_table(100) that B, S and C share.
-    real = divisor_core.divisor_summatory_batch
+    real = census.divisor_summatory_batch
     monkeypatch.setattr(
-        divisor_core, "divisor_summatory_batch", lambda x, *workspace: real(x, *workspace) + 1
+        census,
+        "divisor_summatory_batch",
+        lambda x, *workspace: real(x, *workspace) + bool(workspace),
     )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1

@@ -16,7 +16,6 @@ from divcensus.divisor_core import (
     SUMMATORY_BATCH_MAX_X,
     SUMMATORY_MAX_X,
     DivisorTable,
-    SummatoryTable,
     _mobius_table,
     divisor_square_summatory,
     divisor_square_summatory_segmented,
@@ -74,7 +73,7 @@ def test_blocked_tables_match_the_whole_table_sieve_bit_for_bit(y):
     assert counts.dtype == np.int32 and np.array_equal(counts, want)
     del counts
     np.cumsum(want, out=want)
-    prefix = summatory_table(y, y).prefix
+    prefix = summatory_table(y)
     assert prefix.dtype == np.int32 and np.array_equal(prefix, want)
 
 
@@ -83,7 +82,7 @@ def test_every_producer_is_exact_across_block_edges(block, monkeypatch):
     monkeypatch.setattr(divisor_core, "_SIEVE_BLOCK", block)
     n = 10_000
     assert sieve_divisor_counts(n).counts.tolist() == ORACLE_D
-    assert summatory_table(n, n).prefix.tolist() == np.cumsum(ORACLE_D).tolist()
+    assert summatory_table(n).tolist() == np.cumsum(ORACLE_D).tolist()
     segments = list(iter_divisor_segments(n))
     assert [lo for lo, _ in segments] == list(range(1, n + 1, block))
     assert np.concatenate([c for _, c in segments]).tolist() == ORACLE_D[1:]
@@ -402,11 +401,6 @@ def test_segment_iteration_covers_range_exactly(monkeypatch):
 TABLE_30K = sieve_divisor_counts(30_000)
 
 
-def b_by_walk(n: int) -> int:
-    """B(n) by census.count_all_triples's hyperbola walk, from a table of summatory_table_size(n)."""
-    return census.count_all_triples(n, summatory_table(summatory_table_size(n), n))
-
-
 def moebius_by_factoring(n: int) -> int:
     """Independent oracle: mu(n) by trial-division factoring."""
     sign = 1
@@ -440,20 +434,20 @@ def test_mobius_table_matches_factoring():
     assert _mobius_table(1).tolist() == [0, 1]
 
 
-def pass_weights_to(M: int) -> np.ndarray:
-    """The pass weights w(0..M) of a table whose pass reaches M: y = M, N = M (M + 1)."""
-    table = summatory_table(M, M * (M + 1))
-    assert table.M == M
-    return table.pass_weights()
+def weights_to(M: int) -> np.ndarray:
+    """The pass weights w(0..M) of the table D(0..M), whose pass at N = M (M + 1) reaches M."""
+    prefix = summatory_table(M)
+    assert M * (M + 1) // prefix.size == M
+    return census._weights(prefix, M)
 
 
 def test_pass_weights_match_factoring():
-    weights = pass_weights_to(5000)
+    weights = weights_to(5000)
     assert weights.dtype == np.int32
     assert weights.tolist() == [0] + [2 ** omega_by_factoring(n) for n in range(1, 5001)]
-    assert pass_weights_to(1).tolist() == [0, 1]
-    assert pass_weights_to(30030)[30030] == 2**6  # 2 * 3 * 5 * 7 * 11 * 13
-    assert summatory_table(1000, 1000).pass_weights().tolist() == [0]  # M = 0
+    assert weights_to(1).tolist() == [0, 1]
+    assert weights_to(30030)[30030] == 2**6  # 2 * 3 * 5 * 7 * 11 * 13
+    assert census.pass_sums(1000, summatory_table(1000)) == (0, 0, 0)  # M = 0: no weights
     # 2^omega(m) = sum_{k^2 u = m} mu(k) d(u), the weight of D(N // m) in the pass.
     for m in range(1, 2001):
         weight = sum(
@@ -469,7 +463,7 @@ def test_pass_weights_at_the_domain_top():
     # power of two, at most 2^8: 2 * 3 * ... * 19 = 9699690 <= 2^24 has 8
     # distinct primes, and every m <= 2^24 has at most 8.
     top = SUBLINEAR_TABLE_CAP
-    weights = pass_weights_to(top)
+    weights = weights_to(top)
     assert weights.size == top + 1 and weights[0] == 0
     rest = weights[1:]
     assert rest.min() >= 1 and rest.max() == 2**8
@@ -493,7 +487,16 @@ def test_mobius_table_traces_under_eight_bytes_an_entry():
 @settings(max_examples=150, deadline=None)
 @given(n=st.integers(min_value=1, max_value=30_000))
 def test_count_all_triples_matches_table(n):
-    assert b_by_walk(n) == divisor_square_summatory(n, TABLE_30K)
+    assert census.count_all_triples(n) == divisor_square_summatory(n, TABLE_30K)
+
+
+class LookupSpy(np.ndarray):
+    """A table that records the size of every array of indices it is read at."""
+
+    def __getitem__(self, index):
+        if isinstance(index, np.ndarray):
+            self.sizes.append(index.size)
+        return self.view(np.ndarray)[index]
 
 
 @pytest.mark.parametrize("chunk", [1, 7, 64])
@@ -501,29 +504,29 @@ def test_count_all_triples_matches_table(n):
 @given(n=st.integers(min_value=1, max_value=30_000))
 def test_count_all_triples_splits_runs_across_steps(chunk, n):
     # With a chunk shorter than the runs of one k, each run spans several
-    # steps.  Each step looks up the D(x_k // u) of its pairs with one
-    # table.summatory call, so the calls' arrays are the steps' arrays: none
-    # holds more than the chunk's pairs, and together they hold each pair once.
-    sizes = []
-    real = SummatoryTable.summatory
-
-    def spy(table, q):
-        sizes.append(len(q))
-        return real(table, q)
-
+    # steps.  After one read of the corners, each step reads the table at
+    # three arrays of its pairs' length, for D(x_k // u), D(u) and D(u - 1):
+    # none holds more than the chunk's pairs, and together the steps hold
+    # each pair once.
+    prefix = census.census_table(n)
+    weighted = census.pass_sums(n, prefix)[1]
+    spy = prefix.view(LookupSpy)
+    spy.sizes = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(census, "_PAIR_CHUNK", chunk)
-        mp.setattr(SummatoryTable, "summatory", spy)
-        got = b_by_walk(n)
+        got = census._b_walk(n, spy, weighted)
     assert got == divisor_square_summatory(n, TABLE_30K)
-    assert max(sizes, default=0) <= chunk
+    corners, *steps = spy.sizes
+    assert steps[0::3] == steps[1::3] == steps[2::3]
+    assert max(steps, default=0) <= chunk
     # Only the pairs with k^2 u > M are walked; the pass has the rest.
     root = isqrt(n)
     y = summatory_table_size(n)
     m_max = n // (y + 1)
     squarefree = [k for k in range(1, root + 1) if moebius_by_factoring(k)]
+    assert corners == len(squarefree)
     pairs = sum(root // k - m_max // (k * k) for k in squarefree)
-    assert sum(sizes) == pairs
+    assert sum(steps[0::3]) == pairs
 
 
 def test_count_all_triples_at_squares_and_neighbours():
@@ -532,12 +535,12 @@ def test_count_all_triples_at_squares_and_neighbours():
         for n in (m * m - 1, m * m, m * m + 1):
             if n >= 1:
                 want = divisor_square_summatory(n, TABLE_30K)
-                assert b_by_walk(n) == want, n
+                assert census.count_all_triples(n) == want, n
 
 
 @pytest.mark.parametrize("n", [10**6, 10**7])
 def test_count_all_triples_matches_segmented(n):
-    assert b_by_walk(n) == divisor_square_summatory_segmented(n)
+    assert census.count_all_triples(n) == divisor_square_summatory_segmented(n)
 
 
 def test_count_all_triples_rejects_and_refuses():
@@ -648,13 +651,14 @@ def test_piltz_bound_holds_for_small_x():
         assert D4[x] <= x * (1 + math.log(x)) ** 3
 
 
-def sublinear_in_python_ints(n: int, table: SummatoryTable) -> tuple[int, int]:
-    """B by the k loop in Python ints, and P+ over its pairs read from the table.
+def sublinear_in_python_ints(n: int, table: np.ndarray) -> tuple[int, int]:
+    """B by the k loop in Python ints, and P+ over its pairs read from the table D(0..y).
 
-    D(q) is the table's prefix[q] for q <= n_max and the per-x
-    divisor_summatory above, and d(u) = prefix[u] - prefix[u - 1].
+    D(q) is the table's entry q for q <= y and the per-x
+    divisor_summatory above, and d(u) = D(u) - D(u - 1).
     """
-    prefix = [int(v) for v in table.prefix]
+    prefix = [int(v) for v in table]
+    y = len(prefix) - 1
     root = isqrt(n)
     total = positive = 0
     for k in range(1, root + 1):
@@ -664,10 +668,10 @@ def sublinear_in_python_ints(n: int, table: SummatoryTable) -> tuple[int, int]:
             hyperbola = above = 0
             for u in range(1, isqrt(x) + 1):
                 q = x // u
-                d_sum = prefix[q] if q <= table.n_max else divisor_summatory(q)
+                d_sum = prefix[q] if q <= y else divisor_summatory(q)
                 term = (prefix[u] - prefix[u - 1]) * d_sum
                 hyperbola += term
-                above += term if q > table.n_max else 0
+                above += term if q > y else 0
             total += mu * (2 * hyperbola - prefix[isqrt(x)] ** 2)
             positive += hyperbola - above if mu == 1 else 0
     return total, positive
@@ -682,13 +686,12 @@ def test_hyperbola_sums_exact_between_2_63_and_2_64():
     # near 2^61, so that P+ = 2^63 + O(10^7).  Above sqrt(N) = 100 the
     # prefix is only read as D, never as d(u).
     n, y = 10**4, 1000
-    real = summatory_table(y, n)
-    prefix = real.prefix.astype(np.int64)
+    real = summatory_table(y)
+    prefix = real.astype(np.int64)
     prefix[909], prefix[769] = 2**61 + 7, 2**61 + 3
-    table = SummatoryTable(N=n, prefix=prefix)
-    want, positive = sublinear_in_python_ints(n, table)
+    want, positive = sublinear_in_python_ints(n, prefix)
     assert 2**63 < positive < 2**64
-    got = census.count_all_triples(n, table)
+    got = census._b_walk(n, prefix, census.pass_sums(n, prefix)[1])
     assert type(got) is int and got == want
     assert sublinear_in_python_ints(n, real)[0] == divisor_square_summatory(n, TABLE)
 
@@ -714,32 +717,29 @@ def test_summatory_table_size_rule():
 
 
 def test_summatory_table_holds_d_and_prefix_sums():
-    table = summatory_table(10_000, 10**6)
-    assert table.n_max == 10_000
-    assert table.prefix.tolist() == np.cumsum(ORACLE_D).tolist()
-    assert np.diff(table.prefix).tolist() == ORACLE_D[1:]
-    assert table.prefix.dtype == np.int32 and not table.prefix.flags.writeable
-    assert table.N == 10**6
-    assert table.M == 99  # 10^6 // 10001
+    table = summatory_table(10_000)
+    assert table.size == 10_001
+    assert table.tolist() == np.cumsum(ORACLE_D).tolist()
+    assert np.diff(table).tolist() == ORACLE_D[1:]
+    assert table.dtype == np.int32 and not table.flags.writeable
     with pytest.raises(ValueError, match="SUBLINEAR_TABLE_CAP"):
-        summatory_table(SUBLINEAR_TABLE_CAP + 1, 2**48)
+        summatory_table(SUBLINEAR_TABLE_CAP + 1)
     with pytest.raises(ValueError):
-        summatory_table(10, 0)
+        summatory_table(0)
 
 
 def test_summatory_table_lookup():
-    table = summatory_table(100, 10**4)
+    table = summatory_table(100)
     q = np.array([1, 100, 99, 7, 100], dtype=np.int64)
-    got = table.summatory(q)
-    assert got.dtype == np.int64 and got.tolist() == [divisor_summatory(int(v)) for v in q]
+    assert table[q].tolist() == [divisor_summatory(int(v)) for v in q]
 
 
 @pytest.mark.parametrize("q", [101, 5001, 10**4 + 1, 2**40])
 def test_summatory_table_refuses_q_above_the_table(q):
     # Every D above the table comes from its pass, never from a lookup.
-    table = summatory_table(100, 10**4)
+    table = summatory_table(100)
     with pytest.raises(IndexError):
-        table.summatory(np.array([3, q], dtype=np.int64))
+        table[np.array([3, q], dtype=np.int64)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -749,15 +749,15 @@ def test_summatory_table_answers_every_quotient(n, data):
     # a term of the pass: plain, weighted by 2^omega(m), and, at a square
     # m, in the squares sum.
     y = data.draw(st.integers(min_value=isqrt(n), max_value=n), label="y")
-    table = summatory_table(y, n)
+    table = summatory_table(y)
     m = np.arange(1, n + 1, dtype=np.int64)
     q = n // m
     below = q <= y
-    assert table.M == n // (y + 1) == int((~below).sum())
-    assert table.summatory(q[below]).tolist() == [divisor_summatory(v) for v in q[below].tolist()]
+    assert n // table.size == n // (y + 1) == int((~below).sum())
+    assert table[q[below]].tolist() == [divisor_summatory(v) for v in q[below].tolist()]
     above = [(int(v), divisor_summatory(int(n // v))) for v in m[~below]]
     weights = {v: 2 ** omega_by_factoring(v) for v, _ in above}
-    assert table.pass_sums == (
+    assert census.pass_sums(n, table) == (
         sum(d for _, d in above),
         sum(weights[v] * d for v, d in above),
         sum(d for v, d in above if isqrt(v) ** 2 == v),
@@ -766,24 +766,23 @@ def test_summatory_table_answers_every_quotient(n, data):
 
 def test_pass_is_taken_once_per_table(monkeypatch):
     n = 10**6
-    want = summatory_table(1000, n).pass_sums  # M = 999 in one step
-    table = summatory_table(1000, n)
+    table = summatory_table(1000)
+    want = census.pass_sums(n, table)  # M = 999 in one step
     calls, workspaces = [], []
-    real = divisor_core.divisor_summatory_batch
+    real = census.divisor_summatory_batch
 
     def spy(x, *workspace):
         calls.append(x.size)
         workspaces.extend(workspace)
         return real(x, *workspace)
 
-    monkeypatch.setattr(divisor_core, "divisor_summatory_batch", spy)
-    monkeypatch.setattr(divisor_core, "_PASS_ROWS", 300)  # M = 999 in four steps
-    sums = table.pass_sums
+    monkeypatch.setattr(census, "divisor_summatory_batch", spy)
+    monkeypatch.setattr(census, "_PASS_ROWS", 300)  # M = 999 in four steps
+    sums = census.pass_sums(n, table)
     assert calls == [300, 300, 300, 99]
     # One workspace for every call, sized for the widest row, n // 1.
     assert len(workspaces) == 4 and len({id(w) for w in workspaces}) == 1
     assert (workspaces[0].x_max, workspaces[0].rows) == (n, 300)
-    assert table.pass_sums is sums and len(calls) == 4
     # The squares 17^2 | 18^2, 24^2 | 25^2 and 30^2 | 31^2 sit either side
     # of a step's end.
     assert sums == want
@@ -793,7 +792,7 @@ def test_pass_is_taken_once_per_table(monkeypatch):
 def test_summatory_table_peaks_at_four_bytes_an_entry():
     y = 10**6
     tracemalloc.start()
-    summatory_table(y, y)
+    summatory_table(y)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 4 * y + 2**16
@@ -804,6 +803,7 @@ def test_count_all_triples_takes_a_table():
     want = divisor_square_summatory(n, TABLE_30K)
     # y = n - 1 leaves M = 1 to the pass; y = n leaves M = 0, and B walks every pair.
     for y in (isqrt(n), 1000, n - 1, n):
-        assert census.count_all_triples(n, summatory_table(y, n)) == want
+        prefix = summatory_table(y)
+        assert census._b_walk(n, prefix, census.pass_sums(n, prefix)[1]) == want
     with pytest.raises(ValueError, match="below sqrt"):
-        census.count_all_triples(n, summatory_table(isqrt(n) - 1, n))
+        census.pass_sums(n, summatory_table(isqrt(n) - 1))
