@@ -22,7 +22,10 @@ census.pass_sums(N, table) on a fresh table each repeat: the pass's
 weights, its kernel and its three reductions.  Last, on one table and its
 pass's sums, it adds the median times of the stages that fast_census runs
 after the pass, each over as many runs as fill half a second: walk_s for
-B's walk, s_s for S's lookups and c_s for C's lookups.  Before all of
+B's walk, s_s for S's lookups and c_s for C's lookups.  Then, the same
+way, s_alone_s and c_alone_s, the median times of S and C alone,
+census.count_da_over_hyperbola(N) and census.count_gcd_divisor_sum(N),
+which read no table.  Before all of
 them, the CLI's fixed cost: the time of one in-process
 cli.main(["census", "--n", "1"]) after the imports, in each of
 CLI_PROCESSES fresh interpreters, is recorded with its median as cli_s;
@@ -125,6 +128,14 @@ for name, stage, total in (("walk_s", census._b_walk, weighted),
         stage(N, table, total)
         stage_times.append(time.perf_counter() - t0)
     stages[name] = round(statistics.median(stage_times), 6)
+for name, count in (("s_alone_s", census.count_da_over_hyperbola),
+                    ("c_alone_s", census.count_gcd_divisor_sum)):
+    count_times = []
+    while sum(count_times) < 0.5:
+        t0 = time.perf_counter()
+        count(N)
+        count_times.append(time.perf_counter() - t0)
+    stages[name] = round(statistics.median(count_times), 6)
 print(json.dumps({"y": y, "table_repeats": len(table_times), "table_s": round(table_s, 4),
                   "ns_per_entry": round(table_s / y * 1e9, 2),
                   "M": M, "cells": cells, "repeats": len(times),

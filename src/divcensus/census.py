@@ -112,6 +112,24 @@ C alone needs no table: it evaluates every D(N // r^2) in float64
 blocks, each distinct quotient once, which takes about sqrt(N) ln(N) / 3
 cells and sieves nothing.
 
+S alone needs none either.  S(N) = D_3(N) = #{(a, b, c) : abc <= N}, and
+with A = icbrt(N) every such triple has a coordinate at most A, since
+(A + 1)^3 > N.  Inclusion-exclusion over the three coordinates then gives
+
+    S(N) = 3 sum_{a<=A} D(N // a) - 3 sum_{a,b<=A} (N // a) // b + A^3,
+
+as the triples with a, b <= A take c <= (N // a) // b and those with all
+three at most A number A^3 <= N.  The first sum is one batched D over the
+A nonincreasing x = N // a, sum_{a<=A} sqrt(N / a) ~ 2 N^(2/3) cells; the
+second is divisor_core.quotient_row_sums over the same x at the fixed
+width A, A^2 ~ N^(2/3) cells.  Both are exact on the census domain
+(divisor_core: x <= N <= SUMMATORY_BATCH_MAX_X and A <= 2^16, so each
+float64 row sum is below 2^52), and each reduces in int64, as the first
+is at most S(N) and the second at most N (1 + ln A)^2.  Its memory is the
+A quotients and one block of cells, and it shares nothing with the
+census table or the pass.  fast_census keeps its table S, whose lookups
+cost little beside the pass it takes anyway.
+
 The fast counts take 1 <= N < (SUBLINEAR_TABLE_CAP + 1)^2 = 2^48 + 2^25 + 1,
 the N whose sqrt(N) the table reaches, and refuse a larger N before any
 sieve (check_census_size).  Inside that domain every reduction is exact:
@@ -149,6 +167,7 @@ from .divisor_core import (
     _mobius_table,
     divisor_list,
     divisor_summatory_batch,
+    quotient_row_sums,
     sieve_d3_and_c,
     sieve_divisor_counts,
     summatory_table,
@@ -363,11 +382,33 @@ def count_all_triples(N: int) -> int:
     return _b_walk(N, prefix, pass_sums(N, prefix)[1])
 
 
+def _icbrt(n: int) -> int:
+    """floor(n^(1/3)) for 0 <= n < 2^64: the float root, then stepped to the exact one."""
+    a = round(n ** (1 / 3))
+    while a**3 > n:
+        a -= 1
+    while (a + 1) ** 3 <= n:
+        a += 1
+    return a
+
+
 def count_da_over_hyperbola(N: int) -> int:
-    """S(N) = sum_{ab<=N} d(a) = sum_{b<=N} D(floor(N/b)), by fast_census's pass and lookups."""
+    """S(N) = sum_{ab<=N} d(a) = D_3(N), by the cube-root split, sieving nothing.
+
+    With A = icbrt(N), S(N) = 3 sum_{a<=A} D(N // a) - 3 sum_{a,b<=A}
+    (N // a) // b + A^3 (module docstring): one divisor_summatory_batch
+    over the x = N // a, about 2 N^(2/3) cells, and quotient_row_sums over
+    the same x at width A, about N^(2/3) cells.  Both reduce in int64, as
+    the first sum is at most S(N) < 2^63 and the second at most
+    N (1 + ln A)^2.  fast_census takes S from its table instead
+    (_s_lookups).
+    """
     check_census_size(N)
-    prefix = census_table(N)
-    return _s_lookups(N, prefix, pass_sums(N, prefix)[0])
+    A = _icbrt(N)
+    x = N // np.arange(1, A + 1, dtype=np.int64)
+    singles = int(divisor_summatory_batch(x).sum())
+    pairs = int(quotient_row_sums(x, A).sum())
+    return 3 * (singles - pairs) + A**3
 
 
 def count_gcd_divisor_sum(N: int) -> int:

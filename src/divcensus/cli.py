@@ -228,15 +228,17 @@ def cmd_verify(args) -> int:
     # The sweep counts every N from running sums of d(n)^2, d_3(n) and
     # c(n), with no D at all.  B's hyperbola walk and the D above a table
     # are checked here, at the largest N, by
-    # fast_census(max_n), the route of census --n, and C by its route
-    # without a table.  census_table(max_n), the prefix sums D(0..y), ends
+    # fast_census(max_n), the route of census --n, and C and S by their
+    # routes without a table.  census_table(max_n), the prefix sums D(0..y), ends
     # at y = isqrt(max_n) for max_n <= 4096, the smallest table, whose pass
     # has the largest M, and at y <= 1.17 sqrt(max_n) up to the oracle's
     # default ceiling, so its pass is not empty from max_n = 2 on (M = 44
-    # at 2000, 85 at 10^4).
+    # at 2000, 85 at 10^4).  C and S alone share the batched D, and a fault
+    # there is named by C, checked first.
     b, a, c, s = brute[-1].tolist()
     for label, got, want in (
         ("C without a table", census.count_gcd_divisor_sum(max_n), c),
+        ("S without a table", census.count_da_over_hyperbola(max_n), s),
         ("fast_census (A, B, C, S)", _counts(census.fast_census(max_n)), (a, b, c, s)),
     ):
         if got != want:

@@ -1,7 +1,8 @@
 """Divisor-count primitives: d(n) tables, D(x) = sum_{n<=x} d(n), sum d(n)^2.
 
-Every result here is exact.  The one route through floats, the batched
-D, is exact under the bound stated in its section.
+Every result here is exact.  The routes through floats, the batched D and
+its fixed-width row sums, are exact under the bounds stated in their
+section.
 
 Sieve
 -----
@@ -90,6 +91,15 @@ reciprocals past the head, about 1 MiB each, live in a BatchWorkspace.  A
 pass allocates one, sized for its widest row, and lends it to every call.
 Allocated per call, they cost a pass at N = 10^12 about 10^4 minor page
 faults, against about 1500 with the workspace (ru_minflt of one process).
+
+quotient_row_sums takes the same cells over a fixed width w: the row sums
+sum_{k<=w} x // k, for the part of S = D_3(N) where two coordinates are
+at most icbrt(N) (census.py).  Every row has the same w cells, so a block
+is whole rows, about _BLOCK_CELLS cells, with no mask and no spare cells.
+The first fact makes each cell exact for x <= SUMMATORY_BATCH_MAX_X, and
+w <= _BLOCK_CELLS = 2^17 bounds each row sum and its partial sums by
+x (1 + ln w) <= (2^48 + 2^25) (1 + 17 ln 2) < 2^52, so the float64 row
+sums are exact too, in any order; a larger x or w is refused.
 
 The int64 divisor_summatory stays as the independent per-x route.
 """
@@ -312,6 +322,46 @@ def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = No
     # Each row's cells k = r + 1..w held k - 1: take them back.
     spare = (block_width * (block_width - 1) - width * (width - 1)) // 2
     return 2 * (sums.astype(np.int64) - spare) - width * width
+
+
+def quotient_row_sums(x: np.ndarray, width: int) -> np.ndarray:
+    """sum_{k<=width} x // k as int64 for each entry of a 1-D int64 array, in float64 blocks.
+
+    Each cell is floor((x + 1/2) * fl(1/k)), in blocks of whole rows of
+    about _BLOCK_CELLS cells under the ufunc buffer of the batched D, and
+    each row is summed in float64.  Exact for 0 <= x <= SUMMATORY_BATCH_MAX_X
+    and 1 <= width <= _BLOCK_CELLS, where every row sum is at most
+    x (1 + ln width) < 2^52 (module docstring); a larger x or width is
+    refused.  Memory is one block and the width's reciprocals.
+    """
+    x = np.asarray(x, dtype=np.int64)
+    if not 1 <= width <= _BLOCK_CELLS:
+        raise ValueError(f"width must be in 1..{_BLOCK_CELLS}, got {width}")
+    if x.size == 0:
+        return np.zeros(0, dtype=np.int64)
+    if int(x.min()) < 0:
+        raise ValueError(f"x must be >= 0, got {int(x.min())}")
+    if int(x.max()) > SUMMATORY_BATCH_MAX_X:
+        raise ResourceLimitError(
+            f"quotient row sums refused at x={int(x.max())}: their float64 sums are exact "
+            f"only up to SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1)^2 - 1"
+        )
+    inv = 1.0 / np.arange(1.0, width + 1.0)
+    rows = min(x.size, _BLOCK_CELLS // width)
+    cells = np.empty(rows * width)
+    shifted = x + 0.5  # exact in float64
+    sums = np.empty(x.size)
+    old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
+    try:
+        for i in range(0, x.size, rows):
+            j = min(i + rows, x.size)
+            q = cells[: (j - i) * width].reshape(j - i, width)
+            np.multiply(shifted[i:j, None], inv, out=q)
+            np.floor(q, out=q)
+            sums[i:j] = np.einsum("ij->i", q)
+    finally:
+        np.setbufsize(old_bufsize)
+    return sums.astype(np.int64)
 
 
 def divisor_list(n: int) -> list[int]:

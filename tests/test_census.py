@@ -6,10 +6,12 @@ enumerations (per-triple loops over divisor lists, and plain nested loops
 with no divisor lists) and hand counts.
 """
 
+import json
 import tracemalloc
 import types
 from itertools import islice
 from math import isqrt
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -384,6 +386,57 @@ def test_c_without_a_table_pins(n, c, monkeypatch):
     assert count_gcd_divisor_sum(n) == c
 
 
+def test_s_without_a_table_matches_the_oracle_up_to_2000():
+    assert [count_da_over_hyperbola(n) for n in range(1, 2001)] == [row[4] for row in ORACLE]
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(min_value=1, max_value=10**10 - 1))
+def test_s_without_a_table_matches_the_census(n):
+    assert count_da_over_hyperbola(n) == fast_census(n).s_count
+
+
+@pytest.mark.parametrize("a", [1, 2, 3, 10, 99, 737, 2154])
+def test_s_without_a_table_at_cubes(a):
+    # icbrt(N) steps from a - 1 to a at N = a^3, where the split's three
+    # terms change their ranges.
+    for n in (a**3 - 1, a**3, a**3 + 1):
+        if n >= 1:
+            assert count_da_over_hyperbola(n) == fast_census(n).s_count, n
+
+
+PERFBENCH_PINS = json.loads(
+    (Path(__file__).resolve().parent.parent / "perfbench" / "pins.json").read_text()
+)
+
+
+@pytest.mark.parametrize("workload", ["census_big", "hyperbola_big"])
+def test_s_without_a_table_matches_the_benchmark_pins(workload):
+    for n, counts in PERFBENCH_PINS[workload].items():
+        assert count_da_over_hyperbola(int(n)) == counts["S"], n
+
+
+@pytest.mark.parametrize(
+    "n, root",
+    [(0, 0), (1, 1), (7, 1), (8, 2), (2**48 - 1, 65535), (2**48, 65536), (2**48 + 1, 65536),
+     ((SUBLINEAR_TABLE_CAP + 1) ** 2 - 1, 65536)],
+)
+def test_icbrt_at_cubes_and_at_the_domain_top(n, root):
+    assert census._icbrt(n) == root
+    assert root**3 <= n < (root + 1) ** 3
+
+
+def test_s_without_a_table_sieves_nothing_and_takes_no_pass(monkeypatch):
+    # S alone, like C alone, reads no table and takes no pass.  The 10^12
+    # pin is the census's (test_census_pins_at_10_12).
+    pins = [(1, 1), (4, 13), (10**7, fast_census(10**7).s_count), (10**12, 402439152166882)]
+    monkeypatch.setattr(divisor_core, "_sieve", None)
+    monkeypatch.setattr(census, "summatory_table", None)
+    monkeypatch.setattr(census, "pass_sums", None)
+    for n, s in pins:
+        assert count_da_over_hyperbola(n) == s, n
+
+
 def test_tables_below_sqrt_n_are_refused():
     # The pass refuses a table that ends below sqrt(N), and takes one that
     # ends at it.
@@ -470,7 +523,8 @@ def test_b_without_a_table_sieves_the_census_table(n, monkeypatch):
 def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     # Every D above the table is D(n // m), m <= M = n // (y + 1).  The
     # table's pass evaluates each once, for B, S and C together.  C without
-    # a table evaluates each of its distinct D(n // r^2) once itself.
+    # a table evaluates each of its distinct D(n // r^2) once itself, and S
+    # without a table each D(n // a), a <= icbrt(n).
     n = 10**7
     m_max = n // (divisor_core.summatory_table_size(n) + 1)
     assert m_max == 861
@@ -486,19 +540,21 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     assert sorted(in_pass) == sorted(n // m for m in range(1, m_max + 1))
     assert in_c == []
     in_pass.clear()
-    count_all_triples(n)
-    assert len(in_pass) == m_max
-    count_da_over_hyperbola(n)
-    assert len(in_pass) == 2 * m_max and in_c == []  # alone, each takes its own pass
+    count_all_triples(n)  # alone, B takes its own pass
+    assert len(in_pass) == m_max and in_c == []
     in_pass.clear()
+    count_da_over_hyperbola(n)  # alone, S makes no pass: one D(n // a) per a <= icbrt(n)
+    assert in_pass == []
+    assert in_c == [n // a for a in range(1, 216)] and 215**3 <= n < 216**3
+    in_c.clear()
     count_gcd_divisor_sum(n)  # alone, C makes no pass
     assert in_pass == []
     assert in_c == sorted({n // (r * r) for r in range(1, isqrt(n) + 1)}, reverse=True)
 
 
 def test_each_table_route_takes_one_pass_and_c_alone_none(monkeypatch):
-    # fast_census and B and S alone each take exactly one pass over their
-    # table; C alone has no table and takes none.
+    # fast_census and B alone each take exactly one pass over their table;
+    # C and S alone have no table and take none.
     n = 10**6
     calls = []
     real = census.pass_sums
@@ -506,7 +562,8 @@ def test_each_table_route_takes_one_pass_and_c_alone_none(monkeypatch):
     for op in (fast_census, count_all_triples, count_da_over_hyperbola, count_gcd_divisor_sum):
         calls.clear()
         op(n)
-        assert calls == ([] if op is count_gcd_divisor_sum else [n]), op.__name__
+        table_route = op in (fast_census, count_all_triples)
+        assert calls == ([n] if table_route else []), op.__name__
 
 
 def test_small_census_makes_no_pass(monkeypatch):

@@ -570,8 +570,8 @@ def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
 
 
 def test_verify_checks_c_without_a_table(capsys, monkeypatch):
-    # Only C without a table calls the batched D without a workspace; the
-    # pass lends one to every call.
+    # Only C and S without a table call the batched D without a workspace;
+    # the pass lends one to every call.  verify checks C first.
     real = census.divisor_summatory_batch
     monkeypatch.setattr(
         census,
@@ -581,6 +581,17 @@ def test_verify_checks_c_without_a_table(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1
     assert "mismatch at N=100: C without a table=" in out
+
+
+def test_verify_checks_s_without_a_table(capsys, monkeypatch):
+    # Only S without a table takes the fixed-width quotient sums; the sweep
+    # and fast_census(max_n) never call them.
+    real = census.quotient_row_sums
+    monkeypatch.setattr(census, "quotient_row_sums", lambda x, width: real(x, width) + 1)
+    code, out, _ = run(capsys, "verify", "--max-n", "100")
+    s = census.brute_force_census(100).s_count
+    assert code == 1
+    assert out == f"mismatch at N=100: S without a table={s - 3 * 4} brute={s}\n"
 
 
 def test_verify_checks_the_table_fallback(capsys, monkeypatch):

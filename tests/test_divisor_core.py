@@ -22,6 +22,7 @@ from divcensus.divisor_core import (
     divisor_summatory,
     divisor_summatory_batch,
     iter_divisor_segments,
+    quotient_row_sums,
     sieve_divisor_counts,
     summatory_table,
     summatory_table_size,
@@ -628,6 +629,60 @@ def test_float_root_is_isqrt_near_the_bound():
         x = x[x <= SUMMATORY_BATCH_MAX_X]
         root = np.sqrt(x.astype(np.float64)).astype(np.int64)
         assert (root * root <= x).all() and ((root + 1) ** 2 > x).all()
+
+
+# -- quotient_row_sums -----------------------------------------------------------
+
+def row_sums_by_int64(x, width):
+    """sum_{k<=width} x // k for each x, by int64 floor divisions."""
+    k = np.arange(1, width + 1, dtype=np.int64)
+    return [int((int(v) // k).sum()) for v in x]
+
+
+def test_quotient_row_sums_match_int64_divisions_and_restore_the_ufunc_buffer():
+    # Rows from one cell to 1000, whose 300 rows take three blocks; x = 0
+    # and the cells k > x hold 0.  The caller's ufunc buffer is left as it was.
+    rng = np.random.default_rng(3)
+    x = rng.integers(0, 10**9, size=300)
+    old = np.setbufsize(4096)
+    try:
+        for width in (1, 2, 7, 100, 1000):
+            assert quotient_row_sums(x, width).tolist() == row_sums_by_int64(x, width)
+            assert np.getbufsize() == 4096
+    finally:
+        np.setbufsize(old)
+    small = np.array([0, 1, 5, 6, 30], dtype=np.int64)
+    assert quotient_row_sums(small, 6).tolist() == [0, 1, 10, 14, 73]
+    assert quotient_row_sums(np.array([], dtype=np.int64), 3).size == 0
+
+
+def test_quotient_row_sums_are_exact_at_the_domain_top():
+    # Each row sum is at most x (1 + ln width) <= (2^48 + 2^25) (1 + 17 ln 2)
+    # < 2^52 at width _BLOCK_CELLS = 2^17, so float64 adds every cell
+    # exactly.  Rows at and just below the largest x, at width
+    # icbrt(x) = 2^16, as in S, and at the widest width.
+    hi = ln2_upper_bound()
+    assert divisor_core._BLOCK_CELLS == 2**17
+    assert SUMMATORY_BATCH_MAX_X == 2**48 + 2**25
+    assert SUMMATORY_BATCH_MAX_X * (1 + 17 * hi) < 2**52
+    x = SUMMATORY_BATCH_MAX_X - np.array([0, 1, 2, 720720, 2**24], dtype=np.int64)
+    for width in (2**16, 2**17):
+        got = quotient_row_sums(x, width)
+        assert got.tolist() == row_sums_by_int64(x, width)
+        assert (got < 2**52).all()
+
+
+def test_quotient_row_sums_refuse_x_and_width_out_of_bounds():
+    with pytest.raises(ResourceLimitError, match="SUMMATORY_BATCH_MAX_X"):
+        quotient_row_sums(np.array([5, SUMMATORY_BATCH_MAX_X + 1], dtype=np.int64), 3)
+    with pytest.raises(ValueError, match=">= 0"):
+        quotient_row_sums(np.array([5, -1], dtype=np.int64), 3)
+    for width in (0, divisor_core._BLOCK_CELLS + 1):
+        with pytest.raises(ValueError, match="width"):
+            quotient_row_sums(np.array([5], dtype=np.int64), width)
+    assert quotient_row_sums(np.array([SUMMATORY_BATCH_MAX_X]), 1).tolist() == [
+        SUMMATORY_BATCH_MAX_X
+    ]
 
 
 def test_machine_integer_bounds():
