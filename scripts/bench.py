@@ -25,7 +25,12 @@ after the pass, each over as many runs as fill half a second: walk_s for
 B's walk, s_s for S's lookups and c_s for C's lookups.  Then, the same
 way, s_alone_s and c_alone_s, the median times of S and C alone,
 census.count_da_over_hyperbola(N) and census.count_gcd_divisor_sum(N),
-which read no table.  Before all of
+which read no table.  Each sample run is followed, the same way, by an
+in-process run of the sampler's stages at its N: build_s, the median
+time of sampler.build_triple_space(N); count_s, that of
+sample_triples(N, 2*10^6, seed 1) on the built space; and triples_s,
+that of space.triples(v) on one chunk of 2^18 drawn v, after a first
+call has built the guide and the divisor lists.  Before all of
 them, the CLI's fixed cost: the time of one in-process
 cli.main(["census", "--n", "1"]) after the imports, in each of
 CLI_PROCESSES fresh interpreters, is recorded with its median as cli_s;
@@ -142,6 +147,28 @@ print(json.dumps({"y": y, "table_repeats": len(table_times), "table_s": round(ta
                   "kernel_s": round(kernel_s, 4), "ns_per_cell": ns_per_cell,
                   "pass_repeats": len(pass_times),
                   "pass_s": round(statistics.median(pass_times), 4), **stages}))
+"""
+# Run by `python -c SAMPLER_CODE N` on a checkout's src/; prints one JSON line.
+SAMPLER_CODE = """
+import json, statistics, sys, time
+import numpy as np
+from divcensus import sampler
+N = int(float(sys.argv[1]))
+def median_s(stage):
+    times = []
+    while sum(times) < 0.5:
+        t0 = time.perf_counter()
+        stage()
+        times.append(time.perf_counter() - t0)
+    return round(statistics.median(times), 6)
+stages = {"build_s": median_s(lambda: sampler.build_triple_space(N))}
+space = sampler.build_triple_space(N)
+stages["count_s"] = median_s(lambda: sampler.sample_triples(N, 2_000_000, 1, space=space))
+v = np.random.default_rng(1).integers(0, space.total_triples, size=sampler.CHUNK_TRIALS,
+                                      dtype=np.int32)
+space.triples(v)  # builds the guide and the divisor lists
+stages["triples_s"] = median_s(lambda: space.triples(v))
+print(json.dumps(stages))
 """
 
 
@@ -278,6 +305,15 @@ def run_sample(n: str, env: dict) -> dict:
     return {"command": "sample", "n": n, **measured, "result": last_line(stdout)}
 
 
+def run_sampler(n: str, env: dict) -> dict:
+    """SAMPLER_CODE at bound n: the medians of the sampler's stages."""
+    measured, stdout = run_python(["-c", SAMPLER_CODE, n], env)
+    record = {"command": "sampler", "n": n, **measured}
+    if record["exit"] == 0:
+        record.update(json.loads(last_line(stdout)))
+    return record
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -312,7 +348,7 @@ def main() -> int:
         [(run_cli, CLI_PROCESSES)]
         + [(run, n) for n in args.n for run in (run_census, run_kernel)]
         + [(run_verify, m) for m in args.verify_max_n]
-        + [(run_sample, n) for n in args.sample_n]
+        + [(run, n) for n in args.sample_n for run in (run_sample, run_sampler)]
     )
     runs = [[] for _ in checkouts]
     for run, bound in jobs:
@@ -335,6 +371,7 @@ def main() -> int:
                 "python -c KERNEL_CODE N",
                 "python -m divcensus verify --max-n M",
                 "python -m divcensus sample --n N " + " ".join(SAMPLE_ARGS),
+                "python -c SAMPLER_CODE N",
             ],
             "machine": machine_facts(),
             "checkout": checkout_facts(checkout),

@@ -85,12 +85,13 @@ def test_flat_divisor_layout_at_scale(N):
 
 
 def test_build_peaks_below_twice_the_tables_it_keeps():
-    # The divisor lists are built on first use, so they are built here,
-    # inside the traced region that the bound covers.
+    # The guide and the divisor lists are built on first use, so they are
+    # built here, inside the traced region that the bound covers.
     tracemalloc.start()
     try:
         space = build_triple_space(200_000)
         space.flat_divisors  # builds starts too
+        space.guide
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -105,7 +106,7 @@ def test_build_peaks_below_twice_the_tables_of_a_success_count():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    kept = (space.table.counts, space.cum_weights, space.guide, space.thresholds)
+    kept = (space.table.counts, space.cum_weights)
     assert peak <= 2 * sum(array.nbytes for array in kept)
 
 
@@ -132,15 +133,19 @@ def test_guide_search_equals_binary_search(N):
     cum = space.cum_weights
     B = space.total_triples
     bucket_edges = np.arange(0, B, space.width, dtype=np.int64)
+    # The first and last v of every cell and bucket; an empty last cell
+    # starts at B, which is no draw.
     v = np.concatenate(
         [[0], cum[1:] - 1, cum[:-1], [B - 1], bucket_edges, bucket_edges[1:] - 1]
     ).astype(np.int64)
+    v = v[v < B]
     before = v.copy()
-    n = space.products(v)
-    assert n.dtype == np.int64
-    assert np.array_equal(n, np.searchsorted(cum, v, side="right"))
+    j = space.products(v)
+    assert j.dtype == np.int64
+    assert np.array_equal(j, np.searchsorted(cum, v, side="right"))
     assert np.array_equal(v, before)
-    assert np.array_equal(space.products(v.astype(np.int32)), n)
+    assert np.array_equal(space.products(v.astype(np.int32)), j)
+    assert cum.size == 2 * N + 1
     assert space.guide.dtype == np.int32 and space.guide.size <= 2 * N
     assert np.array_equal(space.guide, np.searchsorted(cum, bucket_edges, side="right"))
 
@@ -201,17 +206,21 @@ def test_streamed_successes_equal_the_count_over_all_draws(runs):
 @pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize("block", [7, 1000])
 def test_partial_draw_blocks_count_every_draw_once(monkeypatch, block, runs):
-    # Neither block length divides a chunk, so every chunk ends on a
-    # partial block, and the last chunk is partial too.
+    # Only triples() works in blocks.  Neither block length divides a
+    # chunk, so the full chunk ends on a partial block, and the last chunk
+    # is partial too.  The blocks name the same triples, whose literal
+    # test counts the successes of the same stream.
     assert CHUNK_TRIALS % block
     space = build_triple_space(300)
-    trials = 3 * CHUNK_TRIALS + 1234
-    a, b, r = space.draw(trials, seed=2024)
-    want = int(np.count_nonzero((a % r == 0) | (b % r == 0)))
+    trials = CHUNK_TRIALS + 1234
+    want = space.draw(trials, seed=2024)
+    successes = sample_triples(300, trials, seed=2024, space=space).successes
     monkeypatch.setattr(sampler, "_DRAW_BLOCK", block)
     for _ in range(runs):
-        est = sample_triples(300, trials, seed=2024, space=space)
-        assert est.successes == want
+        a, b, r = space.draw(trials, seed=2024)
+        for want_array, got_array in zip(want, (a, b, r)):
+            assert np.array_equal(want_array, got_array)
+        assert int(np.count_nonzero((a % r == 0) | (b % r == 0))) == successes
 
 
 def test_chunk_boundaries_do_not_skew_totals():
@@ -255,18 +264,19 @@ def test_unbiased_across_seeds_at_desk_scale():
     assert abs(mean - exact) <= 5 * combined_se
 
 
-# Successes of the one-uniform draw whose residual puts each n's successful
-# pairs first: the draw stream is a fixed function of (N, trials, seed).  The
-# same v gave 276_356, 392_077 and 554_316 while the residual picked a and r
-# by w // d(n) and w % d(n), and the draw that spent two more uniforms per
-# triple on a and r gave 276_614, 391_856 and 554_820.
+# Successes of the one-uniform draw that puts all A(N) successes first: the
+# draw stream is a fixed function of (N, trials, seed).  The same v gave
+# 276_410, 391_392 and 554_975 while each n's successes came first within
+# its own d(n)^2 values, 276_356, 392_077 and 554_316 while the residual
+# picked a and r by w // d(n) and w % d(n), and the draw that spent two more
+# uniforms per triple on a and r gave 276_614, 391_856 and 554_820.
 @pytest.mark.parametrize("runs", [1, 2])
 @pytest.mark.parametrize(
     "N, trials, seed, successes",
     [
-        (6, 300_000, 5, 276_410),
-        (1000, 600_000, 99, 391_392),
-        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_975),
+        (6, 300_000, 5, 276_511),
+        (1000, 600_000, 99, 391_764),
+        (300, 3 * CHUNK_TRIALS + 1234, 2024, 554_091),
     ],
 )
 def test_draw_stream_is_pinned(N, trials, seed, successes, runs):
@@ -279,14 +289,14 @@ def test_draw_stream_is_pinned(N, trials, seed, successes, runs):
 @pytest.mark.parametrize(
     "N, trials, seed, digest",
     [
-        (6, 300_000, 5, "c2b95a645620680a296bc562063951e6a478ee7177ef2be26c3b4b322325cc77"),
+        (6, 300_000, 5, "4a98476e1f74ba8374ae59e1e0210c5297e70f833e6e484ad4f23023142de221"),
         (
             300,
             CHUNK_TRIALS + 1234,
             2024,
-            "bcc1bf5fddd2278338534dd9127e8e6d5b418609ad2424a878387aca28b5be59",
+            "8066c97af3a18148bfb09929865f6955f23b7ce8986528281e404460bf71e3f7",
         ),
-        (10**5, CHUNK_TRIALS, 5, "c9ca5a1b53122a519641856e764e1823139573d0de091ce63bab35a7da48379f"),
+        (10**5, CHUNK_TRIALS, 5, "6764f77b0509185411cec52e133775ca8b675af33a0049edfd22f61ae220780b"),
     ],
 )
 def test_drawn_triples_are_pinned(N, trials, seed, digest):
@@ -330,7 +340,7 @@ def _nested_loop_triples(N):
 def test_triples_maps_every_v_to_a_distinct_triple():
     # v is uniform on [0, B), so a one-to-one map onto the B triples makes
     # the draw exactly uniform: the exhaustive form of a chi-squared test.
-    # The literal test of each triple is the threshold test of its v.
+    # The literal test of each triple is v < A(N).
     everything = _nested_loop_triples(200)
     for N in range(1, 201):
         space = build_triple_space(N)
@@ -339,45 +349,55 @@ def test_triples_maps_every_v_to_a_distinct_triple():
         got = sorted(zip(a.tolist(), b.tolist(), r.tolist()))
         assert got == [t for t in everything if t[0] * t[1] <= N], f"N={N}"
         literal = (a % r == 0) | (b % r == 0)
-        assert np.array_equal(literal, v < space.thresholds.take(space.products(v))), f"N={N}"
+        assert np.array_equal(literal, v < space.successes), f"N={N}"
 
 
-def _success_counts_of(space):
-    """s(n) for n = 1..N, read back from the thresholds."""
-    return space.thresholds[1:].astype(np.int64) - space.cum_weights[:-1]
+def _cell_sizes_of(space):
+    """s(n), then d(n)^2 - s(n), for n = 1..N: the sizes of the 2N cells."""
+    sizes = np.diff(space.cum_weights.astype(np.int64))
+    return sizes[: space.N], sizes[space.N :]
 
 
 def test_success_counts_are_the_oracle_increments_of_a():
     a_counts = np.concatenate([counts[:, 1] for _, counts in brute_force_census_blocks(2000)])
     want = np.diff(a_counts, prepend=0)
-    assert _success_counts_of(build_triple_space(2000)).tolist() == want.tolist()
+    assert np.diff(build_triple_space(2000).cum_weights[:2001]).tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("N", [50_000, 10**6, sampler.SPACE_LIMIT])
 def test_success_counts_sum_to_a(N):
+    # The sampler's own sieve, not fast_census, gives both totals.
     space = build_triple_space(N)
-    assert int(_success_counts_of(space).sum()) == fast_census(N).a_count
+    result = fast_census(N)
+    assert (space.successes, space.total_triples) == (result.a_count, result.b_count)
 
 
 def test_thresholds_are_int32_at_the_space_limit():
-    # s(n) <= d(n)^2 < 4n and thresholds[n] <= cum_weights[n] <= B(N) < 2^31.
+    # The thresholds that v is compared with are the 2N + 1 cell bounds.
+    # Each cell holds between 0 and d(n)^2 < 4n pairs, so the bounds rise
+    # from 0 to B(N) < 2^31 and int32 holds every one of them.
     N = sampler.SPACE_LIMIT
     space = build_triple_space(N)
-    s = _success_counts_of(space)
+    successes, failures = _cell_sizes_of(space)
     d = space.table.counts[1:].astype(np.int64)
-    assert space.thresholds.dtype == np.int32
-    assert (s <= d * d).all() and (d * d < 4 * np.arange(1, N + 1)).all()
-    assert (space.thresholds[1:] <= space.cum_weights[1:]).all()
-    assert int(space.thresholds[N]) <= space.total_triples < 2**31
+    assert space.cum_weights.dtype == np.int32 and space.cum_weights.size == 2 * N + 1
+    assert (successes >= 1).all() and (failures >= 0).all()
+    assert np.array_equal(successes + failures, d * d)
+    assert (d * d < 4 * np.arange(1, N + 1)).all()
+    assert space.cum_weights[0] == 0 and space.total_triples < 2**31
 
 
 def test_sampling_builds_no_divisor_lists(monkeypatch):
+    # A success count compares v with A(N): it builds neither the divisor
+    # lists nor the guide.
     def no_lists(*args, **kwargs):
         raise AssertionError("_flat_divisor_lists called by a success count")
 
     monkeypatch.setattr(sampler, "_flat_divisor_lists", no_lists)
-    est = sample_triples(50_000, 300_000, seed=3)
+    space = build_triple_space(50_000)
+    est = sample_triples(50_000, 300_000, seed=3, space=space)
     assert est.trials == 300_000 and 0 < est.successes < est.trials
+    assert "guide" not in vars(space) and "width" not in vars(space)
 
 
 class _CountingGenerator:
@@ -480,9 +500,9 @@ def test_trials_beyond_int64_refused_before_the_build(monkeypatch, trials):
 
 
 def test_space_limit_is_the_int32_domain():
-    # flat_divisors has D(N) entries, indexed in int32, the residual
-    # w < d(n)^2 < 4n is int32 too, and so are v < B(N), cum_weights and
-    # thresholds.
+    # flat_divisors has D(N) entries, indexed in int32, the rank within a
+    # cell, below d(n)^2 < 4n, is int32 too, and so are v < B(N) and
+    # cum_weights.
     assert divisor_core.divisor_summatory(sampler.SPACE_LIMIT) < 2**31
     assert 4 * sampler.SPACE_LIMIT < 2**31
     assert fast_census(sampler.SPACE_LIMIT).b_count == 957082634 < 2**31
@@ -492,6 +512,7 @@ def test_space_limit_is_the_int32_domain():
 def limit_space():
     space = build_triple_space(sampler.SPACE_LIMIT)
     space.flat_divisors  # builds starts too
+    space.guide
     return space
 
 
@@ -508,18 +529,16 @@ def test_first_draw_builds_no_table_per_divisor_entry(limit_space):
 
 
 def test_block_row_sizes_sum_in_int32(limit_space, monkeypatch):
-    # A draw's side of the test holds at most 64272 pairs up to SPACE_LIMIT
-    # (the failures of n = 1801800), so one block's row sizes sum below 2^31.
+    # A cell holds at most 64272 pairs up to SPACE_LIMIT (the failures of
+    # n = 1801800), so one block's row sizes sum below 2^31.
     space, n = limit_space, 1801800
-    d = space.table.counts[1:].astype(np.int64)
-    s = _success_counts_of(space)
-    failures = d * d - s
-    assert int(np.maximum(s, failures).max()) == int(failures[n - 1]) == 64272
+    successes, failures = _cell_sizes_of(space)
+    assert int(np.maximum(successes, failures).max()) == int(failures[n - 1]) == 64272
     assert sampler._DRAW_BLOCK * 64272 < 2**31
-    # A whole block of failures at that n reaches the bound; blocks of 1024
-    # draws give the same triples.
+    # A whole block drawn from that n's failure cell reaches the bound;
+    # blocks of 1024 draws give the same triples.
     step = np.arange(sampler._DRAW_BLOCK, dtype=np.int32) * 64272 // sampler._DRAW_BLOCK
-    v = int(space.thresholds[n]) + step
+    v = int(space.cum_weights[space.N + n - 1]) + step
     a, b, r = space.triples(v)
     assert (a * b == n).all() and (a % r != 0).all() and (b % r != 0).all()
     assert len(set(zip(a.tolist(), r.tolist()))) == v.size
