@@ -119,14 +119,16 @@ with A = icbrt(N) every such triple has a coordinate at most A, since
     S(N) = 3 sum_{a<=A} D(N // a) - 3 sum_{a,b<=A} (N // a) // b + A^3,
 
 as the triples with a, b <= A take c <= (N // a) // b and those with all
-three at most A number A^3 <= N.  The first sum is one batched D over the
-A nonincreasing x = N // a, sum_{a<=A} sqrt(N / a) ~ 2 N^(2/3) cells; the
-second is divisor_core.quotient_row_sums over the same x at the fixed
-width A, A^2 ~ N^(2/3) cells.  Both are exact on the census domain
-(divisor_core: x <= N <= SUMMATORY_BATCH_MAX_X and A <= 2^16, so each
-float64 row sum is below 2^52), and each reduces in int64, as the first
-is at most S(N) and the second at most N (1 + ln A)^2.  Its memory is the
-A quotients and one block of cells, and it shares nothing with the
+three at most A number A^3 <= N.  Both sums are divisor_core's one
+kernel, quotient_sums, over the A nonincreasing x = N // a.  The first
+is the batched D, 2 quotient_sums(x) - isqrt(x)^2, sum_{a<=A} sqrt(N / a)
+~ 2 N^(2/3) cells; the second is quotient_sums(x, A), A^2 ~ N^(2/3)
+cells, as A <= isqrt(N // A) <= isqrt(N // a) for every a <= A (from
+A^3 <= N, A^2 <= N // A), so every row is exactly A wide.  Both are
+exact on the census domain (divisor_core: x <= N <= SUMMATORY_BATCH_MAX_X),
+and each reduces in int64, as the first is at most S(N) and the second
+at most N (1 + ln A)^2.  Its memory is the A quotients and one
+BatchWorkspace that both sums share, and it shares nothing with the
 census table or the pass.  fast_census keeps its table S, whose lookups
 cost little beside the pass it takes anyway.
 
@@ -167,7 +169,7 @@ from .divisor_core import (
     _mobius_table,
     divisor_list,
     divisor_summatory_batch,
-    quotient_row_sums,
+    quotient_sums,
     sieve_d3_and_c,
     sieve_divisor_counts,
     summatory_table,
@@ -397,17 +399,18 @@ def count_da_over_hyperbola(N: int) -> int:
 
     With A = icbrt(N), S(N) = 3 sum_{a<=A} D(N // a) - 3 sum_{a,b<=A}
     (N // a) // b + A^3 (module docstring): one divisor_summatory_batch
-    over the x = N // a, about 2 N^(2/3) cells, and quotient_row_sums over
-    the same x at width A, about N^(2/3) cells.  Both reduce in int64, as
-    the first sum is at most S(N) < 2^63 and the second at most
-    N (1 + ln A)^2.  fast_census takes S from its table instead
-    (_s_lookups).
+    over the x = N // a, about 2 N^(2/3) cells, and quotient_sums over the
+    same x at cap A, about N^(2/3) cells, both in one BatchWorkspace.  Both
+    reduce in int64, as the first sum is at most S(N) < 2^63 and the
+    second at most N (1 + ln A)^2.  fast_census takes S from its table
+    instead (_s_lookups).
     """
     check_census_size(N)
     A = _icbrt(N)
     x = N // np.arange(1, A + 1, dtype=np.int64)
-    singles = int(divisor_summatory_batch(x).sum())
-    pairs = int(quotient_row_sums(x, A).sum())
+    workspace = BatchWorkspace(N, A)
+    singles = int(divisor_summatory_batch(x, workspace).sum())
+    pairs = int(quotient_sums(x, A, workspace).sum())
     return 3 * (singles - pairs) + A**3
 
 

@@ -233,8 +233,8 @@ def cmd_verify(args) -> int:
     # at y = isqrt(max_n) for max_n <= 4096, the smallest table, whose pass
     # has the largest M, and at y <= 1.17 sqrt(max_n) up to the oracle's
     # default ceiling, so its pass is not empty from max_n = 2 on (M = 44
-    # at 2000, 85 at 10^4).  C and S alone share the batched D, and a fault
-    # there is named by C, checked first.
+    # at 2000, 85 at 10^4).  C and S alone share divisor_core's one kernel,
+    # quotient_sums, and a fault there is named by C, checked first.
     b, a, c, s = brute[-1].tolist()
     for label, got, want in (
         ("C without a table", census.count_gcd_divisor_sum(max_n), c),

@@ -1,7 +1,7 @@
 """Divisor-count primitives: d(n) tables, D(x) = sum_{n<=x} d(n), sum d(n)^2.
 
-Every result here is exact.  The routes through floats, the batched D and
-its fixed-width row sums, are exact under the bounds stated in their
+Every result here is exact.  The one route through floats, the quotient
+sums behind the batched D, is exact under the bounds stated in its
 section.
 
 Sieve
@@ -47,29 +47,37 @@ as D(n) - D(n-1).  The census reads every D(q) with q <= y from it and
 takes the D above it in one pass (census.py, which also states the cost
 model behind summatory_table_size).
 
-Batched summatory function
---------------------------
-divisor_summatory_batch evaluates D(x) for a nonincreasing int64 array of
-x in float64 blocks of about _BLOCK_CELLS cells: rows of x, of widths
-r = isqrt(x), against one shared row of reciprocals 1/k, k = 1, 2, ...  A row wider than
-a block is split across column blocks.  A block of several rows is as
-wide as its widest, w, and needs no mask for the cells k > r of its
-narrower rows: x // k >= k exactly when k <= r, so max(x // k, k - 1)
-keeps the cells k <= r and puts k - 1 in the others, whose sum
-(w (w - 1) - r (r - 1)) / 2 is then taken back.  Three facts make it exact
-for x <= SUMMATORY_BATCH_MAX_X, the largest N of the census domain, and it
+Quotient sums
+-------------
+quotient_sums is the one float64 kernel.  For a nonincreasing int64 array
+of x and an optional cap, it returns the row sums sum_{k<=r} x // k of
+widths r = min(isqrt(x), cap).  The batched D is
+divisor_summatory_batch(x) = 2 quotient_sums(x) - isqrt(x)^2, the
+hyperbola split above; S takes its pairs (N // a) // b, a, b <= icbrt(N),
+as quotient_sums at cap icbrt(N) (census.py).
+
+The kernel works in float64 blocks of about _BLOCK_CELLS cells: rows of
+x against one shared row of reciprocals 1/k, k = 1, 2, ...  A row wider
+than a block is split across column blocks, so a cap of any size is
+covered.  A block of several rows is as wide as its widest, w, and needs
+no mask for the cells k > r of its narrower rows.  Such a row is
+narrower than the cap, so its r is exactly isqrt(x), and x // k >= k
+exactly when k <= isqrt(x).  So max(x // k, k - 1) keeps the cells
+k <= r and puts k - 1 in the others, whose sum (w (w - 1) - r (r - 1)) / 2
+is then taken back.  Three facts make it exact for
+x <= SUMMATORY_BATCH_MAX_X, the largest N of the census domain, and it
 refuses a larger x:
 
 - floor((x + 1/2) * fl(1/k)) = x // k.  With x = Qk + j, 0 <= j < k, the
   exact (x + 1/2) / k lies in [Q + 1/(2k), Q + 1 - 1/(2k)], and the two
   roundings move it by a relative 2^-52 at most, less than 1/(2k) while
   x + 1/2 < 2^50.
-- floor(sqrt(x)) in float64 is isqrt(x) = r: the root of x = (r + 1)^2 - 1
-  falls short of r + 1 by about 1/(2r), more than half an ulp of r + 1
+- floor(sqrt(x)) in float64 is isqrt(x): the root of x = (s + 1)^2 - 1
+  falls short of s + 1 by about 1/(2s), more than half an ulp of s + 1
   while x < 2^52, and sqrt is correctly rounded and monotone.
 - Every cell and every partial row sum is an integer of at most
-  sum_{k<=r} x / k + w^2 / 2 <= x (1 + ln sqrt(x)) + 2^47 < 2^53, so
-  float64 adds it exactly, in any order.
+  sum_{k<=isqrt(x)} x / k + w^2 / 2 <= x (1 + ln sqrt(x)) + 2^47 < 2^53,
+  so float64 adds it exactly, in any order.
 
 The blocks run at numpy's full speed under two choices.  First, the loop
 runs under a ufunc buffer of _UFUNC_BUFSIZE elements, set and restored by
@@ -88,18 +96,10 @@ the small buffer.
 
 The work arrays, 1/k and k - 1 over the head, one block of cells and the
 reciprocals past the head, about 1 MiB each, live in a BatchWorkspace.  A
-pass allocates one, sized for its widest row, and lends it to every call.
-Allocated per call, they cost a pass at N = 10^12 about 10^4 minor page
-faults, against about 1500 with the workspace (ru_minflt of one process).
-
-quotient_row_sums takes the same cells over a fixed width w: the row sums
-sum_{k<=w} x // k, for the part of S = D_3(N) where two coordinates are
-at most icbrt(N) (census.py).  Every row has the same w cells, so a block
-is whole rows, about _BLOCK_CELLS cells, with no mask and no spare cells.
-The first fact makes each cell exact for x <= SUMMATORY_BATCH_MAX_X, and
-w <= _BLOCK_CELLS = 2^17 bounds each row sum and its partial sums by
-x (1 + ln w) <= (2^48 + 2^25) (1 + 17 ln 2) < 2^52, so the float64 row
-sums are exact too, in any order; a larger x or w is refused.
+pass allocates one, sized for its widest row, and lends it to every call,
+and S alone lends one to both of its sums.  Allocated per call, they cost
+a pass at N = 10^12 about 10^4 minor page faults, against about 1500 with
+the workspace (ru_minflt of one process).
 
 The int64 divisor_summatory stays as the independent per-x route.
 """
@@ -126,19 +126,20 @@ SUMMATORY_MAX_X = 1 << 52
 # int32 prefix sums are exact here: D(y) <= y (1 + ln y) < 3e8 < 2^31.
 SUBLINEAR_TABLE_CAP = 1 << 24
 
-# divisor_summatory_batch is exact up to the largest N of the census domain:
-# there sum_{k<=sqrt(x)} x / k <= x (1 + ln sqrt(x)) < 2^53 (module docstring).
+# quotient_sums, and so the batched D, is exact up to the largest N of the
+# census domain: there sum_{k<=sqrt(x)} x / k <= x (1 + ln sqrt(x)) < 2^53
+# (module docstring).
 SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1) ** 2 - 1
 
-# Cells of one float64 block of divisor_summatory_batch: a 1 MiB working array.
+# Cells of one float64 block of quotient_sums: a 1 MiB working array.
 _BLOCK_CELLS = 1 << 17
 
-# Cells past its rows' ends that a block of divisor_summatory_batch may
+# Cells past its rows' ends that a block of quotient_sums may
 # carry rather than be split: about the cost of one more block's numpy
 # calls, and a 16th of a full block.
 _SPARE_CELLS = 1 << 13
 
-# numpy's ufunc buffer, in elements, while divisor_summatory_batch runs.
+# numpy's ufunc buffer, in elements, while quotient_sums runs.
 # A broadcast operand goes through the buffer only on rows under about
 # bufsize / 3 columns (module docstring): 85 here, 2730 at numpy's default
 # of 8192.  The kernel on the pass's x, ns a cell at bufsize 128 / 256 /
@@ -235,13 +236,15 @@ def divisor_summatory(x: int) -> int:
 
 
 class BatchWorkspace:
-    """The work arrays of divisor_summatory_batch, for calls on at most rows values x <= x_max.
+    """The work arrays of quotient_sums, for calls on at most rows values x <= x_max.
 
-    Sized as a call on rows values from x_max down sizes its own: 1/k and
-    k - 1 for the head k <= min(isqrt(x_max), _BLOCK_CELLS), one block of
-    cells, and the reciprocals of one column block past the head when the
-    widest row is wider than the head, about 1 MiB each.  A pass makes one
-    and lends it to each of its calls, so that none allocates them.
+    Sized as an uncapped call on rows values from x_max down sizes its
+    own: 1/k and k - 1 for the head k <= min(isqrt(x_max), _BLOCK_CELLS),
+    one block of cells, and the reciprocals of one column block past the
+    head when the widest row is wider than the head, about 1 MiB each; a
+    capped call needs no more.  A pass makes one and lends it to each of
+    its calls, and S alone one for both of its sums, so that none
+    allocates them.
     """
 
     def __init__(self, x_max: int, rows: int):
@@ -254,16 +257,20 @@ class BatchWorkspace:
         self.reciprocals = np.empty(head if width > head else 0)
 
 
-def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = None) -> np.ndarray:
-    """D(x) as int64 for each entry of a nonincreasing 1-D int64 array, in float64 blocks.
+def quotient_sums(
+    x: np.ndarray, cap: int | None = None, workspace: BatchWorkspace | None = None
+) -> np.ndarray:
+    """sum_{k <= min(isqrt(x), cap)} x // k as int64 for each entry of a nonincreasing 1-D int64 array.
 
     Exact for 1 <= x <= SUMMATORY_BATCH_MAX_X, and a larger x is refused
-    (module docstring, "Batched summatory function").  The quotients
-    N // m of increasing m are nonincreasing; x in another order is refused.
-    The work arrays come from workspace, which must hold x, or are
-    allocated for this call.
+    (module docstring, "Quotient sums").  The quotients N // m of
+    increasing m are nonincreasing; x in another order is refused.  cap,
+    if given, is at least 1.  The work arrays come from workspace, which
+    must hold x, or are allocated for this call.
     """
     x = np.asarray(x, dtype=np.int64)
+    if cap is not None and cap < 1:
+        raise ValueError(f"cap must be >= 1, got {cap}")
     if x.size == 0:
         return np.zeros(0, dtype=np.int64)
     if (x[1:] > x[:-1]).any():
@@ -272,7 +279,7 @@ def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = No
         raise ValueError(f"x must be >= 1, got {int(x[-1])}")
     if int(x[0]) > SUMMATORY_BATCH_MAX_X:
         raise ResourceLimitError(
-            f"batched D(x) refused at x={int(x[0])}: its float64 sums are exact "
+            f"quotient sums refused at x={int(x[0])}: their float64 sums are exact "
             f"only up to SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1)^2 - 1"
         )
     if workspace is None:
@@ -284,6 +291,8 @@ def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = No
         )
     inv, k_minus_1, cells = workspace.inv, workspace.k_minus_1, workspace.cells
     width = np.sqrt(x.astype(np.float64)).astype(np.int64)  # isqrt(x), nonincreasing
+    if cap is not None:
+        np.minimum(width, cap, out=width)
     filled = np.cumsum(width)  # filled[j] - filled[i] = cells of rows i+1..j
     shifted = x + 0.5  # exact in float64
     sums = np.zeros(x.size)
@@ -295,9 +304,11 @@ def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = No
             # Rows i..j-1: at most a block of cells, of which at most
             # _SPARE_CELLS lie past the narrower rows' ends.
             w = int(width[i])
-            rows = np.arange(1, min(x.size - i, max(1, _BLOCK_CELLS // w)) + 1)
-            spare = rows * w - (filled[i : i + rows.size] - filled[i] + w)  # nondecreasing
-            j = i + int(np.searchsorted(spare, _SPARE_CELLS, side="right"))
+            j = min(x.size, i + max(1, _BLOCK_CELLS // w))
+            if width[j - 1] < w:
+                rows = np.arange(1, j - i + 1)
+                spare = rows * w - (filled[i:j] - filled[i] + w)  # nondecreasing
+                j = i + int(np.searchsorted(spare, _SPARE_CELLS, side="right"))
             narrowest = int(width[j - 1])
             step = _BLOCK_CELLS // (j - i)  # a lone row wider than a block spans several
             for c0 in range(0, w, step):
@@ -320,48 +331,18 @@ def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = No
     finally:
         np.setbufsize(old_bufsize)
     # Each row's cells k = r + 1..w held k - 1: take them back.
-    spare = (block_width * (block_width - 1) - width * (width - 1)) // 2
-    return 2 * (sums.astype(np.int64) - spare) - width * width
+    return sums.astype(np.int64) - (block_width * (block_width - 1) - width * (width - 1)) // 2
 
 
-def quotient_row_sums(x: np.ndarray, width: int) -> np.ndarray:
-    """sum_{k<=width} x // k as int64 for each entry of a 1-D int64 array, in float64 blocks.
+def divisor_summatory_batch(x: np.ndarray, workspace: BatchWorkspace | None = None) -> np.ndarray:
+    """D(x) = 2 quotient_sums(x) - isqrt(x)^2 as int64 for each entry of a nonincreasing 1-D int64 array.
 
-    Each cell is floor((x + 1/2) * fl(1/k)), in blocks of whole rows of
-    about _BLOCK_CELLS cells under the ufunc buffer of the batched D, and
-    each row is summed in float64.  Exact for 0 <= x <= SUMMATORY_BATCH_MAX_X
-    and 1 <= width <= _BLOCK_CELLS, where every row sum is at most
-    x (1 + ln width) < 2^52 (module docstring); a larger x or width is
-    refused.  Memory is one block and the width's reciprocals.
+    x and workspace are as quotient_sums takes them, which refuses the
+    same x.
     """
-    x = np.asarray(x, dtype=np.int64)
-    if not 1 <= width <= _BLOCK_CELLS:
-        raise ValueError(f"width must be in 1..{_BLOCK_CELLS}, got {width}")
-    if x.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    if int(x.min()) < 0:
-        raise ValueError(f"x must be >= 0, got {int(x.min())}")
-    if int(x.max()) > SUMMATORY_BATCH_MAX_X:
-        raise ResourceLimitError(
-            f"quotient row sums refused at x={int(x.max())}: their float64 sums are exact "
-            f"only up to SUMMATORY_BATCH_MAX_X = (SUBLINEAR_TABLE_CAP + 1)^2 - 1"
-        )
-    inv = 1.0 / np.arange(1.0, width + 1.0)
-    rows = min(x.size, _BLOCK_CELLS // width)
-    cells = np.empty(rows * width)
-    shifted = x + 0.5  # exact in float64
-    sums = np.empty(x.size)
-    old_bufsize = np.setbufsize(_UFUNC_BUFSIZE)
-    try:
-        for i in range(0, x.size, rows):
-            j = min(i + rows, x.size)
-            q = cells[: (j - i) * width].reshape(j - i, width)
-            np.multiply(shifted[i:j, None], inv, out=q)
-            np.floor(q, out=q)
-            sums[i:j] = np.einsum("ij->i", q)
-    finally:
-        np.setbufsize(old_bufsize)
-    return sums.astype(np.int64)
+    sums = quotient_sums(x, workspace=workspace)
+    root = np.sqrt(np.asarray(x, dtype=np.float64)).astype(np.int64)  # isqrt(x), x checked
+    return 2 * sums - root * root
 
 
 def divisor_list(n: int) -> list[int]:

@@ -426,6 +426,22 @@ def test_icbrt_at_cubes_and_at_the_domain_top(n, root):
     assert root**3 <= n < (root + 1) ** 3
 
 
+@pytest.mark.parametrize("a", [1, 2, 3, 10, 99, 737, 2154])
+def test_icbrt_is_at_most_the_width_of_every_row_of_s(a):
+    # S takes its pairs as quotient_sums(N // a, A), A = icbrt(N): every
+    # row is exactly A wide, as A <= isqrt(N // A) <= isqrt(N // a), a <= A.
+    for n in (a**3 - 1, a**3, a**3 + 1):
+        if n >= 1:
+            root = census._icbrt(n)
+            assert root <= isqrt(n // root), n
+
+
+def test_icbrt_meets_the_width_of_the_last_row_of_s_at_the_domain_top():
+    n = (SUBLINEAR_TABLE_CAP + 1) ** 2 - 1
+    root = census._icbrt(n)
+    assert root == isqrt(n // root) == 65536
+
+
 def test_s_without_a_table_sieves_nothing_and_takes_no_pass(monkeypatch):
     # S alone, like C alone, reads no table and takes no pass.  The 10^12
     # pin is the census's (test_census_pins_at_10_12).
@@ -528,28 +544,28 @@ def test_d_above_the_table_is_evaluated_once_per_pass(monkeypatch):
     n = 10**7
     m_max = n // (divisor_core.summatory_table_size(n) + 1)
     assert m_max == 861
-    in_pass, in_c = [], []
+    lent, own = [], []
     real = census.divisor_summatory_batch
 
-    def spy(x, *workspace):  # the pass lends its workspace; C without a table has none
-        (in_pass if workspace else in_c).extend(x.tolist())
+    def spy(x, *workspace):  # the pass and S lend a workspace; C without a table has none
+        (lent if workspace else own).append(x.tolist())
         return real(x, *workspace)
 
     monkeypatch.setattr(census, "divisor_summatory_batch", spy)
     fast_census(n)  # B, S and C read the same pass
-    assert sorted(in_pass) == sorted(n // m for m in range(1, m_max + 1))
-    assert in_c == []
-    in_pass.clear()
+    assert sorted(sum(lent, [])) == sorted(n // m for m in range(1, m_max + 1))
+    assert own == []
+    lent.clear()
     count_all_triples(n)  # alone, B takes its own pass
-    assert len(in_pass) == m_max and in_c == []
-    in_pass.clear()
+    assert len(sum(lent, [])) == m_max and own == []
+    lent.clear()
     count_da_over_hyperbola(n)  # alone, S makes no pass: one D(n // a) per a <= icbrt(n)
-    assert in_pass == []
-    assert in_c == [n // a for a in range(1, 216)] and 215**3 <= n < 216**3
-    in_c.clear()
+    assert lent == [[n // a for a in range(1, 216)]] and 215**3 <= n < 216**3
+    assert own == []
+    lent.clear()
     count_gcd_divisor_sum(n)  # alone, C makes no pass
-    assert in_pass == []
-    assert in_c == sorted({n // (r * r) for r in range(1, isqrt(n) + 1)}, reverse=True)
+    assert lent == []
+    assert sum(own, []) == sorted({n // (r * r) for r in range(1, isqrt(n) + 1)}, reverse=True)
 
 
 def test_each_table_route_takes_one_pass_and_c_alone_none(monkeypatch):

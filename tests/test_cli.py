@@ -570,8 +570,9 @@ def test_verify_checks_b_on_the_small_table(capsys, monkeypatch):
 
 
 def test_verify_checks_c_without_a_table(capsys, monkeypatch):
-    # Only C and S without a table call the batched D without a workspace;
-    # the pass lends one to every call.  verify checks C first.
+    # Only C without a table calls the batched D without a workspace; the
+    # pass lends one to every call, and S without a table one to both of
+    # its sums.  verify checks C first.
     real = census.divisor_summatory_batch
     monkeypatch.setattr(
         census,
@@ -584,10 +585,14 @@ def test_verify_checks_c_without_a_table(capsys, monkeypatch):
 
 
 def test_verify_checks_s_without_a_table(capsys, monkeypatch):
-    # Only S without a table takes the fixed-width quotient sums; the sweep
-    # and fast_census(max_n) never call them.
-    real = census.quotient_row_sums
-    monkeypatch.setattr(census, "quotient_row_sums", lambda x, width: real(x, width) + 1)
+    # Only S without a table takes capped quotient sums, one row for each
+    # a <= icbrt(100) = 4; the sweep and fast_census(max_n) never do.
+    real = census.quotient_sums
+    monkeypatch.setattr(
+        census,
+        "quotient_sums",
+        lambda x, cap=None, workspace=None: real(x, cap, workspace) + (cap is not None),
+    )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     s = census.brute_force_census(100).s_count
     assert code == 1
@@ -597,12 +602,14 @@ def test_verify_checks_s_without_a_table(capsys, monkeypatch):
 def test_verify_checks_the_table_fallback(capsys, monkeypatch):
     # An off-by-one D(q) above the table reaches no N of the sweep, whose
     # sieve runs to max_n; only fast_census(max_n) sees it, in the pass of
-    # census_table(100) that B, S and C share.
+    # census_table(100) that B, S and C share.  S without a table lends a
+    # workspace too, so the fault is put in the calls from the pass alone.
     real = census.divisor_summatory_batch
     monkeypatch.setattr(
         census,
         "divisor_summatory_batch",
-        lambda x, *workspace: real(x, *workspace) + bool(workspace),
+        lambda x, *workspace: real(x, *workspace)
+        + (sys._getframe(1).f_code.co_name == "pass_sums"),
     )
     code, out, _ = run(capsys, "verify", "--max-n", "100")
     assert code == 1

@@ -22,7 +22,7 @@ from divcensus.divisor_core import (
     divisor_summatory,
     divisor_summatory_batch,
     iter_divisor_segments,
-    quotient_row_sums,
+    quotient_sums,
     sieve_divisor_counts,
     summatory_table,
     summatory_table_size,
@@ -631,58 +631,65 @@ def test_float_root_is_isqrt_near_the_bound():
         assert (root * root <= x).all() and ((root + 1) ** 2 > x).all()
 
 
-# -- quotient_row_sums -----------------------------------------------------------
+# -- quotient_sums -----------------------------------------------------------------
 
-def row_sums_by_int64(x, width):
-    """sum_{k<=width} x // k for each x, by int64 floor divisions."""
-    k = np.arange(1, width + 1, dtype=np.int64)
-    return [int((int(v) // k).sum()) for v in x]
+def row_sums_by_int64(x, cap):
+    """sum_{k<=min(isqrt(x), cap)} x // k for each x, by int64 floor divisions."""
+    return [
+        int((int(v) // np.arange(1, min(isqrt(int(v)), cap) + 1, dtype=np.int64)).sum())
+        for v in x
+    ]
 
 
-def test_quotient_row_sums_match_int64_divisions_and_restore_the_ufunc_buffer():
-    # Rows from one cell to 1000, whose 300 rows take three blocks; x = 0
-    # and the cells k > x hold 0.  The caller's ufunc buffer is left as it was.
+def test_quotient_sums_match_int64_divisions_and_restore_the_ufunc_buffer():
+    # Rows from one cell to 1000, many to a block, on x from 10^9 down to
+    # 1: at caps 100 and 1000 some rows are narrower than the cap and end
+    # at isqrt(x), in blocks beside rows the cap cuts.  The caller's ufunc
+    # buffer is left as it was.
     rng = np.random.default_rng(3)
-    x = rng.integers(0, 10**9, size=300)
+    x = np.sort(np.r_[rng.integers(1, 10**9, size=200), rng.integers(1, 10**4, size=100)])[::-1]
+    root = np.array([isqrt(int(v)) for v in x])
     old = np.setbufsize(4096)
     try:
-        for width in (1, 2, 7, 100, 1000):
-            assert quotient_row_sums(x, width).tolist() == row_sums_by_int64(x, width)
+        for cap in (1, 2, 7, 100, 1000):
+            assert quotient_sums(x, cap).tolist() == row_sums_by_int64(x, cap)
             assert np.getbufsize() == 4096
     finally:
         np.setbufsize(old)
-    small = np.array([0, 1, 5, 6, 30], dtype=np.int64)
-    assert quotient_row_sums(small, 6).tolist() == [0, 1, 10, 14, 73]
-    assert quotient_row_sums(np.array([], dtype=np.int64), 3).size == 0
+    for cap in (100, 1000):
+        assert (root < cap).any() and (root > cap).any()
+    # Uncapped, and capped past every row, the sums are the batched D's.
+    want = ((divisor_summatory_batch(x) + root * root) // 2).tolist()
+    assert quotient_sums(x).tolist() == quotient_sums(x, 10**6).tolist() == want
+    small = np.array([30, 6, 5, 1], dtype=np.int64)
+    assert quotient_sums(small, 6).tolist() == [68, 9, 7, 1]
+    assert quotient_sums(small, 3).tolist() == [55, 9, 7, 1]
+    assert quotient_sums(np.array([], dtype=np.int64), 3).size == 0
 
 
-def test_quotient_row_sums_are_exact_at_the_domain_top():
-    # Each row sum is at most x (1 + ln width) <= (2^48 + 2^25) (1 + 17 ln 2)
-    # < 2^52 at width _BLOCK_CELLS = 2^17, so float64 adds every cell
-    # exactly.  Rows at and just below the largest x, at width
-    # icbrt(x) = 2^16, as in S, and at the widest width.
+def test_quotient_sums_are_exact_at_the_domain_top():
+    # Rows at and just below the largest x, whose isqrt(x) = 2^24 the caps
+    # cut: 2^16 = icbrt(x), as in S, 2^17, the widest row of one column
+    # block, and 2^17 + 1, a lone row whose second column block lies past
+    # the head.  Each row sum is at most x (1 + ln cap) < 2^52.
     hi = ln2_upper_bound()
     assert divisor_core._BLOCK_CELLS == 2**17
     assert SUMMATORY_BATCH_MAX_X == 2**48 + 2**25
-    assert SUMMATORY_BATCH_MAX_X * (1 + 17 * hi) < 2**52
+    assert SUMMATORY_BATCH_MAX_X * (1 + 18 * hi) < 2**52
     x = SUMMATORY_BATCH_MAX_X - np.array([0, 1, 2, 720720, 2**24], dtype=np.int64)
-    for width in (2**16, 2**17):
-        got = quotient_row_sums(x, width)
-        assert got.tolist() == row_sums_by_int64(x, width)
+    for cap in (2**16, 2**17, 2**17 + 1):
+        got = quotient_sums(x, cap)
+        assert got.tolist() == row_sums_by_int64(x, cap)
         assert (got < 2**52).all()
-
-
-def test_quotient_row_sums_refuse_x_and_width_out_of_bounds():
-    with pytest.raises(ResourceLimitError, match="SUMMATORY_BATCH_MAX_X"):
-        quotient_row_sums(np.array([5, SUMMATORY_BATCH_MAX_X + 1], dtype=np.int64), 3)
-    with pytest.raises(ValueError, match=">= 0"):
-        quotient_row_sums(np.array([5, -1], dtype=np.int64), 3)
-    for width in (0, divisor_core._BLOCK_CELLS + 1):
-        with pytest.raises(ValueError, match="width"):
-            quotient_row_sums(np.array([5], dtype=np.int64), width)
-    assert quotient_row_sums(np.array([SUMMATORY_BATCH_MAX_X]), 1).tolist() == [
+    assert quotient_sums(np.array([SUMMATORY_BATCH_MAX_X]), 1).tolist() == [
         SUMMATORY_BATCH_MAX_X
     ]
+
+
+def test_quotient_sums_refuse_a_cap_below_1():
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="cap must be >= 1"):
+            quotient_sums(np.array([5], dtype=np.int64), cap)
 
 
 def test_machine_integer_bounds():
